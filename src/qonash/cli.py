@@ -11,12 +11,11 @@ are guaranteed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
 
-from . import conegeom, oracle, qobranch
+from . import conegeom, oracle
 from .errors import DomainError, SchemaError
 from .intlat import MAX_DIM, Lattice, RatVec
 from .nashmap import (
@@ -179,27 +178,24 @@ def _lattice_json(l: Lattice) -> dict:
     return {"denom": l.denom, "scaled_basis": [list(row) for row in l.scaled_basis]}
 
 
-def _branch_json(report: BranchReport, s_min, exps) -> dict:
-    n = report.lattices.N
+def _branch_json(report: BranchReport) -> dict:
     return {
         "label": report.label,
-        "char_exponents": [_vec_json(v) for v in exps],
+        "char_exponents": [_vec_json(v) for v in report.char_exponents],
         "degree": report.lattices.degree_n,
         "tower_step_indices": list(report.lattices.step_indices),
         "lattice_M": _lattice_json(report.lattices.M),
-        "lattice_N": _lattice_json(n),
+        "lattice_N": _lattice_json(report.lattices.N),
         "relevant_faces": [
             {
                 "indices": list(idx),
                 "regular": face.regular,
                 "primitive_generators": [_vec_json(p) for p in face.primgens],
             }
-            for idx, face in (
-                (idx, conegeom.face_data(n, idx)) for idx in report.relevant.faces
-            )
+            for idx, face in ((idx, report.face(idx)) for idx in report.relevant.faces)
         ],
         "singular_faces_of_sigma": [list(i) for i in report.singular_faces_of_sigma],
-        "s_min": [_divisor_json(d) for d in s_min],
+        "s_min": [_divisor_json(d) for d in report.s_min],
         "E": [_divisor_json(d) for d in report.E],
         "V": [_divisor_json(d) for d in report.V],
         "nash_count": report.nash_count,
@@ -209,15 +205,11 @@ def _branch_json(report: BranchReport, s_min, exps) -> dict:
     }
 
 
-def report_to_dict(result: VarietyReport, dim: int, s_mins, exps_by_label) -> dict:
-    branches = [
-        _branch_json(report, s_mins[report.label], exps_by_label[report.label])
-        for report in result.branches
-    ]
+def report_to_dict(result: VarietyReport, dim: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": dim,
-        "branches": branches,
+        "branches": [_branch_json(report) for report in result.branches],
         "total_nash": result.total_nash,
         "total_essential": result.total_essential,
     }
@@ -235,12 +227,11 @@ def _fmt_divisor(d: conegeom.Divisor) -> str:
     return f"{d.vector} = {d.multiplicity}*{d.primitive}"
 
 
-def render_text(result: VarietyReport, dim: int, s_mins, exps_by_label) -> str:
+def render_text(result: VarietyReport, dim: int) -> str:
     lines = [f"variety: dim {dim}, {len(result.branches)} branch(es)", ""]
     for report in result.branches:
-        n = report.lattices.N
         lines.append(f"branch {report.label!r}")
-        exps = exps_by_label[report.label]
+        exps = report.char_exponents
         lines.append(
             "  characteristic exponents: "
             + (", ".join(str(v) for v in exps) if exps else "(none, smooth)")
@@ -249,7 +240,7 @@ def render_text(result: VarietyReport, dim: int, s_mins, exps_by_label) -> str:
             f"  tower step indices: {list(report.lattices.step_indices)}"
             f"  degree n = {report.lattices.degree_n}"
         )
-        lines.append("  N basis: " + ", ".join(str(v) for v in n.basis))
+        lines.append("  N basis: " + ", ".join(str(v) for v in report.lattices.N.basis))
         lines.append(
             "  singular faces of sigma: "
             + (
@@ -260,7 +251,7 @@ def render_text(result: VarietyReport, dim: int, s_mins, exps_by_label) -> str:
         if report.relevant.faces:
             lines.append("  relevant faces:")
             for idx in report.relevant.faces:
-                face = conegeom.face_data(n, idx)
+                face = report.face(idx)
                 tag = "regular" if face.regular else "singular"
                 gens = ", ".join(str(p) for p in face.primgens)
                 lines.append(f"    {_fmt_face(idx)}: {tag}, edge generators {gens}")
@@ -268,7 +259,7 @@ def render_text(result: VarietyReport, dim: int, s_mins, exps_by_label) -> str:
             lines.append("  relevant faces: (none)")
         lines.append(
             "  S_min: "
-            + ("; ".join(_fmt_divisor(d) for d in s_mins[report.label]) or "(empty)")
+            + ("; ".join(_fmt_divisor(d) for d in report.s_min) or "(empty)")
         )
         lines.append(
             "  E (barycenters): "
@@ -298,28 +289,30 @@ def render_text(result: VarietyReport, dim: int, s_mins, exps_by_label) -> str:
 # ------------------------------------------------------------------ command
 
 
-def _oracle_check(result: VarietyReport, s_mins) -> None:
+def _oracle_check(result: VarietyReport) -> None:
     for report in result.branches:
         n = report.lattices.N
-        bound = max(report.lattices.degree_n, 1)
-        brute = oracle.brute_minimal_S(n, bound)
-        main = [d.vector for d in s_mins[report.label]]
+        # The edges lead the face table.  The largest axis reach bounds every
+        # minimal point; the oracle finds its own reaches and refuses the
+        # bound if one lies beyond it.
+        reach = [f.primgens[0].coords[f.indices[0] - 1] for f in report.faces[: n.dim]]
+        brute = oracle.brute_minimal_S(n, int(max(reach)))
+        main = [d.vector for d in report.s_min]
         if brute != main:
             raise DomainError(
                 "ORACLE_MISMATCH",
                 f"minimal singular-face points differ: main {main}, brute {brute}",
                 branch=report.label,
             )
-        for size in range(1, n.dim + 1):
-            for idx in itertools.combinations(range(1, n.dim + 1), size):
-                fast = conegeom.face_data(n, idx).regular
-                slow = oracle.brute_face_index(n, idx) == 1
-                if fast != slow:
-                    raise DomainError(
-                        "ORACLE_MISMATCH",
-                        f"regularity of face {idx} differs: main {fast}, brute {slow}",
-                        branch=report.label,
-                    )
+        for face in report.faces:
+            slow = oracle.brute_face_index(n, face.indices) == 1
+            if face.regular != slow:
+                raise DomainError(
+                    "ORACLE_MISMATCH",
+                    f"regularity of face {face.indices} differs: "
+                    f"main {face.regular}, brute {slow}",
+                    branch=report.label,
+                )
 
 
 def run(argv=None) -> int:
@@ -374,23 +367,9 @@ def run(argv=None) -> int:
             raise DomainError(
                 "LIMIT_EXCEEDED", f"dim {dim} above --max-dim {args.max_dim}"
             )
-        for branch in inputs:
-            lattices = qobranch.build_tower(branch.spec)
-            if lattices.degree_n > args.max_index:
-                raise DomainError(
-                    "LIMIT_EXCEEDED",
-                    f"degree {lattices.degree_n} above --max-index {args.max_index}",
-                    branch=branch.spec.label,
-                )
         result = analyze_variety(inputs, max_points=args.max_index)
-        s_mins = {
-            r.label: conegeom.minimal_toric_divisors(
-                r.lattices.N, max_points=args.max_index
-            )
-            for r in result.branches
-        }
         if args.oracle_check:
-            _oracle_check(result, s_mins)
+            _oracle_check(result)
     except SchemaError as exc:
         print(f"qonash: error: schema: {exc}", file=sys.stderr)
         return 2
@@ -398,7 +377,6 @@ def run(argv=None) -> int:
         print(f"qonash: error: {exc}", file=sys.stderr)
         return 1
 
-    exps_by_label = {b.spec.label: b.spec.char_exponents for b in inputs}
     for report in result.branches:
         for diag in report.diagnostics:
             print(
@@ -406,10 +384,10 @@ def run(argv=None) -> int:
                 file=sys.stderr,
             )
     if args.fmt == "json":
-        payload = report_to_dict(result, dim, s_mins, exps_by_label)
+        payload = report_to_dict(result, dim)
         sys.stdout.write(render_json(payload))
     else:
-        sys.stdout.write(render_text(result, dim, s_mins, exps_by_label))
+        sys.stdout.write(render_text(result, dim))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import intlat
 from .errors import DomainError
@@ -53,41 +53,24 @@ def _check_indices(dim: int, indices) -> tuple[int, ...]:
     return idx
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Solve x . rows = r for each r in rhs (rows square nonsingular)."""
-    m = len(rows)
-    # Work on the transpose so each solution is a standard linear solve.
-    aug = [[rows[j][i] for j in range(m)] + [r[i] for r in rhs] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [[aug[i][m + k] for i in range(m)] for k in range(len(rhs))]
+def _section_pivots(n: Lattice, idx: tuple[int, ...]) -> list[int]:
+    """Hermite pivots of denom times the lattice points supported on a face.
+
+    With the face's coordinates first, the leading len(idx) rows of the
+    lower-triangular HNF are the HNF of that section (Cohen, GTM 138, 2.4).
+    """
+    order = [i - 1 for i in idx] + [j for j in range(n.dim) if j + 1 not in idx]
+    rows = intlat.hnf([[row[c] for c in order] for row in n.scaled_basis])
+    return [rows[k][k] for k in range(len(idx))]
 
 
-def _section_basis(n: Lattice, indices: tuple[int, ...]) -> list[RatVec]:
-    """Basis of the lattice points supported on the given coordinates."""
-    d = n.dim
-    complement = [j for j in range(d) if (j + 1) not in indices]
-    if not complement:
-        return list(n.basis)
-    constraint = [[n.scaled_basis[i][j] for j in complement] for i in range(d)]
-    kernel = intlat.integer_kernel(constraint)
-    basis = n.basis
-    out = []
-    for y in kernel:
-        vec = RatVec.zero(d)
-        for yi, row in zip(y, basis):
-            if yi:
-                vec = vec + row.scale(yi)
-        out.append(vec)
-    assert len(out) == len(indices)
-    return out
+def _face_index(n: Lattice, idx: tuple[int, ...], primgens) -> int:
+    # Covolume of the edge sublattice over the covolume of the section; the
+    # edge generators lie in N, so denom times each is integral.
+    edges = prod(int(p.coords[i - 1] * n.denom) for i, p in zip(idx, primgens))
+    pivots = prod(_section_pivots(n, idx))
+    assert edges % pivots == 0
+    return edges // pivots
 
 
 def face_index(n: Lattice, indices) -> int:
@@ -96,32 +79,30 @@ def face_index(n: Lattice, indices) -> int:
     idx = _check_indices(n.dim, indices)
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no lattice index")
-    if len(idx) == 1:
-        return 1
-    primgens = [intlat.primitive_on_ray(n, i) for i in idx]
-    section = _section_basis(n, idx)
-    # Coordinates restricted to the face's support; the rest are zero.
-    cols = [i - 1 for i in idx]
-    rows = [[v.coords[c] for c in cols] for v in section]
-    rhs = [[p.coords[c] for c in cols] for p in primgens]
-    sols = _solve_square(rows, rhs)
-    mat = []
-    for sol in sols:
-        assert all(x.denominator == 1 for x in sol)
-        mat.append([x.numerator for x in sol])
-    factors = intlat.snf(mat)
-    out = 1
-    for f in factors:
-        out *= f
-    return out
+    return _face_index(n, idx, [intlat.primitive_on_ray(n, i) for i in idx])
+
+
+def _face(n: Lattice, idx: tuple[int, ...], primgens: tuple[RatVec, ...]) -> Face:
+    regular = len(idx) <= 1 or _face_index(n, idx, primgens) == 1
+    return Face(indices=idx, primgens=primgens, regular=regular)
 
 
 def face_data(n: Lattice, indices) -> Face:
     """Primitive edge generators and regularity flag of a quadrant face."""
     idx = _check_indices(n.dim, indices)
-    primgens = tuple(intlat.primitive_on_ray(n, i) for i in idx)
-    regular = True if len(idx) <= 1 else face_index(n, idx) == 1
-    return Face(indices=idx, primgens=primgens, regular=regular)
+    return _face(n, idx, tuple(intlat.primitive_on_ray(n, i) for i in idx))
+
+
+def face_table(n: Lattice) -> tuple[Face, ...]:
+    """Every nonempty face of the quadrant, by size and then indices; each
+    axis's primitive generator is found once and shared by its faces."""
+    d = n.dim
+    gens = [intlat.primitive_on_ray(n, k) for k in range(1, d + 1)]
+    return tuple(
+        _face(n, idx, tuple(gens[i - 1] for i in idx))
+        for size in range(1, d + 1)
+        for idx in itertools.combinations(range(1, d + 1), size)
+    )
 
 
 def parallelepiped_points(
@@ -137,14 +118,8 @@ def parallelepiped_points(
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
     d, denom = n.dim, n.denom
-    reach = {}
-    for i in idx:
-        c = intlat.primitive_on_ray(n, i).coords[i - 1] * denom
-        assert c.denominator == 1
-        reach[i] = c.numerator
-    total = 1
-    for i in idx:
-        total *= reach[i]
+    reach = {i: int(intlat.primitive_on_ray(n, i).coords[i - 1] * denom) for i in idx}
+    total = prod(reach.values())
     if max_points is not None and total > max_points:
         raise DomainError(
             "LIMIT_EXCEEDED",
@@ -176,13 +151,7 @@ def minimal_elements(pts) -> list[RatVec]:
 
 def singular_faces(n: Lattice) -> list[tuple[int, ...]]:
     """All nonempty faces of the quadrant that are singular for N, ordered."""
-    d = n.dim
-    out = []
-    for size in range(2, d + 1):  # edges and the zero face are always regular
-        for idx in itertools.combinations(range(1, d + 1), size):
-            if not face_data(n, idx).regular:
-                out.append(idx)
-    return out
+    return [face.indices for face in face_table(n) if not face.regular]
 
 
 def divisor_on_ray(n: Lattice, v: RatVec, origin: str) -> Divisor:
@@ -201,7 +170,14 @@ def divisor_on_ray(n: Lattice, v: RatVec, origin: str) -> Divisor:
 def minimal_toric_divisors(
     n: Lattice, *, max_points: int | None = None
 ) -> list[Divisor]:
-    """Divisors labelled by the minimal lattice points of the singular faces.
+    """Divisors labelled by the minimal lattice points of the singular faces."""
+    return minimal_singular_divisors(n, face_table(n), max_points)
+
+
+def minimal_singular_divisors(
+    n: Lattice, faces: tuple[Face, ...], max_points: int | None
+) -> list[Divisor]:
+    """S_min of N, given its face table.
 
     The minimal elements of the union of relative interiors of singular faces
     are found inside the edge parallelepipeds: subtracting an edge generator
@@ -212,8 +188,11 @@ def minimal_toric_divisors(
             "NOT_SUBLATTICE", "expected a sublattice of Z^d (dual of a superlattice)"
         )
     candidates: set[RatVec] = set()
-    for idx in singular_faces(n):
-        candidates.update(parallelepiped_points(n, idx, max_points=max_points))
+    for face in faces:
+        if not face.regular:
+            candidates.update(
+                parallelepiped_points(n, face.indices, max_points=max_points)
+            )
     return [
         divisor_on_ray(n, v, ORIGIN_TORIC_MINIMAL) for v in minimal_elements(candidates)
     ]
@@ -224,10 +203,15 @@ def barycenter(n: Lattice, indices) -> Divisor:
     idx = _check_indices(n.dim, indices)
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no barycenter")
-    face = face_data(n, idx)
+    return face_barycenter(n, face_data(n, idx))
+
+
+def face_barycenter(n: Lattice, face: Face) -> Divisor:
+    """Barycenter of a nonempty face already classified for N."""
     if not face.regular:
         raise DomainError(
-            "SINGULAR_FACE", f"face {idx} is singular; barycenters live on regular faces"
+            "SINGULAR_FACE",
+            f"face {face.indices} is singular; barycenters live on regular faces",
         )
     total = face.primgens[0]
     for p in face.primgens[1:]:

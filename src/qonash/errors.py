@@ -14,8 +14,9 @@ class DomainError(ValueError):
       DIMENSION_MISMATCH, NOT_FULL_RANK, NOT_SUBLATTICE, ZERO_MATRIX,
       NEGATIVE_EXPONENT, CHAIN_ORDER, NOT_CHARACTERISTIC,
       BAD_FACE, SINGULAR_FACE, EMPTY_SUPPORT, ZERO_CONTACT,
-      B_MISSING_SING, UNKNOWN_BRANCH, SELF_CONTACT, DUPLICATE_CONTACT,
-      ASYMMETRIC_CONTACT, BOUND_TOO_SMALL, LIMIT_EXCEEDED, ORACLE_MISMATCH.
+      B_MISSING_SING, DUPLICATE_LABEL, UNKNOWN_BRANCH, SELF_CONTACT,
+      DUPLICATE_CONTACT, ASYMMETRIC_CONTACT, BOUND_TOO_SMALL, LIMIT_EXCEEDED,
+      ORACLE_MISMATCH.
     """
 
     def __init__(self, code: str, message: str, *, branch: str | None = None):

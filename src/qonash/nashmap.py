@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import conegeom, qobranch
-from .conegeom import Divisor, leq_sigma
+from .conegeom import Divisor, Face, leq_sigma
 from .errors import DomainError
 from .intlat import Lattice, RatVec
 from .qobranch import BranchLattices, BranchSpec
@@ -52,13 +52,22 @@ class Diagnostic:
 @dataclass(frozen=True)
 class BranchReport:
     label: str
+    char_exponents: tuple[RatVec, ...]
     lattices: BranchLattices
     relevant: RelevantFaces
-    singular_faces_of_sigma: tuple[tuple[int, ...], ...]
+    faces: tuple[Face, ...]
+    s_min: tuple[Divisor, ...]
     E: tuple[Divisor, ...]
     V: tuple[Divisor, ...]
     nash_count: int
     diagnostics: tuple[Diagnostic, ...] = field(default=())
+
+    @property
+    def singular_faces_of_sigma(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(f.indices for f in self.faces if not f.regular)
+
+    def face(self, indices: tuple[int, ...]) -> Face:
+        return next(f for f in self.faces if f.indices == indices)
 
 
 @dataclass(frozen=True)
@@ -128,12 +137,17 @@ def essential_divisors(
     barycenter.  Their union is the full set of essential divisors relative
     to B, and equals the image of the Nash components.
     """
-    s_min = conegeom.minimal_toric_divisors(n, max_points=max_points)
-    e_divisors = []
-    for idx in relevant.faces:
-        if conegeom.face_data(n, idx).regular:
-            e_divisors.append(conegeom.barycenter(n, idx))
-    e_divisors.sort()
+    faces = conegeom.face_table(n)
+    s_min = conegeom.minimal_singular_divisors(n, faces, max_points)
+    return _split(n, faces, relevant, s_min)
+
+
+def _split(n: Lattice, faces, relevant: RelevantFaces, s_min):
+    e_divisors = sorted(
+        conegeom.face_barycenter(n, f)
+        for f in faces
+        if f.regular and f.indices in relevant.faces
+    )
     v_divisors = [
         v
         for v in s_min
@@ -169,17 +183,34 @@ def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[i
     return tuple(out)
 
 
+def _build_tower(branch: BranchInput, max_points: int | None) -> BranchLattices:
+    lattices = qobranch.build_tower(branch.spec)
+    if max_points is not None and lattices.degree_n > max_points:
+        raise DomainError(
+            "LIMIT_EXCEEDED",
+            f"degree {lattices.degree_n} above --max-index {max_points}",
+            branch=branch.spec.label,
+        )
+    return lattices
+
+
 def analyze_branch(
     branch: BranchInput, *, max_points: int | None = None
 ) -> BranchReport:
     """Relative Nash data of one branch.
 
-    Raises B_MISSING_SING when the normalization is singular but no
-    singular-locus faces were supplied, since B must contain the singular
-    locus for the face picture to be meaningful.
+    ``max_points`` caps the tower degree and the candidate points of each
+    singular face.  Raises B_MISSING_SING when the normalization is singular
+    but no singular-locus faces were supplied, since B must contain the
+    singular locus for the face picture to be meaningful.
     """
+    return _analyze(branch, _build_tower(branch, max_points), max_points)
+
+
+def _analyze(
+    branch: BranchInput, lattices: BranchLattices, max_points: int | None
+) -> BranchReport:
     label = branch.spec.label
-    lattices = qobranch.build_tower(branch.spec)
     n = lattices.N
     d = branch.spec.dim
 
@@ -200,7 +231,8 @@ def analyze_branch(
             raise DomainError(exc.code, exc.message, branch=label or None) from None
     relevant = componentize(raw)
 
-    sigma_singular = tuple(conegeom.singular_faces(n))
+    faces = conegeom.face_table(n)
+    sigma_singular = any(not f.regular for f in faces)
     if sigma_singular and not sing_faces:
         raise DomainError(
             "B_MISSING_SING",
@@ -209,9 +241,8 @@ def analyze_branch(
             branch=label or None,
         )
 
-    e_divisors, v_divisors, diagnostics = essential_divisors(
-        n, relevant, max_points=max_points
-    )
+    s_min = conegeom.minimal_singular_divisors(n, faces, max_points)
+    e_divisors, v_divisors, diagnostics = _split(n, faces, relevant, s_min)
     if not relevant.faces and not sigma_singular:
         diagnostics = diagnostics + [
             Diagnostic(
@@ -221,9 +252,11 @@ def analyze_branch(
         ]
     return BranchReport(
         label=label,
+        char_exponents=branch.spec.char_exponents,
         lattices=lattices,
         relevant=relevant,
-        singular_faces_of_sigma=sigma_singular,
+        faces=faces,
+        s_min=tuple(s_min),
         E=tuple(e_divisors),
         V=tuple(v_divisors),
         nash_count=len(e_divisors) + len(v_divisors),
@@ -279,10 +312,13 @@ def analyze_variety(
 
     The preimage of the singular locus splits as the disjoint union of the
     per-branch preimages of B_i, so Nash components and essential divisors
-    are counted branch by branch and summed.
+    are counted branch by branch and summed.  ``max_points`` caps each
+    branch as in :func:`analyze_branch`.
     """
     branches = list(branches)
+    # Tower errors and degree caps, in branch order, precede contact errors.
+    towers = [_build_tower(b, max_points) for b in branches]
     _check_contact_symmetry(branches)
-    reports = tuple(analyze_branch(b, max_points=max_points) for b in branches)
+    reports = tuple(_analyze(b, l, max_points) for b, l in zip(branches, towers))
     total = sum(r.nash_count for r in reports)
     return VarietyReport(branches=reports, total_nash=total, total_essential=total)

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from qonash import conegeom, intlat, qobranch
 from qonash.cli import render_json, run
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -137,6 +139,95 @@ def test_max_index_guard(capsys):
     )
     assert code == 1
     assert "LIMIT_EXCEEDED" in err
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_tower_error_precedes_contact_error(tmp_path, capsys):
+    doc = {
+        "schema_version": 1,
+        "dim": 2,
+        "branches": [
+            {"label": "A", "char_exponents": [[[1, 2], [1, 2]]], "sing_faces": [[1, 2]]},
+            {
+                "label": "B",
+                "char_exponents": [[[1, 2], [1, 2]], [[1, 1], [1, 1]]],
+                "sing_faces": [[1, 2]],
+            },
+        ],
+        "contacts": [{"from_label": "A", "to_label": "B", "exponent": [[1, 2], [1, 2]]}],
+    }
+    code, out, err = run_cli(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert "[NOT_CHARACTERISTIC] branch 'B'" in err
+    assert "ASYMMETRIC_CONTACT" not in err
+
+
+def test_degree_cap_precedes_branch_analysis(tmp_path, capsys):
+    doc = {
+        "schema_version": 1,
+        "dim": 2,
+        "branches": [
+            {"label": "A", "char_exponents": [[[1, 2], [1, 2]]]},
+            {"label": "B", "char_exponents": [[[1, 4], [1, 4]]], "sing_faces": [[1, 2]]},
+        ],
+    }
+    code, out, err = run_cli(capsys, "analyze", _write(tmp_path, doc), "--max-index", "3")
+    assert (code, out) == (1, "")
+    assert "[LIMIT_EXCEEDED] branch 'B': degree 4 above --max-index 3" in err
+    assert "B_MISSING_SING" not in err
+
+
+def test_each_quantity_computed_once(capsys, monkeypatch):
+    calls = Counter()
+    for module, name in [
+        (qobranch, "build_tower"),
+        (conegeom, "parallelepiped_points"),
+        (conegeom, "minimal_elements"),
+        (intlat, "snf"),
+    ]:
+
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_cli(
+        capsys, "analyze", str(CORPUS / "reducible.json"), "--format", "json",
+        "--oracle-check",
+    )
+    assert code == 0
+    branches = json.loads(out)["branches"]
+    assert calls["build_tower"] == len(branches)
+    assert calls["parallelepiped_points"] == sum(
+        len(b["singular_faces_of_sigma"]) for b in branches
+    )
+    assert calls["minimal_elements"] == len(branches)
+    assert calls["snf"] == 0
+
+
+def test_oracle_check_bounded_by_axis_reach(tmp_path, capsys):
+    # Degree 24 in dimension 6: a scan bounded by the degree would cover
+    # 25**6 points, above the oracle's cap; the largest axis reach, 6,
+    # gives 7**6.
+    half, three_quarters, five_sixths = [1, 2], [3, 4], [5, 6]
+    doc = {
+        "schema_version": 1,
+        "dim": 6,
+        "branches": [
+            {
+                "label": "d6",
+                "char_exponents": [[half] * 6, [three_quarters] * 4 + [five_sixths] * 2],
+                "sing_faces": [[k] for k in range(1, 7)],
+            }
+        ],
+    }
+    code, _, err = run_cli(capsys, "analyze", _write(tmp_path, doc), "--oracle-check")
+    assert code == 0, err
 
 
 def test_asymmetric_contact_exit(tmp_path, capsys):
