@@ -304,8 +304,9 @@ def _oracle_check(result: VarietyReport) -> None:
                 f"minimal singular-face points differ: main {main}, brute {brute}",
                 branch=report.label,
             )
+        singular = oracle.brute_singular_faces(n, int(max(reach)))
         for face in report.faces:
-            slow = oracle.brute_face_index(n, face.indices) == 1
+            slow = face.indices not in singular
             if face.regular != slow:
                 raise DomainError(
                     "ORACLE_MISMATCH",

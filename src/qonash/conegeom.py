@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import le
 
 from . import intlat
 from .errors import DomainError
@@ -41,9 +42,13 @@ class Divisor:
     origin: str
 
 
-def leq_sigma(u: RatVec, v: RatVec) -> bool:
-    """Quadrant order: u <= v iff v - u has no negative coordinate."""
-    return (v - u).is_nonnegative()
+def leq_sigma(u, v) -> bool:
+    """Quadrant order on coordinate sequences: u <= v iff v - u >= 0."""
+    if len(u) != len(v):
+        raise DomainError(
+            "DIMENSION_MISMATCH", f"vector dimensions differ: {len(u)} vs {len(v)}"
+        )
+    return all(map(le, u, v))
 
 
 def _check_indices(dim: int, indices) -> tuple[int, ...]:
@@ -53,22 +58,24 @@ def _check_indices(dim: int, indices) -> tuple[int, ...]:
     return idx
 
 
-def _section_pivots(n: Lattice, idx: tuple[int, ...]) -> list[int]:
-    """Hermite pivots of denom times the lattice points supported on a face.
+def _section(n: Lattice, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Hermite basis of denom times the lattice points supported on a face.
 
     With the face's coordinates first, the leading len(idx) rows of the
-    lower-triangular HNF are the HNF of that section (Cohen, GTM 138, 2.4).
+    lower-triangular HNF are the HNF of that section (Cohen, GTM 138, 2.4);
+    they come back in ambient order, row r pivoting at coordinate idx[r].
     """
     order = [i - 1 for i in idx] + [j for j in range(n.dim) if j + 1 not in idx]
     rows = intlat.hnf([[row[c] for c in order] for row in n.scaled_basis])
-    return [rows[k][k] for k in range(len(idx))]
+    place = sorted(range(n.dim), key=order.__getitem__)
+    return [tuple(row[k] for k in place) for row in rows[: len(idx)]]
 
 
 def _face_index(n: Lattice, idx: tuple[int, ...], primgens) -> int:
     # Covolume of the edge sublattice over the covolume of the section; the
     # edge generators lie in N, so denom times each is integral.
     edges = prod(int(p.coords[i - 1] * n.denom) for i, p in zip(idx, primgens))
-    pivots = prod(_section_pivots(n, idx))
+    pivots = prod(row[i - 1] for i, row in zip(idx, _section(n, idx)))
     assert edges % pivots == 0
     return edges // pivots
 
@@ -107,40 +114,42 @@ def face_table(n: Lattice) -> tuple[Face, ...]:
 
 def parallelepiped_points(
     n: Lattice, indices, *, max_points: int | None = None
-) -> list[RatVec]:
+) -> list[tuple[int, ...]]:
     """Lattice points in the half-open edge parallelepiped of a face.
 
     These are the x in N with x_i in (0, c_i] on the face coordinates (c_i
     the positive coordinate of the primitive edge generator) and x_j = 0 off
-    them, enumerated on the 1/denom grid and filtered by exact membership.
+    them, as sorted integer tuples denom*x.  Walking the section's Hermite
+    basis up from its last row, each row's coefficient has exactly c_i/p
+    choices (p its pivot at i), so no choice is wasted on a non-point.
     """
     idx = _check_indices(n.dim, indices)
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
-    d, denom = n.dim, n.denom
-    reach = {i: int(intlat.primitive_on_ray(n, i).coords[i - 1] * denom) for i in idx}
-    total = prod(reach.values())
+    reach = [int(intlat.primitive_on_ray(n, i).coords[i - 1] * n.denom) for i in idx]
+    total = prod(reach)
     if max_points is not None and total > max_points:
         raise DomainError(
             "LIMIT_EXCEEDED",
             f"face {idx} needs {total} candidate points, above the cap {max_points}",
         )
-    hits = []
-    for combo in itertools.product(*(range(1, reach[i] + 1) for i in idx)):
-        m = [0] * d
-        for i, value in zip(idx, combo):
-            m[i - 1] = value
-        if n._contains_scaled(m):
-            hits.append(RatVec(Fraction(x, denom) for x in m))
-    hits.sort()
-    return hits
+    points = [(0,) * n.dim]
+    for i, c, row in reversed(list(zip(idx, reach, _section(n, idx)))):
+        p = row[i - 1]
+        # The c/p coefficients y that put x_i + y*p in (0, c].
+        points = [
+            tuple(a + y * b for a, b in zip(x, row))
+            for x in points
+            for y in range(-((x[i - 1] - 1) // p), c // p - (x[i - 1] - 1) // p)
+        ]
+    points.sort()
+    return points
 
 
-def minimal_elements(pts) -> list[RatVec]:
+def minimal_elements(pts) -> list:
     """Minimal elements of a finite set for the quadrant order, sorted."""
-    ordered = sorted(set(pts), key=lambda v: (sum(v.coords), v.coords))
-    kept: list[RatVec] = []
-    for v in ordered:
+    kept: list = []
+    for v in sorted(set(pts), key=sum):
         # Any strict dominator has strictly smaller coordinate sum, so it is
         # either already kept or dominated by something kept.
         if not any(leq_sigma(u, v) for u in kept):
@@ -156,9 +165,9 @@ def singular_faces(n: Lattice) -> list[tuple[int, ...]]:
 
 def divisor_on_ray(n: Lattice, v: RatVec, origin: str) -> Divisor:
     """Split a nonzero lattice vector as multiplicity times a primitive one."""
-    coeffs = n.solve(v)
-    assert all(c.denominator == 1 for c in coeffs)
-    q = gcd(*(c.numerator for c in coeffs))
+    coeffs = n.scaled_coefficients(n.scaled_coords(v))
+    assert coeffs is not None, f"{v} is not a lattice vector"
+    q = gcd(*coeffs)
     return Divisor(
         vector=v,
         primitive=v.scale(Fraction(1, q)),
@@ -187,14 +196,15 @@ def minimal_singular_divisors(
         raise DomainError(
             "NOT_SUBLATTICE", "expected a sublattice of Z^d (dual of a superlattice)"
         )
-    candidates: set[RatVec] = set()
+    candidates: set[tuple[int, ...]] = set()
     for face in faces:
         if not face.regular:
             candidates.update(
                 parallelepiped_points(n, face.indices, max_points=max_points)
             )
     return [
-        divisor_on_ray(n, v, ORIGIN_TORIC_MINIMAL) for v in minimal_elements(candidates)
+        divisor_on_ray(n, RatVec(m), ORIGIN_TORIC_MINIMAL)
+        for m in minimal_elements(candidates)
     ]
 
 

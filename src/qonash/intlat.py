@@ -9,7 +9,7 @@ normal form), so two equal lattices compare equal as objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DomainError
 
@@ -295,18 +295,13 @@ class Lattice:
     operations below.
     """
 
-    __slots__ = ("dim", "denom", "scaled_basis", "_scaled_det", "_inv_cache", "_adj_cache")
+    __slots__ = ("dim", "denom", "scaled_basis", "_inv_cache")
 
     def __init__(self, dim: int, denom: int, scaled_basis: tuple[tuple[int, ...], ...]):
         self.dim = dim
         self.denom = denom
         self.scaled_basis = scaled_basis
-        det = 1
-        for i in range(dim):
-            det *= scaled_basis[i][i]
-        self._scaled_det = det  # positive: HNF pivots are positive
         self._inv_cache: list[list[Fraction]] | None = None
-        self._adj_cache: list[list[int]] | None = None
 
     @property
     def basis(self) -> tuple[RatVec, ...]:
@@ -317,8 +312,9 @@ class Lattice:
 
     @property
     def det(self) -> Fraction:
-        """Positive determinant of the basis (covolume)."""
-        return Fraction(self._scaled_det, self.denom**self.dim)
+        """Positive determinant of the basis (covolume): HNF pivots are positive."""
+        pivots = prod(self.scaled_basis[i][i] for i in range(self.dim))
+        return Fraction(pivots, self.denom**self.dim)
 
     def _inverse_scaled(self) -> list[list[Fraction]]:
         if self._inv_cache is None:
@@ -337,33 +333,18 @@ class Lattice:
             out.append(w.numerator)
         return tuple(out)
 
-    def _adjugate_scaled(self) -> list[list[int]]:
-        """det * inverse of scaled_basis, an integer matrix (cached)."""
-        if self._adj_cache is None:
-            inv = self._inverse_scaled()
-            det = self._scaled_det
-            adj = []
-            for row in inv:
-                scaled = [c * det for c in row]
-                assert all(c.denominator == 1 for c in scaled)
-                adj.append([c.numerator for c in scaled])
-            self._adj_cache = adj
-        return self._adj_cache
-
-    def _contains_scaled(self, m) -> bool:
-        """Membership test for a point given as numerators of denom*x."""
-        adj = self._adjugate_scaled()
-        det = self._scaled_det
-        d = self.dim
-        for j in range(d):
-            # y_j = (sum_i m_i adj[i][j]) / det; adj is lower triangular.
-            acc = 0
-            for i in range(j, d):
-                if m[i]:
-                    acc += m[i] * adj[i][j]
-            if acc % det:
-                return False
-        return True
+    def scaled_coefficients(self, m) -> tuple[int, ...] | None:
+        """Integer y with y . scaled_basis = m, or None if there is none: the
+        basis coefficients of x when m holds the numerators of denom*x, by
+        back-substitution from the last pivot of the triangular basis."""
+        s, d = self.scaled_basis, self.dim
+        y = [0] * d
+        for j in range(d - 1, -1, -1):
+            rest = m[j] - sum(y[i] * s[i][j] for i in range(j + 1, d))
+            y[j], r = divmod(rest, s[j][j])
+            if r:
+                return None
+        return tuple(y)
 
     def solve(self, v: RatVec) -> tuple[Fraction, ...]:
         """Rational coefficients y with y . basis = v."""
@@ -457,9 +438,7 @@ def contains(l: Lattice, v: RatVec) -> bool:
             f"vector of dimension {v.dim} against lattice of dimension {l.dim}",
         )
     m = l.scaled_coords(v)
-    if m is None:
-        return False
-    return l._contains_scaled(m)
+    return m is not None and l.scaled_coefficients(m) is not None
 
 
 def index(sub: Lattice, sup: Lattice) -> int:

@@ -11,6 +11,7 @@ relative problems, so counts simply add up.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import conegeom, qobranch
@@ -111,20 +112,25 @@ def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
     faces are honest orbit-closure components) this can never fire; a hit
     means the supplied face data contradicts the lattice.
     """
-    pool = [d.vector for d in e_divisors] + [d.vector for d in s_min]
+    pool = [_point(d) for d in [*e_divisors, *s_min]]
     out = []
     for e in e_divisors:
-        for x in pool:
-            if x != e.vector and leq_sigma(x, e.vector):
-                out.append(
-                    Diagnostic(
-                        "LEMMA_MIN_VIOLATION",
-                        f"barycenter {e.vector} is dominated by {x}; "
-                        f"the supplied faces are inconsistent with the lattice",
-                    )
+        p = _point(e)
+        x = next((q for q in pool if q != p and leq_sigma(q, p)), None)
+        if x is not None:
+            out.append(
+                Diagnostic(
+                    "LEMMA_MIN_VIOLATION",
+                    f"barycenter {e.vector} is dominated by {RatVec(x)}; "
+                    f"the supplied faces are inconsistent with the lattice",
                 )
-                break
+            )
     return out
+
+
+def _point(d: Divisor) -> tuple[int, ...]:
+    assert d.vector.is_integral()  # divisors label points of N, inside Z^d
+    return tuple(c.numerator for c in d.vector)
 
 
 def essential_divisors(
@@ -148,18 +154,18 @@ def _split(n: Lattice, faces, relevant: RelevantFaces, s_min):
         for f in faces
         if f.regular and f.indices in relevant.faces
     )
-    v_divisors = [
-        v
-        for v in s_min
-        if not any(
-            e.vector != v.vector and leq_sigma(e.vector, v.vector) for e in e_divisors
-        )
-    ]
+    e_points = [_point(e) for e in e_divisors]
+    v_divisors = []
+    for v in s_min:
+        p = _point(v)
+        if not any(e != p and leq_sigma(e, p) for e in e_points):
+            v_divisors.append(v)
     diagnostics = lemma_min_diagnostics(e_divisors, s_min)
     if not diagnostics:
-        combined = [d.vector for d in e_divisors] + [d.vector for d in v_divisors]
+        # By coordinate sum, so a strict dominator always comes first.
+        combined = sorted(e_points + [_point(v) for v in v_divisors], key=sum)
         assert not any(
-            a != b and leq_sigma(a, b) for a in combined for b in combined
+            a != b and leq_sigma(a, b) for a, b in itertools.combinations(combined, 2)
         ), "essential divisors must form an antichain"
     return e_divisors, v_divisors, diagnostics
 

@@ -1,7 +1,7 @@
 """Brute-force reference implementations for cross-checking.
 
 These deliberately share no algorithmic code with the main path: membership
-in the box scans runs through an adjugate computed here by plain
+in the box and axis scans runs through an adjugate computed here by plain
 Gauss-Jordan elimination, faces are classified by counting points, and
 minimality is raw pairwise comparison (layered by coordinate sum when the
 candidate set is large, which changes nothing about what is compared).
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import intlat
 from .errors import DomainError
 from .intlat import Lattice, RatVec
 
@@ -76,14 +75,12 @@ class _BoxScanner:
         prods = points.astype(dtype) @ np.array(self.adj, dtype=dtype)
         return np.all(prods % self.det == 0, axis=1)
 
-    def scan(self, lows, highs, columns=None):
+    def scan(self, lows, highs, columns):
         """Yield lattice points x with lows[i] <= x_i <= highs[i].
 
         ``columns`` maps box axes onto coordinate positions (0-based); the
         remaining coordinates stay zero.  Chunked so memory stays flat.
         """
-        if columns is None:
-            columns = list(range(self.dim))
         shape = tuple(h - l + 1 for l, h in zip(lows, highs))
         total = 1
         for s in shape:
@@ -101,21 +98,18 @@ class _BoxScanner:
             yield from (tuple(int(v) for v in row) for row in pts[self._mask(pts)])
 
 
-def _axis_reach(n: Lattice, bound: int) -> list[int]:
+def _axis_reach(scanner: _BoxScanner, bound: int) -> list[int]:
     """Coordinate of the primitive lattice point on each axis, by scanning."""
     reach = []
-    for k in range(1, n.dim + 1):
-        found = None
-        for t in range(1, bound + 1):
-            if intlat.contains(n, RatVec.unit(n.dim, k).scale(t)):
-                found = t
-                break
-        if found is None:
+    for k in range(scanner.dim):
+        # The scan yields in ascending order, so the first hit is the least.
+        hit = next(scanner.scan([1], [bound], [k]), None)
+        if hit is None:
             raise DomainError(
                 "BOUND_TOO_SMALL",
-                f"no lattice point on axis {k} within bound {bound}",
+                f"no lattice point on axis {k + 1} within bound {bound}",
             )
-        reach.append(found)
+        reach.append(hit[k])
     return reach
 
 
@@ -124,6 +118,22 @@ def _face_count(scanner: _BoxScanner, reach: list[int], idx: tuple[int, ...]) ->
     highs = [reach[i - 1] for i in idx]
     cols = [i - 1 for i in idx]
     return sum(1 for _ in scanner.scan(lows, highs, cols))
+
+
+def _singular_faces(scanner: _BoxScanner, reach: list[int]) -> set[tuple[int, ...]]:
+    return {
+        idx
+        for size in range(1, scanner.dim + 1)
+        for idx in itertools.combinations(range(1, scanner.dim + 1), size)
+        if _face_count(scanner, reach, idx) > 1
+    }
+
+
+def brute_singular_faces(n: Lattice, bound: int) -> set[tuple[int, ...]]:
+    """The nonempty faces with more than one lattice point in their half-open
+    edge box; ``bound`` must reach the primitive point on every axis."""
+    scanner = _BoxScanner(n)
+    return _singular_faces(scanner, _axis_reach(scanner, bound))
 
 
 def brute_face_index(n: Lattice, indices) -> int:
@@ -137,8 +147,7 @@ def brute_face_index(n: Lattice, indices) -> int:
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     scanner = _BoxScanner(n)
     # The whole quotient Z^d / N is killed by |det|, so the axis scan is safe.
-    reach = _axis_reach(n, scanner.det)
-    return _face_count(scanner, reach, idx)
+    return _face_count(scanner, _axis_reach(scanner, scanner.det), idx)
 
 
 def _minimal_points(hits: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -189,16 +198,10 @@ def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
     if bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
     scanner = _BoxScanner(n)
-    reach = _axis_reach(n, bound)
-
-    singular_support = {}
-    for size in range(1, n.dim + 1):
-        for idx in itertools.combinations(range(1, n.dim + 1), size):
-            singular_support[idx] = _face_count(scanner, reach, idx) > 1
-
+    singular = _singular_faces(scanner, _axis_reach(scanner, bound))
     hits = []
-    for x in scanner.scan([0] * n.dim, [bound] * n.dim):
+    for x in scanner.scan([0] * n.dim, [bound] * n.dim, range(n.dim)):
         support = tuple(i + 1 for i, c in enumerate(x) if c > 0)
-        if support and singular_support[support]:
+        if support in singular:
             hits.append(x)
     return [RatVec(x) for x in _minimal_points(hits)]

@@ -263,6 +263,21 @@ def test_oracle_mismatch_fails_run(capsys, monkeypatch):
     assert "ORACLE_MISMATCH" in err
 
 
+def test_regularity_mismatch_fails_run(capsys, monkeypatch):
+    import qonash.cli
+
+    real = qonash.cli.oracle.brute_singular_faces
+    monkeypatch.setattr(
+        qonash.cli.oracle, "brute_singular_faces", lambda n, bound: real(n, bound) ^ {(1,)}
+    )
+    code, _, err = run_cli(
+        capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
+    )
+    assert code == 1
+    assert "[ORACLE_MISMATCH]" in err
+    assert "regularity of face (1,) differs: main True, brute False" in err
+
+
 def test_subprocess_determinism_single_case():
     cmd = [sys.executable, "-m", "qonash", "analyze",
            str(CORPUS / "reducible.json"), "--format", "json"]

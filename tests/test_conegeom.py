@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qonash import (
+    BranchSpec,
     DomainError,
     RatVec,
     barycenter,
+    build_tower,
     contains,
     face_data,
     lattice_from_generators,
@@ -20,7 +22,8 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
-from qonash.conegeom import divisor_on_ray, face_index
+from qonash.conegeom import divisor_on_ray, face_index, face_table
+from qonash.oracle import _axis_reach, _BoxScanner
 from towers import random_branches
 
 
@@ -47,6 +50,12 @@ class TestLeqSigma:
 
     def test_reflexive(self):
         assert leq_sigma(vec(2, 5), vec(2, 5))
+
+    def test_unequal_lengths(self):
+        for u, v in [((1, 2), (1, 2, 3)), (vec(1, 2), vec(1, 2, 3))]:
+            with pytest.raises(DomainError) as err:
+                leq_sigma(u, v)
+            assert err.value.code == "DIMENSION_MISMATCH"
 
 
 class TestFaceData:
@@ -75,17 +84,17 @@ class TestFaceData:
 
 class TestParallelepipedPoints:
     def test_even_lattice(self):
-        assert parallelepiped_points(N_EVEN, (1, 2)) == [vec(1, 1), vec(2, 2)]
+        assert parallelepiped_points(N_EVEN, (1, 2)) == [(1, 1), (2, 2)]
 
     def test_unit_box(self):
-        assert parallelepiped_points(Z2, (1, 2)) == [vec(1, 1)]
+        assert parallelepiped_points(Z2, (1, 2)) == [(1, 1)]
 
     def test_mod4(self):
         assert parallelepiped_points(N_MOD4, (1, 2)) == [
-            vec(1, 3),
-            vec(2, 2),
-            vec(3, 1),
-            vec(4, 4),
+            (1, 3),
+            (2, 2),
+            (3, 1),
+            (4, 4),
         ]
 
     def test_zero_face_rejected(self):
@@ -226,7 +235,7 @@ class TestFaceProperties:
             total = face_data(n, idx).primgens[0]
             for p in face_data(n, idx).primgens[1:]:
                 total = total + p
-            assert pts == [total]
+            assert pts == [n.scaled_coords(total)]
 
 
 class TestValuationProperties:
@@ -262,6 +271,27 @@ class TestValuationProperties:
 
 class TestMinimalDivisorsOnTowers:
     BRANCHES = random_branches(40, seed=4242)
+
+    D6 = build_tower(
+        BranchSpec(
+            dim=6,
+            char_exponents=(vec(*[F(1, 2)] * 6), vec(*[F(3, 4)] * 4, F(5, 6), F(5, 6))),
+        )
+    ).N
+
+    def test_enumeration_matches_box_scan(self):
+        # Every face, regular ones included, against the oracle's own scan
+        # of the box prod [1, c_j] on the face's columns.
+        for n in [lattices_.N for _, lattices_ in self.BRANCHES] + [self.D6]:
+            scanner = _BoxScanner(n)
+            reach = _axis_reach(scanner, scanner.det)
+            for face in face_table(n):
+                idx = face.indices
+                cols = [i - 1 for i in idx]
+                box = sorted(scanner.scan([1] * len(idx), [reach[c] for c in cols], cols))
+                pts = parallelepiped_points(n, idx)
+                assert pts == box, (n, idx)
+                assert len(pts) == face_index(n, idx)
 
     def test_members_lie_in_singular_interiors(self):
         for _, lattices_ in self.BRANCHES:

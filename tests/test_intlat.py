@@ -277,6 +277,9 @@ class TestLatticeProperties:
             for combo in itertools.product(range(-bound, bound + 1), repeat=d)
         )
         assert contains(l, v) == brute
+        if brute:
+            m = l.scaled_coords(v)
+            assert l.scaled_coefficients(m) == tuple(c.numerator for c in coords)
 
     @given(lattices(max_dim=4), st.integers(1, 4))
     @settings(max_examples=200, derandomize=True, deadline=None)

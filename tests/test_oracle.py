@@ -2,8 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from qonash import DomainError, RatVec, lattice_from_generators, standard_lattice
-from qonash.oracle import brute_face_index, brute_minimal_S
+from qonash import (
+    DomainError,
+    RatVec,
+    conegeom,
+    intlat,
+    lattice_from_generators,
+    standard_lattice,
+)
+from qonash.oracle import brute_face_index, brute_minimal_S, brute_singular_faces
 
 
 def vec(*coords):
@@ -60,3 +67,29 @@ class TestBruteFaceIndex:
     def test_bad_face(self):
         with pytest.raises(DomainError):
             brute_face_index(N_EVEN, ())
+
+
+class TestBruteSingularFaces:
+    def test_agrees_with_face_index(self):
+        for n in (N_EVEN, N_MOD4, standard_lattice(2), lat((1, 0), (0, 2))):
+            singular = brute_singular_faces(n, 4)
+            for idx in [(1,), (2,), (1, 2)]:
+                assert (idx in singular) == (brute_face_index(n, idx) > 1)
+
+    def test_bound_too_small(self):
+        with pytest.raises(DomainError) as err:
+            brute_singular_faces(N_MOD4, 3)
+        assert err.value.code == "BOUND_TOO_SMALL"
+
+
+def test_oracle_shares_no_membership_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached into the main path")
+
+    monkeypatch.setattr(intlat, "contains", refuse)
+    monkeypatch.setattr(intlat.Lattice, "scaled_coefficients", refuse)
+    monkeypatch.setattr(conegeom, "parallelepiped_points", refuse)
+    assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
+    assert brute_face_index(N_MOD4, (1, 2)) == 4
+    assert brute_face_index(N_EVEN, (2,)) == 1
+    assert brute_singular_faces(N_MOD4, 4) == {(1, 2)}
