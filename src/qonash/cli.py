@@ -352,13 +352,14 @@ def run(argv=None) -> int:
         else:
             with open(args.file, encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"qonash: error: cannot read input: {exc}", file=sys.stderr)
         return 2
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integer literals over Python's digit limit.
         print(f"qonash: error: invalid JSON: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,11 @@
 
 Faces of the quadrant are coordinate subsets; a face is regular when its
 primitive edge generators form a basis of the lattice points in its span.
-The lattice points in the relative interiors of the singular faces, and the
-barycenters of the regular ones, label the divisors everything downstream
-cares about.
+Each face's data is read off the Hermite basis of its section lattice
+(:func:`intlat.section`): its axes' generators, its index and its
+parallelepiped points.  The lattice points in the relative interiors of the
+singular faces, and the barycenters of the regular ones, label the divisors
+everything downstream cares about.
 """
 
 from __future__ import annotations
@@ -25,11 +27,18 @@ ORIGIN_BARYCENTER = "barycenter"
 
 @dataclass(frozen=True)
 class Face:
-    """A face of the quadrant: coordinate subset, edge generators, regularity."""
+    """A face of the quadrant: coordinate subset, edge generators, the index
+    of the edge sublattice in the face's lattice points, and the Hermite
+    basis of denom times those points (see :func:`intlat.section`)."""
 
     indices: tuple[int, ...]
     primgens: tuple[RatVec, ...]
-    regular: bool
+    index: int
+    section: tuple[tuple[int, ...], ...]
+
+    @property
+    def regular(self) -> bool:
+        return self.index == 1
 
 
 @dataclass(frozen=True, order=True)
@@ -58,58 +67,42 @@ def _check_indices(dim: int, indices) -> tuple[int, ...]:
     return idx
 
 
-def _section(n: Lattice, idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Hermite basis of denom times the lattice points supported on a face.
+def _classify(n: Lattice, faces) -> list[Face]:
+    """Classify faces of N listed with each axis's singleton first.
 
-    With the face's coordinates first, the leading len(idx) rows of the
-    lower-triangular HNF are the HNF of that section (Cohen, GTM 138, 2.4);
-    they come back in ambient order, row r pivoting at coordinate idx[r].
+    Each face's section is computed once.  An axis's primitive generator is
+    c/denom times e_k, c the pivot of its singleton section.  A face's index
+    is the covolume of its edge sublattice over that of its section: the
+    product of its axes' c over the product of the section's pivots.
     """
-    order = [i - 1 for i in idx] + [j for j in range(n.dim) if j + 1 not in idx]
-    rows = intlat.hnf([[row[c] for c in order] for row in n.scaled_basis])
-    place = sorted(range(n.dim), key=order.__getitem__)
-    return [tuple(row[k] for k in place) for row in rows[: len(idx)]]
-
-
-def _face_index(n: Lattice, idx: tuple[int, ...], primgens) -> int:
-    # Covolume of the edge sublattice over the covolume of the section; the
-    # edge generators lie in N, so denom times each is integral.
-    edges = prod(int(p.coords[i - 1] * n.denom) for i, p in zip(idx, primgens))
-    pivots = prod(row[i - 1] for i, row in zip(idx, _section(n, idx)))
-    assert edges % pivots == 0
-    return edges // pivots
-
-
-def face_index(n: Lattice, indices) -> int:
-    """Index of the sublattice spanned by the edge generators of a face
-    inside the lattice points of the face's span (1 means regular)."""
-    idx = _check_indices(n.dim, indices)
-    if not idx:
-        raise DomainError("BAD_FACE", "the zero face has no lattice index")
-    return _face_index(n, idx, [intlat.primitive_on_ray(n, i) for i in idx])
-
-
-def _face(n: Lattice, idx: tuple[int, ...], primgens: tuple[RatVec, ...]) -> Face:
-    regular = len(idx) <= 1 or _face_index(n, idx, primgens) == 1
-    return Face(indices=idx, primgens=primgens, regular=regular)
+    reach: dict[int, int] = {}
+    gens: dict[int, RatVec] = {}
+    out = []
+    for idx in faces:
+        section = tuple(intlat.section(n, idx))
+        if len(idx) == 1:
+            (k,) = idx
+            reach[k] = section[0][k - 1]
+            gens[k] = RatVec.unit(n.dim, k).scale(Fraction(reach[k], n.denom))
+        edges = prod(reach[i] for i in idx)
+        pivots = prod(row[i - 1] for i, row in zip(idx, section))
+        assert edges % pivots == 0
+        out.append(Face(idx, tuple(gens[i] for i in idx), edges // pivots, section))
+    return out
 
 
 def face_data(n: Lattice, indices) -> Face:
-    """Primitive edge generators and regularity flag of a quadrant face."""
+    """Edge generators, index, regularity and section of a quadrant face."""
     idx = _check_indices(n.dim, indices)
-    return _face(n, idx, tuple(intlat.primitive_on_ray(n, i) for i in idx))
+    # Its axes' singletons, then the face; a singleton face is listed once.
+    return _classify(n, dict.fromkeys([(i,) for i in idx] + [idx]))[-1]
 
 
 def face_table(n: Lattice) -> tuple[Face, ...]:
-    """Every nonempty face of the quadrant, by size and then indices; each
-    axis's primitive generator is found once and shared by its faces."""
-    d = n.dim
-    gens = [intlat.primitive_on_ray(n, k) for k in range(1, d + 1)]
-    return tuple(
-        _face(n, idx, tuple(gens[i - 1] for i in idx))
-        for size in range(1, d + 1)
-        for idx in itertools.combinations(range(1, d + 1), size)
-    )
+    """Every nonempty face of the quadrant, by size and then indices."""
+    axes = range(1, n.dim + 1)
+    faces = [idx for size in axes for idx in itertools.combinations(axes, size)]
+    return tuple(_classify(n, faces))
 
 
 def parallelepiped_points(
@@ -119,14 +112,23 @@ def parallelepiped_points(
 
     These are the x in N with x_i in (0, c_i] on the face coordinates (c_i
     the positive coordinate of the primitive edge generator) and x_j = 0 off
-    them, as sorted integer tuples denom*x.  Walking the section's Hermite
-    basis up from its last row, each row's coefficient has exactly c_i/p
-    choices (p its pivot at i), so no choice is wasted on a non-point.
+    them, as sorted integer tuples denom*x; see :func:`face_parallelepiped`.
     """
     idx = _check_indices(n.dim, indices)
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
-    reach = [int(intlat.primitive_on_ray(n, i).coords[i - 1] * n.denom) for i in idx]
+    return face_parallelepiped(n, face_data(n, idx), max_points)
+
+
+def face_parallelepiped(n: Lattice, face: Face, max_points: int | None) -> list:
+    """:func:`parallelepiped_points` of a nonempty face already classified.
+
+    Walking the face's section basis up from its last row, each row's
+    coefficient has exactly c_i/p choices (p its pivot at i), so no choice
+    is wasted on a non-point.
+    """
+    idx = face.indices
+    reach = [int(g.coords[i - 1] * n.denom) for i, g in zip(idx, face.primgens)]
     total = prod(reach)
     if max_points is not None and total > max_points:
         raise DomainError(
@@ -134,7 +136,7 @@ def parallelepiped_points(
             f"face {idx} needs {total} candidate points, above the cap {max_points}",
         )
     points = [(0,) * n.dim]
-    for i, c, row in reversed(list(zip(idx, reach, _section(n, idx)))):
+    for i, c, row in reversed(list(zip(idx, reach, face.section))):
         p = row[i - 1]
         # The c/p coefficients y that put x_i + y*p in (0, c].
         points = [
@@ -199,9 +201,7 @@ def minimal_singular_divisors(
     candidates: set[tuple[int, ...]] = set()
     for face in faces:
         if not face.regular:
-            candidates.update(
-                parallelepiped_points(n, face.indices, max_points=max_points)
-            )
+            candidates.update(face_parallelepiped(n, face, max_points))
     return [
         divisor_on_ray(n, RatVec(m), ORIGIN_TORIC_MINIMAL)
         for m in minimal_elements(candidates)

@@ -457,11 +457,24 @@ def index(sub: Lattice, sup: Lattice) -> int:
     return ratio.numerator
 
 
+def section(l: Lattice, idx) -> list[tuple[int, ...]]:
+    """Hermite basis of denom times the lattice points supported on a face.
+
+    ``idx`` lists the face's coordinates (1-based, ascending).  With them
+    first, the leading len(idx) rows of the lower-triangular HNF are the HNF
+    of that section (Cohen, GTM 138, 2.4); they come back in ambient order,
+    row r pivoting at coordinate idx[r].
+    """
+    order = [i - 1 for i in idx] + [j for j in range(l.dim) if j + 1 not in idx]
+    rows = hnf([[row[c] for c in order] for row in l.scaled_basis])
+    place = sorted(range(l.dim), key=order.__getitem__)
+    return [tuple(row[k] for k in place) for row in rows[: len(idx)]]
+
+
 def primitive_on_ray(l: Lattice, k: int) -> RatVec:
-    """Smallest positive multiple of e_k lying in the lattice (1-based k)."""
+    """Smallest positive multiple of e_k lying in the lattice (1-based k):
+    the pivot of the axis's section, over denom."""
     if not 1 <= k <= l.dim:
         raise DomainError("DIMENSION_MISMATCH", f"axis {k} outside 1..{l.dim}")
-    y = [c for c in l.solve(RatVec.unit(l.dim, k)) if c != 0]
-    # Least positive t with t*y integral: lcm of denominators / gcd of numerators.
-    t = Fraction(lcm(*(c.denominator for c in y)), gcd(*(c.numerator for c in y)))
-    return RatVec.unit(l.dim, k).scale(t)
+    (row,) = section(l, (k,))
+    return RatVec.unit(l.dim, k).scale(Fraction(row[k - 1], l.denom))

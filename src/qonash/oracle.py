@@ -3,8 +3,8 @@
 These deliberately share no algorithmic code with the main path: membership
 in the box and axis scans runs through an adjugate computed here by plain
 Gauss-Jordan elimination, faces are classified by counting points, and
-minimality is raw pairwise comparison (layered by coordinate sum when the
-candidate set is large, which changes nothing about what is compared).
+minimality compares each candidate with every point kept so far, layer by
+layer in order of coordinate sum, with numpy.
 Slow is fine; independent is the point.
 """
 
@@ -157,32 +157,15 @@ def _minimal_points(hits: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     a strictly smaller sum, so comparing against the points already kept is
     exhaustive, and points of equal sum can never dominate one another.
     """
-    if len(hits) <= 512:
-        minimal = [
-            x
-            for x in hits
-            if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in hits)
-        ]
-        minimal.sort()
-        return minimal
-    by_sum: dict[int, list[tuple[int, ...]]] = {}
-    for x in hits:
-        by_sum.setdefault(sum(x), []).append(x)
     kept: list[tuple[int, ...]] = []
-    kept_arr = None
-    for s in sorted(by_sum):
-        layer = by_sum[s]
-        if kept_arr is None:
-            survivors = layer
-        else:
+    for _, group in itertools.groupby(sorted(hits, key=sum), key=sum):
+        layer = list(group)
+        if kept:
             block = np.array(layer, dtype=np.int64)
-            dominated = np.any(
-                np.all(kept_arr[None, :, :] <= block[:, None, :], axis=2), axis=1
-            )
-            survivors = [x for x, dom in zip(layer, dominated) if not dom]
-        if survivors:
-            kept.extend(survivors)
-            kept_arr = np.array(kept, dtype=np.int64)
+            below = np.array(kept, dtype=np.int64)
+            dominated = np.any(np.all(below[None] <= block[:, None], axis=2), axis=1)
+            layer = [x for x, dom in zip(layer, dominated) if not dom]
+        kept.extend(layer)
     kept.sort()
     return kept
 
@@ -191,8 +174,8 @@ def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
     """Minimal points of the union of singular-face interiors, by box search.
 
     Scans every lattice point of the box [0, bound]^d, keeps those whose
-    support is a singular face, and filters minimality pairwise.  The bound
-    must reach the primitive point on every axis (the result is then
+    support is a singular face, and returns their minimal elements.  The
+    bound must reach the primitive point on every axis (the result is then
     independent of the bound); otherwise an error is raised.
     """
     if bound < 1:

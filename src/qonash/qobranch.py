@@ -9,6 +9,7 @@ geometry downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from . import intlat
 from .errors import DomainError
@@ -91,6 +92,6 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
         tower=tuple(tower),
         M=M,
         N=N,
-        degree_n=intlat.index(tower[0], M),
+        degree_n=prod(step_indices),
         step_indices=tuple(step_indices),
     )

@@ -12,6 +12,7 @@ One test per criterion, each printing a single pass/fail line (run with
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -53,6 +54,13 @@ def vec(*coords):
 
 def vectors(divisors):
     return [d.vector for d in divisors]
+
+
+def _src_env():
+    """The environment with src/ first on PYTHONPATH, for `python -m qonash`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def _passed(name):
@@ -265,7 +273,9 @@ def test_criterion_5_cli_determinism():
                 sys.executable, "-m", "qonash",
                 "analyze", str(CORPUS / f"{case}.json"), "--format", "json",
             ]
-            blob += subprocess.run(cmd, capture_output=True, check=True).stdout
+            blob += subprocess.run(
+                cmd, capture_output=True, check=True, env=_src_env()
+            ).stdout
         outputs.append(blob)
     assert outputs[0] == outputs[1]
     for case in cases:

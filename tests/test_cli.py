@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -7,10 +8,17 @@ from pathlib import Path
 import pytest
 
 from qonash import conegeom, intlat, qobranch
-from qonash.cli import render_json, run
+from qonash.cli import parse_variety, render_json, run
 
 CORPUS = Path(__file__).parent / "corpus"
 CASES = ["whitney", "a1_cone", "plane_cusp", "degree4", "reducible", "smooth"]
+
+
+def _src_env():
+    """The environment with src/ first on PYTHONPATH, for `python -m qonash`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +127,23 @@ def test_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"\xff{}", "cannot read input"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        (b'{"dim": ' + b"1" * 5000 + b"}", "invalid JSON"),
+    ],
+    ids=["not_utf8", "deep_nesting", "huge_integer"],
+)
+def test_undecodable_input(tmp_path, capsys, raw, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert f"qonash: error: {message}" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/nowhere.json")
     assert code == 2
@@ -183,16 +208,24 @@ def test_degree_cap_precedes_branch_analysis(tmp_path, capsys):
 
 
 def test_each_quantity_computed_once(capsys, monkeypatch):
+    dim, inputs = parse_variety(json.loads((CORPUS / "reducible.json").read_text()))
+    lattices = [qobranch.build_tower(b.spec).N for b in inputs]
+    # Calls counted by name, and by the lattice N for the per-face layers.
     calls = Counter()
     for module, name in [
         (qobranch, "build_tower"),
-        (conegeom, "parallelepiped_points"),
+        (conegeom, "face_parallelepiped"),
         (conegeom, "minimal_elements"),
+        (intlat, "section"),
+        (intlat, "primitive_on_ray"),
         (intlat, "snf"),
+        (intlat.Lattice, "solve"),
     ]:
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name in ("face_parallelepiped", "section"):
+                calls[_name, args[0]] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -202,12 +235,15 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     )
     assert code == 0
     branches = json.loads(out)["branches"]
-    assert calls["build_tower"] == len(branches)
-    assert calls["parallelepiped_points"] == sum(
-        len(b["singular_faces_of_sigma"]) for b in branches
-    )
-    assert calls["minimal_elements"] == len(branches)
-    assert calls["snf"] == 0
+    assert len(branches) == len(lattices) > 1
+    expected = Counter()
+    for b, n in zip(branches, lattices):
+        expected["face_parallelepiped", n] += len(b["singular_faces_of_sigma"])
+        expected["section", n] += 2**dim - 1
+    for key, count in expected.items():
+        assert calls[key] == count, key
+    assert calls["build_tower"] == calls["minimal_elements"] == len(branches)
+    assert calls["primitive_on_ray"] == calls["solve"] == calls["snf"] == 0
 
 
 def test_oracle_check_bounded_by_axis_reach(tmp_path, capsys):
@@ -281,6 +317,6 @@ def test_regularity_mismatch_fails_run(capsys, monkeypatch):
 def test_subprocess_determinism_single_case():
     cmd = [sys.executable, "-m", "qonash", "analyze",
            str(CORPUS / "reducible.json"), "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
     assert first.stdout == second.stdout

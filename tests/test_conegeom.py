@@ -22,7 +22,7 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
-from qonash.conegeom import divisor_on_ray, face_index, face_table
+from qonash.conegeom import divisor_on_ray, face_table
 from qonash.oracle import _axis_reach, _BoxScanner
 from towers import random_branches
 
@@ -68,7 +68,8 @@ class TestFaceData:
         face = face_data(N_EVEN, (1, 2))
         assert face.primgens == (vec(2, 0), vec(0, 2))
         assert not face.regular
-        assert face_index(N_EVEN, (1, 2)) == 2
+        assert face.index == 2
+        assert face.section == ((2, 0), (1, 1))
 
     def test_singletons_always_regular(self):
         for n in (Z2, N_EVEN, N_MOD4):
@@ -227,7 +228,7 @@ class TestFaceProperties:
         idx = tuple(
             sorted(data.draw(st.permutations(range(1, n.dim + 1)))[:size])
         )
-        expected = face_index(n, idx)
+        expected = face_data(n, idx).index
         assume(expected <= 4000)
         pts = parallelepiped_points(n, idx, max_points=500_000)
         assert len(pts) == expected
@@ -291,7 +292,7 @@ class TestMinimalDivisorsOnTowers:
                 box = sorted(scanner.scan([1] * len(idx), [reach[c] for c in cols], cols))
                 pts = parallelepiped_points(n, idx)
                 assert pts == box, (n, idx)
-                assert len(pts) == face_index(n, idx)
+                assert len(pts) == face_data(n, idx).index
 
     def test_members_lie_in_singular_interiors(self):
         for _, lattices_ in self.BRANCHES:

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +20,7 @@ from qonash import (
     snf,
     standard_lattice,
 )
-from qonash.intlat import integer_kernel
+from qonash.intlat import integer_kernel, section
 
 
 def vec(*coords):
@@ -291,6 +292,48 @@ class TestLatticeProperties:
         assert all(c == 0 for i, c in enumerate(p.coords) if i != k - 1)
         for q in range(2, 9):
             assert not contains(l, p.scale(F(1, q)))
+
+
+    @given(lattices(max_dim=4), st.integers(1, 4))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_primitive_on_ray_matches_solve(self, l, k):
+        assume(k <= l.dim)
+        y = [c for c in l.solve(RatVec.unit(l.dim, k)) if c != 0]
+        t = F(lcm(*(c.denominator for c in y)), gcd(*(c.numerator for c in y)))
+        assert primitive_on_ray(l, k) == RatVec.unit(l.dim, k).scale(t)
+
+    @given(lattices(max_dim=4), st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_section_pivots_match_minors(self, l, data):
+        d = l.dim
+        size = data.draw(st.integers(1, d))
+        idx = tuple(sorted(data.draw(st.permutations(range(1, d + 1)))[:size]))
+        rows = section(l, idx)
+        assert len(rows) == size
+        for r, (i, row) in enumerate(zip(idx, rows)):
+            # Supported on the face, triangular in its order, in denom*l.
+            assert all(row[j - 1] == 0 for j in range(1, d + 1) if j not in idx[: r + 1])
+            assert row[i - 1] > 0
+            assert contains(l, RatVec(F(x, l.denom) for x in row))
+        # The section's covolume is |det S| over that of the projection of
+        # denom*l onto the other coordinates: the gcd of its maximal minors.
+        s, rest = l.scaled_basis, [j for j in range(d) if j + 1 not in idx]
+        minors = [
+            _det([[s[i][j] for j in rest] for i in chosen])
+            for chosen in itertools.combinations(range(d), len(rest))
+        ]
+        assert prod(row[i - 1] for i, row in zip(idx, rows)) * gcd(*minors) == abs(
+            _det(s)
+        )
+
+
+def _det(m):
+    """Leibniz determinant of a square integer matrix (1 when empty)."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * prod(row[c] for row, c in zip(m, perm))
+    return total
 
 
 class TestIntegerKernel:

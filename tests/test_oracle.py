@@ -88,7 +88,10 @@ def test_oracle_shares_no_membership_code(monkeypatch):
 
     monkeypatch.setattr(intlat, "contains", refuse)
     monkeypatch.setattr(intlat.Lattice, "scaled_coefficients", refuse)
+    monkeypatch.setattr(intlat, "section", refuse)
+    monkeypatch.setattr(intlat, "hnf", refuse)
     monkeypatch.setattr(conegeom, "parallelepiped_points", refuse)
+    monkeypatch.setattr(conegeom, "face_parallelepiped", refuse)
     assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
     assert brute_face_index(N_MOD4, (1, 2)) == 4
     assert brute_face_index(N_EVEN, (2,)) == 1
