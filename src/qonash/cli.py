@@ -348,10 +348,11 @@ def run(argv=None) -> int:
 
     try:
         if args.file == "-":
-            text = sys.stdin.read()
+            raw = sys.stdin.buffer.read()
         else:
-            with open(args.file, encoding="utf-8") as handle:
-                text = handle.read()
+            with open(args.file, "rb") as handle:
+                raw = handle.read()
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"qonash: error: cannot read input: {exc}", file=sys.stderr)
         return 2

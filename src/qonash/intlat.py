@@ -3,7 +3,9 @@
 Everything here is bit-exact: vectors are tuples of ``fractions.Fraction``,
 matrices are Python integers, and no floating point is ever allowed in.
 Lattices are stored in a canonical form (scaled lower-triangular row Hermite
-normal form), so two equal lattices compare equal as objects.
+normal form), so two equal lattices compare equal as objects.  One integer
+back-substitution, ``Lattice.scaled_coefficients``, is the only triangular
+solver: it decides membership and reads the adjugate that gives the dual.
 """
 
 from __future__ import annotations
@@ -273,18 +275,6 @@ def snf(mat) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _lower_triangular_inverse(s: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a lower-triangular integer matrix with nonzero diagonal."""
-    d = len(s)
-    inv = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(d):
-        inv[j][j] = Fraction(1, s[j][j])
-        for i in range(j + 1, d):
-            acc = sum((Fraction(s[i][k]) * inv[k][j] for k in range(j, i)), Fraction(0))
-            inv[i][j] = -acc / s[i][i]
-    return inv
-
-
 class Lattice:
     """Full-rank rational lattice in d-space, canonically represented.
 
@@ -295,13 +285,12 @@ class Lattice:
     operations below.
     """
 
-    __slots__ = ("dim", "denom", "scaled_basis", "_inv_cache")
+    __slots__ = ("dim", "denom", "scaled_basis")
 
     def __init__(self, dim: int, denom: int, scaled_basis: tuple[tuple[int, ...], ...]):
         self.dim = dim
         self.denom = denom
         self.scaled_basis = scaled_basis
-        self._inv_cache: list[list[Fraction]] | None = None
 
     @property
     def basis(self) -> tuple[RatVec, ...]:
@@ -315,13 +304,6 @@ class Lattice:
         """Positive determinant of the basis (covolume): HNF pivots are positive."""
         pivots = prod(self.scaled_basis[i][i] for i in range(self.dim))
         return Fraction(pivots, self.denom**self.dim)
-
-    def _inverse_scaled(self) -> list[list[Fraction]]:
-        if self._inv_cache is None:
-            self._inv_cache = _lower_triangular_inverse(
-                [list(r) for r in self.scaled_basis]
-            )
-        return self._inv_cache
 
     def scaled_coords(self, v: RatVec) -> tuple[int, ...] | None:
         """Numerator tuple of denom*v, or None if v falls off the 1/denom grid."""
@@ -345,20 +327,6 @@ class Lattice:
             if r:
                 return None
         return tuple(y)
-
-    def solve(self, v: RatVec) -> tuple[Fraction, ...]:
-        """Rational coefficients y with y . basis = v."""
-        if v.dim != self.dim:
-            raise DomainError(
-                "DIMENSION_MISMATCH",
-                f"vector of dimension {v.dim} against lattice of dimension {self.dim}",
-            )
-        inv = self._inverse_scaled()
-        d = self.dim
-        w = [c * self.denom for c in v.coords]
-        return tuple(
-            sum((w[i] * inv[i][j] for i in range(j, d)), Fraction(0)) for j in range(d)
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -398,17 +366,23 @@ def lattice_from_generators(gens) -> Lattice:
     if any(g.dim != dim for g in gens):
         raise DomainError("DIMENSION_MISMATCH", "generators of mixed dimension")
     denom = lcm(*(g.denominator() for g in gens))
-    int_rows = [[(c * denom).numerator for c in g.coords] for g in gens]
+    rows = [[(c * denom).numerator for c in g.coords] for g in gens]
+    return _lattice_from_scaled(denom, rows)
+
+
+def _lattice_from_scaled(denom: int, int_rows: list[list[int]]) -> Lattice:
+    """Canonical lattice spanned by the integer rows over denom.
+
+    The rows are put in HNF and the common factor of denom and the HNF
+    entries is divided out, so denom becomes the least D with D*L inside
+    Z^d; raises NOT_FULL_RANK if the rows do not span d-space.
+    """
+    dim = len(int_rows[0])
     basis, _, _ = _hnf_core(int_rows)
     if len(basis) < dim:
-        raise DomainError(
-            "NOT_FULL_RANK",
-            f"generators span rank {len(basis)} < {dim}",
-        )
-    # Fractions arrive reduced, so this D is the least with D*L inside Z^d;
-    # equivalently the HNF entries share no factor with D.
-    assert gcd(gcd(*(x for row in basis for x in row)), denom) == 1
-    return Lattice(dim, denom, tuple(tuple(r) for r in basis))
+        raise DomainError("NOT_FULL_RANK", f"generators span rank {len(basis)} < {dim}")
+    g = gcd(denom, *(x for row in basis for x in row))
+    return Lattice(dim, denom // g, tuple(tuple(x // g for x in r) for r in basis))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
@@ -417,17 +391,24 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
         raise DomainError(
             "DIMENSION_MISMATCH", f"lattice dimensions differ: {a.dim} vs {b.dim}"
         )
-    return lattice_from_generators(list(a.basis) + list(b.basis))
+    denom = lcm(a.denom, b.denom)
+    rows = [[x * denom // l.denom for x in r] for l in (a, b) for r in l.scaled_basis]
+    return _lattice_from_scaled(denom, rows)
 
 
 def dual_lattice(l: Lattice) -> Lattice:
-    """{v : <v, u> integral for all u in l}."""
-    inv = l._inverse_scaled()
-    d = l.dim
-    # Rows of the inverse transpose of the basis, i.e. columns of basis^-1;
-    # basis^-1 = denom * scaled_basis^-1.
-    cols = [RatVec(l.denom * inv[i][j] for i in range(d)) for j in range(d)]
-    return lattice_from_generators(cols)
+    """{v : <v, u> integral for all u in l}.
+
+    With S the scaled basis, the dual basis is the columns of
+    denom * S^-1 = denom * adj(S) / det S.  Row i of adj(S) is the integer y
+    with y . S = det(S) e_i, found by back-substitution (Cohen, GTM 138, 2.2).
+    """
+    d, det = l.dim, prod(l.scaled_basis[i][i] for i in range(l.dim))
+    adj = [
+        l.scaled_coefficients([det if j == i else 0 for j in range(d)])
+        for i in range(d)
+    ]
+    return _lattice_from_scaled(det, [[l.denom * x for x in col] for col in zip(*adj)])
 
 
 def contains(l: Lattice, v: RatVec) -> bool:

@@ -75,15 +75,18 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
     step_indices = []
     for j, lam in enumerate(exps, start=1):
         prev = tower[-1]
-        if intlat.contains(prev, lam):
+        # prev contains Z^d, so nxt = prev + Z*lam; in canonical form
+        # nxt == prev exactly when lam already lies in prev.
+        z_lam = intlat.lattice_from_generators([*tower[0].basis, lam])
+        nxt = intlat.lattice_sum(prev, z_lam)
+        if nxt == prev:
             raise DomainError(
                 "NOT_CHARACTERISTIC",
                 f"exponent {j} = {lam} already lies in the lattice generated "
                 f"by the earlier ones",
                 branch=spec.label or None,
             )
-        nxt = intlat.lattice_from_generators(list(prev.basis) + [lam])
-        step_indices.append(intlat.index(prev, nxt))
+        step_indices.append(prev.det // nxt.det)  # covolume ratio [nxt : prev]
         tower.append(nxt)
 
     M = tower[-1]

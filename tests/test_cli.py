@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -80,12 +81,24 @@ def test_smooth_corpus_warns(capsys):
     assert "EMPTY_B" in err
 
 
+def _stdin(raw: bytes):
+    # Like Python's own stdin in UTF-8 mode or a C locale: text over bytes,
+    # with undecodable bytes let through as surrogates.
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+
+
 def test_stdin_input(capsys, monkeypatch):
-    text = (CORPUS / "whitney.json").read_text()
-    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin((CORPUS / "whitney.json").read_bytes()))
     code, out, _ = run_cli(capsys, "analyze", "-", "--format", "json")
     assert code == 0
     assert json.loads(out)["total_nash"] == 1
+
+
+def test_stdin_not_utf8(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _stdin(b"\xff{}"))
+    code, out, err = run_cli(capsys, "analyze", "-")
+    assert (code, out) == (2, "")
+    assert "qonash: error: cannot read input" in err
 
 
 def test_not_characteristic_exit(tmp_path, capsys):
@@ -219,7 +232,8 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
         (intlat, "section"),
         (intlat, "primitive_on_ray"),
         (intlat, "snf"),
-        (intlat.Lattice, "solve"),
+        (intlat, "contains"),
+        (intlat, "index"),
     ]:
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -243,7 +257,8 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     for key, count in expected.items():
         assert calls[key] == count, key
     assert calls["build_tower"] == calls["minimal_elements"] == len(branches)
-    assert calls["primitive_on_ray"] == calls["solve"] == calls["snf"] == 0
+    for name in ("primitive_on_ray", "snf", "contains", "index"):
+        assert calls[name] == 0, name
 
 
 def test_oracle_check_bounded_by_axis_reach(tmp_path, capsys):

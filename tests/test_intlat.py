@@ -251,6 +251,17 @@ class TestLatticeProperties:
     def test_dual_involution(self, l):
         assert dual_lattice(dual_lattice(l)) == l
 
+    @given(lattices())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_dual_pairing(self, l):
+        # Integral pairings put the dual's basis inside l's dual; a covolume
+        # of 1 / det l leaves no room for anything more.
+        n = dual_lattice(l)
+        for u in l.basis:
+            for v in n.basis:
+                assert u.dot(v).denominator == 1
+        assert l.det * n.det == 1
+
     @given(st.integers(1, 3), st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_index_multiplicativity(self, d, data):
@@ -267,11 +278,12 @@ class TestLatticeProperties:
         v = RatVec(
             [F(data.draw(st.integers(-8, 8)), denom) for _ in range(d)]
         )
-        coords = l.solve(v)
+        coords = _cramer(l, v)
         bound = max(2, *(abs(c.numerator) // c.denominator + 1 for c in coords))
+        basis = l.basis
         brute = any(
             all(
-                sum((F(y) * row.coords[i] for y, row in zip(combo, l.basis)), F(0))
+                sum((F(y) * row.coords[i] for y, row in zip(combo, basis)), F(0))
                 == v.coords[i]
                 for i in range(d)
             )
@@ -298,7 +310,7 @@ class TestLatticeProperties:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_primitive_on_ray_matches_solve(self, l, k):
         assume(k <= l.dim)
-        y = [c for c in l.solve(RatVec.unit(l.dim, k)) if c != 0]
+        y = [c for c in _cramer(l, RatVec.unit(l.dim, k)) if c != 0]
         t = F(lcm(*(c.denominator for c in y)), gcd(*(c.numerator for c in y)))
         assert primitive_on_ray(l, k) == RatVec.unit(l.dim, k).scale(t)
 
@@ -334,6 +346,13 @@ def _det(m):
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         total += (-1) ** inversions * prod(row[c] for row, c in zip(m, perm))
     return total
+
+
+def _cramer(l, v):
+    """Rational y with y . basis = v, by Cramer's rule on the scaled basis."""
+    s, w = [list(row) for row in l.scaled_basis], [c * l.denom for c in v.coords]
+    det = _det(s)
+    return tuple(F(_det(s[:j] + [w] + s[j + 1 :]), det) for j in range(l.dim))
 
 
 class TestIntegerKernel:

@@ -78,6 +78,9 @@ class TestTowerProperties:
             for prev, nxt in zip(lat.tower, lat.tower[1:]):
                 assert index(prev, nxt) >= 2
             assert all(step >= 2 for step in lat.step_indices)
+            assert lat.step_indices == tuple(
+                index(p, q) for p, q in zip(lat.tower, lat.tower[1:])
+            )
 
     def test_dual_inside_integers(self):
         for _, lat in self.BRANCHES:
