@@ -11,11 +11,12 @@ are guaranteed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import conegeom, oracle
+from . import conegeom
 from .errors import DomainError, SchemaError
 from .intlat import MAX_DIM, Lattice, RatVec
 from .nashmap import (
@@ -290,13 +291,16 @@ def render_text(result: VarietyReport, dim: int) -> str:
 
 
 def _oracle_check(result: VarietyReport) -> None:
+    # Imported here so that numpy loads only when the check is asked for.
+    from . import oracle
+
     for report in result.branches:
         n = report.lattices.N
         # The edges lead the face table.  The largest axis reach bounds every
         # minimal point; the oracle finds its own reaches and refuses the
         # bound if one lies beyond it.
         reach = [f.primgens[0].coords[f.indices[0] - 1] for f in report.faces[: n.dim]]
-        brute = oracle.brute_minimal_S(n, int(max(reach)))
+        brute, singular = oracle.brute_branch(n, int(max(reach)))
         main = [d.vector for d in report.s_min]
         if brute != main:
             raise DomainError(
@@ -304,7 +308,6 @@ def _oracle_check(result: VarietyReport) -> None:
                 f"minimal singular-face points differ: main {main}, brute {brute}",
                 branch=report.label,
             )
-        singular = oracle.brute_singular_faces(n, int(max(reach)))
         for face in report.faces:
             slow = face.indices not in singular
             if face.regular != slow:
@@ -316,7 +319,8 @@ def _oracle_check(result: VarietyReport) -> None:
                 )
 
 
-def run(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qonash",
         description=(
@@ -344,7 +348,11 @@ def run(argv=None) -> int:
         default=10**6,
         help="cap on lattice indices and enumeration sizes",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.file == "-":

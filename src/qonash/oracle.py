@@ -129,13 +129,6 @@ def _singular_faces(scanner: _BoxScanner, reach: list[int]) -> set[tuple[int, ..
     }
 
 
-def brute_singular_faces(n: Lattice, bound: int) -> set[tuple[int, ...]]:
-    """The nonempty faces with more than one lattice point in their half-open
-    edge box; ``bound`` must reach the primitive point on every axis."""
-    scanner = _BoxScanner(n)
-    return _singular_faces(scanner, _axis_reach(scanner, bound))
-
-
 def brute_face_index(n: Lattice, indices) -> int:
     """Count lattice points in the half-open edge box of a face.
 
@@ -170,13 +163,15 @@ def _minimal_points(hits: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return kept
 
 
-def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
-    """Minimal points of the union of singular-face interiors, by box search.
+def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, ...]]]:
+    """(minimal points of the union of singular-face interiors, singular faces).
 
-    Scans every lattice point of the box [0, bound]^d, keeps those whose
-    support is a singular face, and returns their minimal elements.  The
-    bound must reach the primitive point on every axis (the result is then
-    independent of the bound); otherwise an error is raised.
+    One scanner counts every face's half-open edge box (a face is singular
+    when it holds more than one lattice point), then scans every lattice
+    point of the box [0, bound]^d, keeps those whose support is a singular
+    face, and takes their minimal elements.  The bound must reach the
+    primitive point on every axis (the result is then independent of the
+    bound); otherwise an error is raised.
     """
     if bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
@@ -187,4 +182,9 @@ def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
         support = tuple(i + 1 for i, c in enumerate(x) if c > 0)
         if support in singular:
             hits.append(x)
-    return [RatVec(x) for x in _minimal_points(hits)]
+    return [RatVec(x) for x in _minimal_points(hits)], singular
+
+
+def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
+    """Minimal points of the union of singular-face interiors, by box search."""
+    return brute_branch(n, bound)[0]

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qonash import conegeom, intlat, qobranch
+from qonash import conegeom, intlat, oracle, qobranch
 from qonash.cli import parse_variety, render_json, run
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -234,11 +235,12 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
         (intlat, "snf"),
         (intlat, "contains"),
         (intlat, "index"),
+        (oracle, "_BoxScanner"),
     ]:
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            if _name in ("face_parallelepiped", "section"):
+            if _name in ("face_parallelepiped", "section", "_BoxScanner"):
                 calls[_name, args[0]] += 1
             return _fn(*args, **kwargs)
 
@@ -254,9 +256,11 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     for b, n in zip(branches, lattices):
         expected["face_parallelepiped", n] += len(b["singular_faces_of_sigma"])
         expected["section", n] += 2**dim - 1
+        expected["_BoxScanner", n] += 1
     for key, count in expected.items():
         assert calls[key] == count, key
     assert calls["build_tower"] == calls["minimal_elements"] == len(branches)
+    assert calls["_BoxScanner"] == len(branches)
     for name in ("primitive_on_ray", "snf", "contains", "index"):
         assert calls[name] == 0, name
 
@@ -302,11 +306,8 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_oracle_mismatch_fails_run(capsys, monkeypatch):
-    import qonash.cli
-
-    monkeypatch.setattr(
-        qonash.cli.oracle, "brute_minimal_S", lambda n, bound: []
-    )
+    real = oracle.brute_branch
+    monkeypatch.setattr(oracle, "brute_branch", lambda n, bound: ([], real(n, bound)[1]))
     code, _, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
@@ -315,18 +316,51 @@ def test_oracle_mismatch_fails_run(capsys, monkeypatch):
 
 
 def test_regularity_mismatch_fails_run(capsys, monkeypatch):
-    import qonash.cli
+    real = oracle.brute_branch
 
-    real = qonash.cli.oracle.brute_singular_faces
-    monkeypatch.setattr(
-        qonash.cli.oracle, "brute_singular_faces", lambda n, bound: real(n, bound) ^ {(1,)}
-    )
+    def flipped(n, bound):
+        s_min, singular = real(n, bound)
+        return s_min, singular ^ {(1,)}
+
+    monkeypatch.setattr(oracle, "brute_branch", flipped)
     code, _, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
     assert code == 1
     assert "[ORACLE_MISMATCH]" in err
     assert "regularity of face (1,) differs: main True, brute False" in err
+
+
+def test_import_loads_no_oracle():
+    code = (
+        "import qonash.cli, sys; "
+        "print(sorted({'numpy', 'qonash.oracle'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, env=_src_env()
+    )
+    assert done.stdout == b"[]\n"
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # the subparser is "qonash analyze"
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = str(CORPUS / "whitney.json")
+    assert run_cli(capsys, "analyze", path)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", path, "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "analyze", path, "--format", "json")
+    assert code == 0
+    assert out == (CORPUS / "golden" / "whitney.report.json").read_text()
+    assert built.count("qonash") <= 1
 
 
 def test_subprocess_determinism_single_case():

@@ -10,7 +10,7 @@ from qonash import (
     lattice_from_generators,
     standard_lattice,
 )
-from qonash.oracle import brute_face_index, brute_minimal_S, brute_singular_faces
+from qonash.oracle import brute_branch, brute_face_index, brute_minimal_S
 
 
 def vec(*coords):
@@ -72,13 +72,13 @@ class TestBruteFaceIndex:
 class TestBruteSingularFaces:
     def test_agrees_with_face_index(self):
         for n in (N_EVEN, N_MOD4, standard_lattice(2), lat((1, 0), (0, 2))):
-            singular = brute_singular_faces(n, 4)
+            singular = brute_branch(n, 4)[1]
             for idx in [(1,), (2,), (1, 2)]:
                 assert (idx in singular) == (brute_face_index(n, idx) > 1)
 
     def test_bound_too_small(self):
         with pytest.raises(DomainError) as err:
-            brute_singular_faces(N_MOD4, 3)
+            brute_branch(N_MOD4, 3)
         assert err.value.code == "BOUND_TOO_SMALL"
 
 
@@ -95,4 +95,4 @@ def test_oracle_shares_no_membership_code(monkeypatch):
     assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
     assert brute_face_index(N_MOD4, (1, 2)) == 4
     assert brute_face_index(N_EVEN, (2,)) == 1
-    assert brute_singular_faces(N_MOD4, 4) == {(1, 2)}
+    assert brute_branch(N_MOD4, 4)[1] == {(1, 2)}
