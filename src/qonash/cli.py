@@ -319,6 +319,17 @@ def _oracle_check(result: VarietyReport) -> None:
                 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for the limits: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -340,11 +351,14 @@ def _parser() -> argparse.ArgumentParser:
         help="recompute core results by brute force and fail on mismatch",
     )
     analyze.add_argument(
-        "--max-dim", type=int, default=8, help="refuse inputs above this dimension"
+        "--max-dim",
+        type=_positive_int,
+        default=8,
+        help="refuse inputs above this dimension",
     )
     analyze.add_argument(
         "--max-index",
-        type=int,
+        type=_positive_int,
         default=10**6,
         help="cap on lattice indices and enumeration sizes",
     )

@@ -4,7 +4,11 @@ These deliberately share no algorithmic code with the main path: membership
 in the box and axis scans runs through an adjugate computed here by plain
 Gauss-Jordan elimination, faces are classified by counting points, and
 minimality compares each candidate with every point kept so far, layer by
-layer in order of coordinate sum, with numpy.
+layer in order of coordinate sum.
+The points stay in numpy arrays from the membership mask to the minimal set:
+the box scan yields each chunk's lattice points as one array, a point's
+support is a bitmask of its nonzero coordinates, and only the minimal points
+become tuples.
 Slow is fine; independent is the point.
 """
 
@@ -75,11 +79,13 @@ class _BoxScanner:
         prods = points.astype(dtype) @ np.array(self.adj, dtype=dtype)
         return np.all(prods % self.det == 0, axis=1)
 
-    def scan(self, lows, highs, columns):
-        """Yield lattice points x with lows[i] <= x_i <= highs[i].
+    def blocks(self, lows, highs, columns):
+        """Yield the lattice points x with lows[i] <= x_i <= highs[i].
 
         ``columns`` maps box axes onto coordinate positions (0-based); the
-        remaining coordinates stay zero.  Chunked so memory stays flat.
+        remaining coordinates stay zero.  Each chunk's points come as one
+        ``(m, d)`` int64 array, in ascending box order; chunked so memory
+        stays flat.
         """
         shape = tuple(h - l + 1 for l, h in zip(lows, highs))
         total = 1
@@ -95,7 +101,12 @@ class _BoxScanner:
             pts = np.zeros((linear.size, self.dim), dtype=np.int64)
             for axis, col in enumerate(columns):
                 pts[:, col] = coords[axis] + lows[axis]
-            yield from (tuple(int(v) for v in row) for row in pts[self._mask(pts)])
+            yield pts[self._mask(pts)]
+
+    def scan(self, lows, highs, columns):
+        """The points of ``blocks`` one at a time, as tuples of ints."""
+        for block in self.blocks(lows, highs, columns):
+            yield from map(tuple, block.tolist())
 
 
 def _axis_reach(scanner: _BoxScanner, bound: int) -> list[int]:
@@ -117,7 +128,7 @@ def _face_count(scanner: _BoxScanner, reach: list[int], idx: tuple[int, ...]) ->
     lows = [1] * len(idx)
     highs = [reach[i - 1] for i in idx]
     cols = [i - 1 for i in idx]
-    return sum(1 for _ in scanner.scan(lows, highs, cols))
+    return sum(len(block) for block in scanner.blocks(lows, highs, cols))
 
 
 def _singular_faces(scanner: _BoxScanner, reach: list[int]) -> set[tuple[int, ...]]:
@@ -143,24 +154,23 @@ def brute_face_index(n: Lattice, indices) -> int:
     return _face_count(scanner, _axis_reach(scanner, scanner.det), idx)
 
 
-def _minimal_points(hits: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Componentwise-minimal elements of a set of distinct integer points.
+def _minimal_points(hits: np.ndarray) -> list[tuple[int, ...]]:
+    """Componentwise-minimal rows of an ``(m, d)`` array of distinct points.
 
     Scan in order of ascending coordinate sum: a strict dominator always has
     a strictly smaller sum, so comparing against the points already kept is
     exhaustive, and points of equal sum can never dominate one another.
     """
-    kept: list[tuple[int, ...]] = []
-    for _, group in itertools.groupby(sorted(hits, key=sum), key=sum):
-        layer = list(group)
-        if kept:
-            block = np.array(layer, dtype=np.int64)
-            below = np.array(kept, dtype=np.int64)
-            dominated = np.any(np.all(below[None] <= block[:, None], axis=2), axis=1)
-            layer = [x for x, dom in zip(layer, dominated) if not dom]
-        kept.extend(layer)
-    kept.sort()
-    return kept
+    sums = hits.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    layers = np.split(hits[order], np.flatnonzero(np.diff(sums[order])) + 1)
+    kept = hits[:0]
+    for layer in layers:
+        if len(kept):
+            dominated = np.any(np.all(kept[None] <= layer[:, None], axis=2), axis=1)
+            layer = layer[~dominated]
+        kept = np.concatenate([kept, layer])
+    return sorted(map(tuple, kept.tolist()))
 
 
 def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, ...]]]:
@@ -175,13 +185,21 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, .
     """
     if bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
+    d = n.dim
     scanner = _BoxScanner(n)
     singular = _singular_faces(scanner, _axis_reach(scanner, bound))
-    hits = []
-    for x in scanner.scan([0] * n.dim, [bound] * n.dim, range(n.dim)):
-        support = tuple(i + 1 for i, c in enumerate(x) if c > 0)
-        if support in singular:
-            hits.append(x)
+    # A point's support, as a bitmask over its nonzero coordinates, indexes
+    # a table marking the singular faces.
+    wanted = np.zeros(1 << d, dtype=bool)
+    for idx in singular:
+        wanted[sum(1 << (i - 1) for i in idx)] = True
+    bits = 1 << np.arange(d, dtype=np.int64)
+    hits = np.concatenate(
+        [
+            block[wanted[(block > 0) @ bits]]
+            for block in scanner.blocks([0] * d, [bound] * d, range(d))
+        ]
+    )
     return [RatVec(x) for x in _minimal_points(hits)], singular
 
 

@@ -180,6 +180,26 @@ def test_max_index_guard(capsys):
     assert "LIMIT_EXCEEDED" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-index", "-3", "must be a positive integer, got -3"),
+        ("--max-index", "0", "must be a positive integer, got 0"),
+        ("--max-dim", "0", "must be a positive integer, got 0"),
+        ("--max-dim", "-1", "must be a positive integer, got -1"),
+        ("--max-dim", "abc", "invalid int value: 'abc'"),
+    ],
+)
+def test_limits_must_be_positive(capsys, option, value, message):
+    with pytest.raises(SystemExit) as exit_:
+        run(["analyze", str(CORPUS / "whitney.json"), option, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qonash analyze")
+    assert f"argument {option}: {message}" in captured.err
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -1,5 +1,8 @@
+import itertools
 from fractions import Fraction as F
+from operator import le
 
+import numpy as np
 import pytest
 
 from qonash import (
@@ -10,7 +13,8 @@ from qonash import (
     lattice_from_generators,
     standard_lattice,
 )
-from qonash.oracle import brute_branch, brute_face_index, brute_minimal_S
+from qonash.oracle import _BoxScanner, brute_branch, brute_face_index, brute_minimal_S
+from test_conegeom import TestMinimalDivisorsOnTowers as TOWERS
 
 
 def vec(*coords):
@@ -31,6 +35,7 @@ class TestBruteMinimalS:
 
     def test_standard_lattice(self):
         assert brute_minimal_S(standard_lattice(2), 1) == []
+        assert brute_branch(standard_lattice(3), 1) == ([], set())
 
     def test_mod4(self):
         assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
@@ -80,6 +85,80 @@ class TestBruteSingularFaces:
         with pytest.raises(DomainError) as err:
             brute_branch(N_MOD4, 3)
         assert err.value.code == "BOUND_TOO_SMALL"
+
+
+def _member(rows, x):
+    """x in the lattice of lower-triangular integer rows, by back-substitution."""
+    x = list(x)
+    for i in reversed(range(len(rows))):
+        c, r = divmod(x[i], rows[i][i])
+        if r:
+            return False
+        x = [a - c * b for a, b in zip(x, rows[i])]
+    return True
+
+
+def _reference_branch(n):
+    """(bound, S_min, singular faces) one point at a time, in Python ints.
+
+    The bound is the largest axis reach; a face is singular when the box
+    prod [1, reach_i] over its axes holds more than one lattice point; S_min
+    is every hit of [0, bound]^d with a singular support that no other hit
+    lies below.
+    """
+    rows = n.scaled_basis
+    d = n.dim
+    assert n.denom == 1
+    assert all(rows[i][j] == 0 for i in range(d) for j in range(i + 1, d))
+    axes = [[int(i == j) for j in range(d)] for i in range(d)]
+    reach = [
+        next(k for k in itertools.count(1) if _member(rows, [k * v for v in axis]))
+        for axis in axes
+    ]
+
+    def face_points(face):
+        ranges = [
+            range(1, reach[i - 1] + 1) if i in face else [0] for i in range(1, d + 1)
+        ]
+        return sum(_member(rows, x) for x in itertools.product(*ranges))
+
+    singular = {
+        face
+        for size in range(1, d + 1)
+        for face in itertools.combinations(range(1, d + 1), size)
+        if face_points(face) > 1
+    }
+    bound = max(reach)
+    hits = [
+        x
+        for x in itertools.product(range(bound + 1), repeat=d)
+        if tuple(i + 1 for i, c in enumerate(x) if c) in singular and _member(rows, x)
+    ]
+    s_min = [
+        x for x in hits if not any(y != x and all(map(le, y, x)) for y in hits)
+    ]
+    return bound, sorted(s_min), singular
+
+
+@pytest.mark.parametrize(
+    "n",
+    [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)],
+)
+def test_matches_per_point_reference(n):
+    bound, s_min, singular = _reference_branch(n)
+    assert brute_branch(n, bound) == ([RatVec(x) for x in s_min], singular)
+
+
+def test_object_dtype_mask():
+    # adj = diag(2**62, 1): products of box points with it overflow int64,
+    # so the mask multiplies Python ints in an object array.
+    scanner = _BoxScanner(lat((1, 0), (0, 2**62)))
+    assert max(map(max, scanner.adj)) == 2**62
+    expected = [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert list(scanner.scan([0, 0], [3, 3], [0, 1])) == expected
+    blocks = list(scanner.blocks([0, 0], [3, 3], [0, 1]))
+    assert all(block.dtype == np.int64 for block in blocks)
+    assert [tuple(row) for block in blocks for row in block.tolist()] == expected
 
 
 def test_oracle_shares_no_membership_code(monkeypatch):
