@@ -299,8 +299,8 @@ def _oracle_check(result: VarietyReport) -> None:
         # The edges lead the face table.  The largest axis reach bounds every
         # minimal point; the oracle finds its own reaches and refuses the
         # bound if one lies beyond it.
-        reach = [f.primgens[0].coords[f.indices[0] - 1] for f in report.faces[: n.dim]]
-        brute, singular = oracle.brute_branch(n, int(max(reach)))
+        bound = max(f.reach[0] for f in report.faces[: n.dim])
+        brute, singular = oracle.brute_branch(n, bound)
         main = [d.vector for d in report.s_min]
         if brute != main:
             raise DomainError(
@@ -360,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
         "--max-index",
         type=_positive_int,
         default=10**6,
-        help="cap on lattice indices and enumeration sizes",
+        help="cap on the tower degree and on the box cells of each singular face",
     )
     return parser
 

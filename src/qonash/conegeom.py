@@ -27,12 +27,14 @@ ORIGIN_BARYCENTER = "barycenter"
 
 @dataclass(frozen=True)
 class Face:
-    """A face of the quadrant: coordinate subset, edge generators, the index
-    of the edge sublattice in the face's lattice points, and the Hermite
-    basis of denom times those points (see :func:`intlat.section`)."""
+    """A face of the quadrant: coordinate subset, edge generators and their
+    reaches c_i (denom times the generator's coordinate), the index of the
+    edge sublattice in the face's lattice points, and the Hermite basis of
+    denom times those points (see :func:`intlat.section`)."""
 
     indices: tuple[int, ...]
     primgens: tuple[RatVec, ...]
+    reach: tuple[int, ...]
     index: int
     section: tuple[tuple[int, ...], ...]
 
@@ -84,10 +86,10 @@ def _classify(n: Lattice, faces) -> list[Face]:
             (k,) = idx
             reach[k] = section[0][k - 1]
             gens[k] = RatVec.unit(n.dim, k).scale(Fraction(reach[k], n.denom))
-        edges = prod(reach[i] for i in idx)
+        c = tuple(reach[i] for i in idx)
         pivots = prod(row[i - 1] for i, row in zip(idx, section))
-        assert edges % pivots == 0
-        out.append(Face(idx, tuple(gens[i] for i in idx), edges // pivots, section))
+        assert prod(c) % pivots == 0
+        out.append(Face(idx, tuple(gens[i] for i in idx), c, prod(c) // pivots, section))
     return out
 
 
@@ -128,15 +130,14 @@ def face_parallelepiped(n: Lattice, face: Face, max_points: int | None) -> list:
     is wasted on a non-point.
     """
     idx = face.indices
-    reach = [int(g.coords[i - 1] * n.denom) for i, g in zip(idx, face.primgens)]
-    total = prod(reach)
+    total = prod(face.reach)
     if max_points is not None and total > max_points:
         raise DomainError(
             "LIMIT_EXCEEDED",
-            f"face {idx} needs {total} candidate points, above the cap {max_points}",
+            f"face {idx} needs {total} box cells, above the cap {max_points}",
         )
     points = [(0,) * n.dim]
-    for i, c, row in reversed(list(zip(idx, reach, face.section))):
+    for i, c, row in reversed(list(zip(idx, face.reach, face.section))):
         p = row[i - 1]
         # The c/p coefficients y that put x_i + y*p in (0, c].
         points = [
@@ -165,14 +166,14 @@ def singular_faces(n: Lattice) -> list[tuple[int, ...]]:
     return [face.indices for face in face_table(n) if not face.regular]
 
 
-def divisor_on_ray(n: Lattice, v: RatVec, origin: str) -> Divisor:
-    """Split a nonzero lattice vector as multiplicity times a primitive one."""
-    coeffs = n.scaled_coefficients(n.scaled_coords(v))
-    assert coeffs is not None, f"{v} is not a lattice vector"
+def divisor_on_ray(n: Lattice, m: tuple[int, ...], origin: str) -> Divisor:
+    """Split the lattice vector m/denom as multiplicity times a primitive one."""
+    coeffs = n.scaled_coefficients(m)
+    assert coeffs is not None, f"{m} is not a lattice vector"
     q = gcd(*coeffs)
     return Divisor(
-        vector=v,
-        primitive=v.scale(Fraction(1, q)),
+        vector=RatVec(Fraction(x, n.denom) for x in m),
+        primitive=RatVec(Fraction(x // q, n.denom) for x in m),
         multiplicity=q,
         origin=origin,
     )
@@ -182,13 +183,14 @@ def minimal_toric_divisors(
     n: Lattice, *, max_points: int | None = None
 ) -> list[Divisor]:
     """Divisors labelled by the minimal lattice points of the singular faces."""
-    return minimal_singular_divisors(n, face_table(n), max_points)
+    points = minimal_singular_points(n, face_table(n), max_points)
+    return [divisor_on_ray(n, m, ORIGIN_TORIC_MINIMAL) for m in points]
 
 
-def minimal_singular_divisors(
+def minimal_singular_points(
     n: Lattice, faces: tuple[Face, ...], max_points: int | None
-) -> list[Divisor]:
-    """S_min of N, given its face table.
+) -> list[tuple[int, ...]]:
+    """S_min of N as sorted integer points, given its face table.
 
     The minimal elements of the union of relative interiors of singular faces
     are found inside the edge parallelepipeds: subtracting an edge generator
@@ -202,10 +204,7 @@ def minimal_singular_divisors(
     for face in faces:
         if not face.regular:
             candidates.update(face_parallelepiped(n, face, max_points))
-    return [
-        divisor_on_ray(n, RatVec(m), ORIGIN_TORIC_MINIMAL)
-        for m in minimal_elements(candidates)
-    ]
+    return minimal_elements(candidates)
 
 
 def barycenter(n: Lattice, indices) -> Divisor:
@@ -213,20 +212,19 @@ def barycenter(n: Lattice, indices) -> Divisor:
     idx = _check_indices(n.dim, indices)
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no barycenter")
-    return face_barycenter(n, face_data(n, idx))
+    return divisor_on_ray(n, barycenter_point(n, face_data(n, idx)), ORIGIN_BARYCENTER)
 
 
-def face_barycenter(n: Lattice, face: Face) -> Divisor:
-    """Barycenter of a nonempty face already classified for N."""
+def barycenter_point(n: Lattice, face: Face) -> tuple[int, ...]:
+    """Numerators of denom times the barycenter of a face already classified
+    for N: the face's reaches on its coordinates, 0 elsewhere."""
     if not face.regular:
         raise DomainError(
             "SINGULAR_FACE",
             f"face {face.indices} is singular; barycenters live on regular faces",
         )
-    total = face.primgens[0]
-    for p in face.primgens[1:]:
-        total = total + p
-    return divisor_on_ray(n, total, ORIGIN_BARYCENTER)
+    reach = dict(zip(face.indices, face.reach))
+    return tuple(reach.get(k, 0) for k in range(1, n.dim + 1))
 
 
 def monomial_valuation(v: RatVec, support) -> Fraction:

@@ -140,21 +140,19 @@ def _int_rows(rows) -> list[list[int]]:
     return out
 
 
-def _hnf_core(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Lower-triangular row HNF with unimodular transform tracking.
+def _hnf_core(rows: list[list[int]]) -> list[list[int]]:
+    """Lower-triangular row HNF basis of the integer row span.
 
-    Returns (pivot_rows, kernel_u_rows, pivot_cols).  pivot_rows are sorted by
-    ascending pivot column, pivots positive, and for every earlier pivot
-    column c the entries of later rows at c lie in [0, pivot_c).  The u-rows
-    returned form a basis of the integer left kernel of the input.
+    The rows come back sorted by ascending pivot column, pivots positive,
+    and for every earlier pivot column c the entries of later rows at c lie
+    in [0, pivot_c).  No transform is tracked: kernels and sections are read
+    off a Hermite form (Cohen, GTM 138, 2.4).
     """
     work = [row[:] for row in rows]
-    n, width = len(work), len(work[0])
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    free = list(range(n))
+    free = list(range(len(work)))
     pivot_of_col: dict[int, int] = {}
 
-    for col in range(width - 1, -1, -1):
+    for col in range(len(work[0]) - 1, -1, -1):
         live = [i for i in free if work[i][col] != 0]
         while len(live) > 1:
             live.sort(key=lambda i: abs(work[i][col]))
@@ -163,14 +161,12 @@ def _hnf_core(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], 
                 q = work[i][col] // work[p][col]
                 if q:
                     work[i] = [a - q * b for a, b in zip(work[i], work[p])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[p])]
             live = [i for i in live if work[i][col] != 0]
         if not live:
             continue
         p = live[0]
         if work[p][col] < 0:
             work[p] = [-a for a in work[p]]
-            u[p] = [-a for a in u[p]]
         pivot_of_col[col] = p
         free.remove(p)
 
@@ -184,12 +180,9 @@ def _hnf_core(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], 
             q = work[r][col2] // work[r2][col2]
             if q:
                 work[r] = [a - q * b for a, b in zip(work[r], work[r2])]
-                u[r] = [a - q * b for a, b in zip(u[r], u[r2])]
 
-    basis = [work[pivot_of_col[c]] for c in pivot_cols]
-    kernel = [u[i] for i in free]
     assert all(all(x == 0 for x in work[i]) for i in free)
-    return basis, kernel, pivot_cols
+    return [work[pivot_of_col[c]] for c in pivot_cols]
 
 
 def hnf(rows) -> list[tuple[int, ...]]:
@@ -200,16 +193,19 @@ def hnf(rows) -> list[tuple[int, ...]]:
     pivot columns are reduced modulo that pivot.  Rank-deficient input yields
     fewer rows than columns.
     """
-    basis, _, _ = _hnf_core(_int_rows(rows))
-    return [tuple(r) for r in basis]
+    return [tuple(r) for r in _hnf_core(_int_rows(rows))]
 
 
 def integer_kernel(rows) -> list[tuple[int, ...]]:
-    """Basis of {y integer : y . rows = 0}, canonicalized by hnf."""
-    _, kernel, _ = _hnf_core(_int_rows(rows))
-    if not kernel:
-        return []
-    return hnf(kernel)
+    """Basis of {y integer : y . rows = 0}, canonicalized by hnf.
+
+    It is read off the HNF of [I | rows]: the rows pivoting in the I block
+    are zero on the right, and their left parts are the kernel's HNF.
+    """
+    a = _int_rows(rows)
+    n = len(a)
+    stacked = [[int(i == j) for j in range(n)] + row for i, row in enumerate(a)]
+    return [tuple(r[:n]) for r in _hnf_core(stacked) if not any(r[n:])]
 
 
 def snf(mat) -> tuple[int, ...]:
@@ -378,7 +374,7 @@ def _lattice_from_scaled(denom: int, int_rows: list[list[int]]) -> Lattice:
     Z^d; raises NOT_FULL_RANK if the rows do not span d-space.
     """
     dim = len(int_rows[0])
-    basis, _, _ = _hnf_core(int_rows)
+    basis = _hnf_core(int_rows)
     if len(basis) < dim:
         raise DomainError("NOT_FULL_RANK", f"generators span rank {len(basis)} < {dim}")
     g = gcd(denom, *(x for row in basis for x in row))

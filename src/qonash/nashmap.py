@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import conegeom, qobranch
-from .conegeom import Divisor, Face, leq_sigma
+from .conegeom import ORIGIN_BARYCENTER, ORIGIN_TORIC_MINIMAL, Divisor, Face, leq_sigma
 from .errors import DomainError
 from .intlat import Lattice, RatVec
 from .qobranch import BranchLattices, BranchSpec
@@ -112,25 +112,31 @@ def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
     faces are honest orbit-closure components) this can never fire; a hit
     means the supplied face data contradicts the lattice.
     """
-    pool = [_point(d) for d in [*e_divisors, *s_min]]
-    out = []
-    for e in e_divisors:
-        p = _point(e)
-        x = next((q for q in pool if q != p and leq_sigma(q, p)), None)
-        if x is not None:
-            out.append(
-                Diagnostic(
-                    "LEMMA_MIN_VIOLATION",
-                    f"barycenter {e.vector} is dominated by {RatVec(x)}; "
-                    f"the supplied faces are inconsistent with the lattice",
-                )
-            )
-    return out
+    return _dominated_barycenters(
+        [_point(d) for d in e_divisors], [_point(d) for d in s_min]
+    )
 
 
 def _point(d: Divisor) -> tuple[int, ...]:
     assert d.vector.is_integral()  # divisors label points of N, inside Z^d
     return tuple(c.numerator for c in d.vector)
+
+
+def _dominated_barycenters(e_points, s_points) -> list[Diagnostic]:
+    """:func:`lemma_min_diagnostics` on the integer points themselves."""
+    pool = e_points + s_points
+    out = []
+    for p in e_points:
+        x = next((q for q in pool if q != p and leq_sigma(q, p)), None)
+        if x is not None:
+            out.append(
+                Diagnostic(
+                    "LEMMA_MIN_VIOLATION",
+                    f"barycenter {RatVec(p)} is dominated by {RatVec(x)}; "
+                    f"the supplied faces are inconsistent with the lattice",
+                )
+            )
+    return out
 
 
 def essential_divisors(
@@ -143,31 +149,31 @@ def essential_divisors(
     barycenter.  Their union is the full set of essential divisors relative
     to B, and equals the image of the Nash components.
     """
-    faces = conegeom.face_table(n)
-    s_min = conegeom.minimal_singular_divisors(n, faces, max_points)
-    return _split(n, faces, relevant, s_min)
+    return _split(n, conegeom.face_table(n), relevant, max_points)[1:]
 
 
-def _split(n: Lattice, faces, relevant: RelevantFaces, s_min):
-    e_divisors = sorted(
-        conegeom.face_barycenter(n, f)
+def _split(n: Lattice, faces, relevant: RelevantFaces, max_points: int | None):
+    """S_min, E, V and diagnostics of N given its face table; every dominance
+    test runs on integer points, and each Divisor is built once."""
+    s_points = conegeom.minimal_singular_points(n, faces, max_points)
+    e_points = sorted(
+        conegeom.barycenter_point(n, f)
         for f in faces
         if f.regular and f.indices in relevant.faces
     )
-    e_points = [_point(e) for e in e_divisors]
-    v_divisors = []
-    for v in s_min:
-        p = _point(v)
-        if not any(e != p and leq_sigma(e, p) for e in e_points):
-            v_divisors.append(v)
-    diagnostics = lemma_min_diagnostics(e_divisors, s_min)
+    s_min = [conegeom.divisor_on_ray(n, p, ORIGIN_TORIC_MINIMAL) for p in s_points]
+    kept = [not any(e != p and leq_sigma(e, p) for e in e_points) for p in s_points]
+    v_points = list(itertools.compress(s_points, kept))
+    v_divisors = list(itertools.compress(s_min, kept))
+    diagnostics = _dominated_barycenters(e_points, s_points)
     if not diagnostics:
         # By coordinate sum, so a strict dominator always comes first.
-        combined = sorted(e_points + [_point(v) for v in v_divisors], key=sum)
+        combined = sorted(e_points + v_points, key=sum)
         assert not any(
             a != b and leq_sigma(a, b) for a, b in itertools.combinations(combined, 2)
         ), "essential divisors must form an antichain"
-    return e_divisors, v_divisors, diagnostics
+    e_divisors = [conegeom.divisor_on_ray(n, p, ORIGIN_BARYCENTER) for p in e_points]
+    return s_min, e_divisors, v_divisors, diagnostics
 
 
 def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[int, ...], ...]:
@@ -205,10 +211,10 @@ def analyze_branch(
 ) -> BranchReport:
     """Relative Nash data of one branch.
 
-    ``max_points`` caps the tower degree and the candidate points of each
-    singular face.  Raises B_MISSING_SING when the normalization is singular
-    but no singular-locus faces were supplied, since B must contain the
-    singular locus for the face picture to be meaningful.
+    ``max_points`` caps the tower degree and the box cells of each singular
+    face.  Raises B_MISSING_SING when the normalization is singular but no
+    singular-locus faces were supplied, since B must contain the singular
+    locus for the face picture to be meaningful.
     """
     return _analyze(branch, _build_tower(branch, max_points), max_points)
 
@@ -247,8 +253,7 @@ def _analyze(
             branch=label or None,
         )
 
-    s_min = conegeom.minimal_singular_divisors(n, faces, max_points)
-    e_divisors, v_divisors, diagnostics = _split(n, faces, relevant, s_min)
+    s_min, e_divisors, v_divisors, diagnostics = _split(n, faces, relevant, max_points)
     if not relevant.faces and not sigma_singular:
         diagnostics = diagnostics + [
             Diagnostic(

@@ -75,10 +75,9 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
     step_indices = []
     for j, lam in enumerate(exps, start=1):
         prev = tower[-1]
-        # prev contains Z^d, so nxt = prev + Z*lam; in canonical form
-        # nxt == prev exactly when lam already lies in prev.
-        z_lam = intlat.lattice_from_generators([*tower[0].basis, lam])
-        nxt = intlat.lattice_sum(prev, z_lam)
+        # prev contains Z^d, so one HNF of its basis and lam gives the step;
+        # in canonical form nxt == prev exactly when lam already lies in prev.
+        nxt = intlat.lattice_from_generators([*prev.basis, lam])
         if nxt == prev:
             raise DomainError(
                 "NOT_CHARACTERISTIC",

@@ -160,9 +160,9 @@ class TestBarycenter:
     def test_multiplicity_decomposition(self):
         # (2,2) = 2 * (1,1) in the even lattice; the splitting helper must
         # find the primitive part even though face outputs are primitive.
-        d = divisor_on_ray(N_EVEN, vec(2, 2), "toric-minimal")
+        d = divisor_on_ray(N_EVEN, (2, 2), "toric-minimal")
         assert (d.primitive, d.multiplicity) == (vec(1, 1), 2)
-        d = divisor_on_ray(N_EVEN, vec(3, 1), "toric-minimal")
+        d = divisor_on_ray(N_EVEN, (3, 1), "toric-minimal")
         assert (d.primitive, d.multiplicity) == (vec(3, 1), 1)
 
 
@@ -304,3 +304,32 @@ class TestMinimalDivisorsOnTowers:
                 assert support in singular
                 assert div.vector == div.primitive.scale(div.multiplicity)
                 assert contains(n, div.primitive)
+
+
+class TestHighDimensionInvariants:
+    # Oracle-free checks in d = 5..8, where the brute-force box is too big
+    # to be a routine reference; small degrees keep them to a few seconds.
+    BRANCHES = [
+        b for d in range(5, 9) for b in random_branches(3, seed=50 + d, dims=(d,), max_index=8)
+    ]
+
+    def test_dimensions_covered(self):
+        dims = {spec.dim for spec, _ in self.BRANCHES}
+        assert dims == {5, 6, 7, 8}
+        assert any(singular_faces(l.N) for _, l in self.BRANCHES)
+
+    def test_faces_containing_a_singular_face_are_singular(self):
+        for _, lattices_ in self.BRANCHES:
+            table = face_table(lattices_.N)
+            singular = [set(f.indices) for f in table if not f.regular]
+            for face in table:
+                if any(s <= set(face.indices) for s in singular):
+                    assert not face.regular, face.indices
+
+    def test_candidates_dominate_s_min(self):
+        for _, lattices_ in self.BRANCHES:
+            n = lattices_.N
+            s_min = [tuple(int(c) for c in x.vector) for x in minimal_toric_divisors(n)]
+            for idx in singular_faces(n):
+                for point in parallelepiped_points(n, idx):
+                    assert any(leq_sigma(m, point) for m in s_min), (idx, point)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 from math import gcd, lcm, prod
 
@@ -363,6 +364,30 @@ class TestIntegerKernel:
 
     def test_full_rank_no_kernel(self):
         assert integer_kernel([(1, 0), (0, 1)]) == []
+
+
+def test_hnf_and_kernel_match_sympy():
+    # A reference that shares no code with intlat: sympy's Hermite form of
+    # the transpose (column style) is the transpose of the row form.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(8080)
+    full_rank = 0
+    while full_rank < 500:
+        d = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(rng.randint(1, d + 3))]
+        rank = sympy.Matrix(rows).rank()
+        kern = integer_kernel(rows)
+        assert len(kern) == len(rows) - rank
+        assert sympy.Matrix(kern).rank() == len(kern)
+        for y in kern:
+            assert all(sum(a * r[j] for a, r in zip(y, rows)) == 0 for j in range(d))
+        if rank < d:
+            continue
+        full_rank += 1
+        expected = hermite_normal_form(sympy.Matrix(rows).T).T
+        assert hnf(rows) == [tuple(int(x) for x in expected.row(i)) for i in range(d)]
 
 
 class TestRatVec:

@@ -20,6 +20,7 @@ from qonash import (
     face_data,
     lattice_from_generators,
     leq_sigma,
+    minimal_toric_divisors,
     singular_faces,
     standard_lattice,
 )
@@ -318,6 +319,45 @@ class TestRandomizedInvariants:
             e2, v2, _ = essential_divisors(n, enlarged)
             assert set(vectors(e1)) <= set(vectors(e2))
             assert set(vectors(v2)) <= set(vectors(v1))
+
+    def test_split_matches_reference(self):
+        # V is S_min minus the points strictly dominated by a barycenter of a
+        # regular relevant face, and E is the sorted barycenters, each summed
+        # here from the face's edge generators.  Some face lists are left
+        # uncomponentized so that the diagnostic fires.
+        rng = random.Random(34)
+        fired = 0
+        for d in range(2, 7):
+            for _, lattices_ in random_branches(8, seed=340 + d, dims=(d,), max_index=12):
+                n = lattices_.N
+                raw = [
+                    tuple(sorted(rng.sample(range(1, d + 1), rng.randint(1, d))))
+                    for _ in range(rng.randint(0, 4))
+                ]
+                if rng.random() < 0.5:
+                    relevant = componentize(raw)
+                else:
+                    relevant = RelevantFaces(faces=tuple(dict.fromkeys(raw)))
+                e, v, diags = essential_divisors(n, relevant)
+                fired += bool(diags)
+                bary = []
+                for idx in relevant.faces:
+                    face = face_data(n, idx)
+                    if face.regular:
+                        total = RatVec.zero(d)
+                        for g in face.primgens:
+                            total = total + g
+                        bary.append(total)
+                assert vectors(e) == sorted(bary)
+                assert [x.origin for x in e] == ["barycenter"] * len(e)
+                s_min = minimal_toric_divisors(n)
+                expected = [
+                    x
+                    for x in s_min
+                    if not any(b != x.vector and leq_sigma(b, x.vector) for b in bary)
+                ]
+                assert v == expected
+        assert fired > 0
 
     def test_determinism(self):
         branches = [

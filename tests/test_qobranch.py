@@ -13,6 +13,7 @@ from qonash import (
     lattice_from_generators,
     standard_lattice,
 )
+from qonash import intlat
 from towers import random_branches
 
 
@@ -103,3 +104,21 @@ class TestTowerProperties:
             )
             rng.shuffle(gens)
             assert lattice_from_generators(gens) == lat.M
+
+
+def test_one_hnf_per_tower_step(monkeypatch):
+    # One Hermite form per exponent (M_{j-1}'s basis with lambda_j) and one
+    # for the dual; Z^d itself needs none.
+    specs = [s for s, _ in random_branches(40, seed=6262)]
+    assert any(len(s.char_exponents) > 1 for s in specs)
+    calls = []
+
+    def counted(rows, _real=intlat._hnf_core):
+        calls.append(rows)
+        return _real(rows)
+
+    monkeypatch.setattr(intlat, "_hnf_core", counted)
+    for s in specs:
+        calls.clear()
+        build_tower(s)
+        assert len(calls) == len(s.char_exponents) + 1
