@@ -1,20 +1,18 @@
 """Brute-force reference implementations for cross-checking.
 
-These deliberately share no algorithmic code with the main path: membership
-in the box and axis scans runs through an adjugate computed here by plain
-Gauss-Jordan elimination, faces are classified by counting points, and
-minimality compares each candidate with every point kept so far, layer by
-layer in order of coordinate sum.
-The points stay in numpy arrays from the membership mask to the minimal set:
-the box scan yields each chunk's lattice points as one array, a point's
-support is a bitmask of its nonzero coordinates, and only the minimal points
-become tuples.
-Slow is fine; independent is the point.
+These deliberately share no algorithmic code with the main path.  Each box
+is scanned as a residue grid: x lies in N exactly when x . adj = 0 (mod det)
+in every column of an adjugate found here by Gauss-Jordan elimination; the
+sum splits by axis, so residue tables per axis, broadcast and compared, mark
+every member.  Faces are classified by counting members by support, and
+minimality is a prefix OR over the grid of hits, in slabs along the first
+axis so memory stays flat.  Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,53 +53,70 @@ def _adjugate(mat: list[list[int]]) -> tuple[list[list[int]], int]:
     return [[x.numerator for x in row] for row in adj], det_int
 
 
-def _require_integral(n: Lattice) -> list[list[int]]:
-    if n.denom != 1:
-        raise DomainError("NOT_SUBLATTICE", "oracle expects a sublattice of Z^d")
-    return [list(row) for row in n.scaled_basis]
-
-
 class _BoxScanner:
     """Exhaustive membership filter over integer boxes for one lattice."""
 
     def __init__(self, n: Lattice):
+        if n.denom != 1:
+            raise DomainError("NOT_SUBLATTICE", "oracle expects a sublattice of Z^d")
         self.dim = n.dim
-        self.adj, det = _adjugate(_require_integral(n))
-        self.det = abs(det)
+        self.adj, det = _adjugate([list(row) for row in n.scaled_basis])
+        det = self.det = abs(det)
+        # Columns of adj that vanish mod det test nothing.
+        cols = [[x % det for x in c] for c in zip(*self.adj) if any(x % det for x in c)]
+        # int64 while det < 2**31: products of two residues stay below det**2,
+        # and radix[j, k] packs column j into key k below 2**62, in base det.
+        self.dtype = np.int64 if det.bit_length() <= 31 else object
+        self.residues = np.array(cols, dtype=self.dtype).reshape(len(cols), self.dim).T
+        width = max(1, 62 // det.bit_length())
+        self.radix = np.zeros((len(cols), -(-len(cols) // width) or 1), self.dtype)
+        for j in range(len(cols)):
+            self.radix[j, j // width] = det ** (j % width)
 
-    def _mask(self, points: np.ndarray) -> np.ndarray:
-        big = (
-            int(np.abs(points).max(initial=0))
-            * max(abs(x) for row in self.adj for x in row)
-            * self.dim
-        )
-        dtype = object if big >= 2**62 else np.int64
-        prods = points.astype(dtype) @ np.array(self.adj, dtype=dtype)
-        return np.all(prods % self.det == 0, axis=1)
+    def grid(self, lows, highs, columns):
+        """Membership of the box lows[i] <= x_i <= highs[i], capped at once.
+
+        ``columns`` maps box axes onto coordinate positions (0-based; others
+        stay zero).  Slabs of about ``_CHUNK`` cells (at least one row) come
+        as ``(offset, mask)``; ``mask[r, ...]`` is row ``lows[0] + offset + r``.
+        """
+        shape = [h - l + 1 for l, h in zip(lows, highs)]
+        total = math.prod(shape)
+        if total > MAX_SCAN:
+            msg = f"box of {total} points exceeds the oracle cap"
+            raise DomainError("LIMIT_EXCEEDED", msg)
+
+        def residues(lo, count, col):  # v * adj[col] mod det, a row per v from lo
+            values = np.arange(lo, lo + count, dtype=self.dtype)[:, None]
+            return values % self.det * self.residues[col] % self.det
+
+        # A cell is a member when the residues of its later axes, summed and
+        # packed into keys, equal the negated residues of its first axis.
+        tables = list(map(residues, lows[1:], shape[1:], columns[1:]))
+        tail = np.zeros((self.radix.shape[1], *shape[1:]), dtype=self.dtype)
+        for j, radix in enumerate(self.radix):
+            column = 0
+            for table in reversed(tables):
+                column = np.add.outer(table[:, j], column)
+            tail += np.multiply.outer(radix, column % self.det)
+        step = max(1, _CHUNK * shape[0] // total)
+        spread = (slice(None), slice(None)) + (None,) * len(tables)
+
+        def slab(offset):
+            rows = residues(lows[0] + offset, min(step, shape[0] - offset), columns[0])
+            head = (-rows % self.det @ self.radix).T[spread]
+            return offset, functools.reduce(np.logical_and, map(np.equal, head, tail))
+
+        return map(slab, range(0, shape[0], step))
 
     def blocks(self, lows, highs, columns):
-        """Yield the lattice points x with lows[i] <= x_i <= highs[i].
-
-        ``columns`` maps box axes onto coordinate positions (0-based); the
-        remaining coordinates stay zero.  Each chunk's points come as one
-        ``(m, d)`` int64 array, in ascending box order; chunked so memory
-        stays flat.
-        """
-        shape = tuple(h - l + 1 for l, h in zip(lows, highs))
-        total = 1
-        for s in shape:
-            total *= s
-        if total > MAX_SCAN:
-            raise DomainError(
-                "LIMIT_EXCEEDED", f"box of {total} points exceeds the oracle cap"
-            )
-        for start in range(0, total, _CHUNK):
-            linear = np.arange(start, min(start + _CHUNK, total))
-            coords = np.unravel_index(linear, shape)
-            pts = np.zeros((linear.size, self.dim), dtype=np.int64)
-            for axis, col in enumerate(columns):
-                pts[:, col] = coords[axis] + lows[axis]
-            yield pts[self._mask(pts)]
+        """Each slab's lattice points, as one ``(m, d)`` int64 array in box order."""
+        for offset, mask in self.grid(lows, highs, columns):
+            found = np.argwhere(mask)
+            found[:, 0] += offset
+            pts = np.zeros((len(found), self.dim), dtype=np.int64)
+            pts[:, list(columns)] = found + lows
+            yield pts
 
     def scan(self, lows, highs, columns):
         """The points of ``blocks`` one at a time, as tuples of ints."""
@@ -116,32 +131,21 @@ def _axis_reach(scanner: _BoxScanner, bound: int) -> list[int]:
         # The scan yields in ascending order, so the first hit is the least.
         hit = next(scanner.scan([1], [bound], [k]), None)
         if hit is None:
-            raise DomainError(
-                "BOUND_TOO_SMALL",
-                f"no lattice point on axis {k + 1} within bound {bound}",
-            )
+            msg = f"no lattice point on axis {k + 1} within bound {bound}"
+            raise DomainError("BOUND_TOO_SMALL", msg)
         reach.append(hit[k])
     return reach
 
 
-def _face_count(scanner: _BoxScanner, reach: list[int], idx: tuple[int, ...]) -> int:
-    lows = [1] * len(idx)
-    highs = [reach[i - 1] for i in idx]
-    cols = [i - 1 for i in idx]
-    return sum(len(block) for block in scanner.blocks(lows, highs, cols))
-
-
-def _singular_faces(scanner: _BoxScanner, reach: list[int]) -> set[tuple[int, ...]]:
-    return {
-        idx
-        for size in range(1, scanner.dim + 1)
-        for idx in itertools.combinations(range(1, scanner.dim + 1), size)
-        if _face_count(scanner, reach, idx) > 1
-    }
+def _support(offset: int, shape) -> np.ndarray:
+    """Bitmask of the nonzero coordinates of each cell of a slab of [0, ...]^d."""
+    axes = np.ogrid[(slice(offset, offset + shape[0]), *map(slice, shape[1:]))]
+    bit = np.min_scalar_type((1 << len(shape)) - 1).type
+    return sum((x > 0) * bit(1 << a) for a, x in enumerate(axes))
 
 
 def brute_face_index(n: Lattice, indices) -> int:
-    """Count lattice points in the half-open edge box of a face.
+    """Count lattice points in the half-open edge box of a face, by its grid.
 
     Equals the lattice index underlying the face's regularity flag: the face
     is regular exactly when the count is 1.
@@ -151,56 +155,52 @@ def brute_face_index(n: Lattice, indices) -> int:
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     scanner = _BoxScanner(n)
     # The whole quotient Z^d / N is killed by |det|, so the axis scan is safe.
-    return _face_count(scanner, _axis_reach(scanner, scanner.det), idx)
-
-
-def _minimal_points(hits: np.ndarray) -> list[tuple[int, ...]]:
-    """Componentwise-minimal rows of an ``(m, d)`` array of distinct points.
-
-    Scan in order of ascending coordinate sum: a strict dominator always has
-    a strictly smaller sum, so comparing against the points already kept is
-    exhaustive, and points of equal sum can never dominate one another.
-    """
-    sums = hits.sum(axis=1)
-    order = np.argsort(sums, kind="stable")
-    layers = np.split(hits[order], np.flatnonzero(np.diff(sums[order])) + 1)
-    kept = hits[:0]
-    for layer in layers:
-        if len(kept):
-            dominated = np.any(np.all(kept[None] <= layer[:, None], axis=2), axis=1)
-            layer = layer[~dominated]
-        kept = np.concatenate([kept, layer])
-    return sorted(map(tuple, kept.tolist()))
+    reach = _axis_reach(scanner, scanner.det)
+    cols = [i - 1 for i in idx]
+    grid = scanner.grid([1] * len(cols), [reach[c] for c in cols], cols)
+    return sum(int(mask.sum()) for _, mask in grid)
 
 
 def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, ...]]]:
     """(minimal points of the union of singular-face interiors, singular faces).
 
-    One scanner counts every face's half-open edge box (a face is singular
-    when it holds more than one lattice point), then scans every lattice
-    point of the box [0, bound]^d, keeps those whose support is a singular
-    face, and takes their minimal elements.  The bound must reach the
-    primitive point on every axis (the result is then independent of the
-    bound); otherwise an error is raised.
+    One scanner counts the members of [0, reach]^d by support (the cells of
+    support F are the edge box of face F, singular if it holds two or more
+    points), then scans [0, bound]^d once: a member of singular support is
+    minimal when the prefix OR of those hits is clear one cell below it on
+    every axis.  The bound must reach the primitive point on every axis (the
+    result is then independent of it); otherwise an error is raised.
     """
     if bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
     d = n.dim
     scanner = _BoxScanner(n)
-    singular = _singular_faces(scanner, _axis_reach(scanner, bound))
-    # A point's support, as a bitmask over its nonzero coordinates, indexes
-    # a table marking the singular faces.
-    wanted = np.zeros(1 << d, dtype=bool)
-    for idx in singular:
-        wanted[sum(1 << (i - 1) for i in idx)] = True
-    bits = 1 << np.arange(d, dtype=np.int64)
-    hits = np.concatenate(
-        [
-            block[wanted[(block > 0) @ bits]]
-            for block in scanner.blocks([0] * d, [bound] * d, range(d))
-        ]
+    reach = _axis_reach(scanner, bound)
+    box = scanner.grid([0] * d, [bound] * d, range(d))  # capped before counting
+    counts = sum(
+        np.bincount(_support(offset, mask.shape)[mask], minlength=1 << d)
+        for offset, mask in scanner.grid([0] * d, reach, range(d))
     )
-    return [RatVec(x) for x in _minimal_points(hits)], singular
+    is_singular = counts > 1  # the origin alone has support 0
+    faces = np.flatnonzero(is_singular)
+    singular = {tuple(i + 1 for i in range(d) if s >> i & 1) for s in faces}
+    # below[1:] marks the cells with a hit at or below them; below[0] carries.
+    last = np.zeros((bound + 1,) * (d - 1), dtype=bool)
+    found = []
+    for offset, mask in box:
+        hits = mask & is_singular[_support(offset, mask.shape)]
+        below = np.concatenate([last[None], hits])
+        for axis in range(d):
+            np.logical_or.accumulate(below, axis=axis, out=below)
+        free = hits & ~below[:-1]
+        for axis in range(1, d):
+            lead = (slice(None),) * axis
+            free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
+        points = np.argwhere(free)
+        points[:, 0] += offset
+        found.append(points)
+        last = below[-1]
+    return [RatVec(x) for x in np.concatenate(found).tolist()], singular
 
 
 def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 from operator import le
 
@@ -11,6 +12,7 @@ from qonash import (
     conegeom,
     intlat,
     lattice_from_generators,
+    oracle,
     standard_lattice,
 )
 from qonash.oracle import _BoxScanner, brute_branch, brute_face_index, brute_minimal_S
@@ -147,6 +149,60 @@ def _reference_branch(n):
 def test_matches_per_point_reference(n):
     bound, s_min, singular = _reference_branch(n)
     assert brute_branch(n, bound) == ([RatVec(x) for x in s_min], singular)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)],
+)
+def test_small_slabs_match_per_point_reference(n, monkeypatch):
+    # 128 cells a slab: on 18 of these lattices the box [0, bound]^d, and on
+    # 11 the face-count box [0, reach]^d, span several slabs, so the
+    # prefix OR is carried from one slab to the next.
+    monkeypatch.setattr(oracle, "_CHUNK", 128)
+    bound, s_min, singular = _reference_branch(n)
+    assert brute_branch(n, bound) == ([RatVec(x) for x in s_min], singular)
+
+
+def test_residues_packed_into_several_keys():
+    # det = 2**15 has 16 bits, so an int64 key holds three residue columns
+    # and the four columns of this lattice need two keys.
+    n = lat((16, 0, 0, 0), (0, 16, 0, 0), (0, 0, 16, 0), (0, 0, 0, 16), (8, 8, 0, 8))
+    assert _BoxScanner(n).radix.shape == (4, 2)
+    bound, s_min, singular = _reference_branch(n)
+    assert brute_branch(n, bound) == ([RatVec(x) for x in s_min], singular)
+
+
+def test_memory_flat_in_box_size(monkeypatch):
+    # Boxes of 256**2 and 512**2 cells in slabs of 4096: the peak of the
+    # larger scan stays within twice the smaller's (without slabs it is
+    # about four times).
+    monkeypatch.setattr(oracle, "_CHUNK", 4096)
+    brute_minimal_S(N_MOD4, 4)
+    peaks = []
+    for bound in (255, 511):
+        tracemalloc.start()
+        try:
+            assert brute_minimal_S(N_MOD4, bound) == [vec(1, 3), vec(2, 2), vec(3, 1)]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_bound_error_precedes_cap(monkeypatch):
+    # The axis reaches of N_MOD4 are 4: bound 3 misses them although its
+    # 16-cell box is over the cap too.
+    monkeypatch.setattr(oracle, "MAX_SCAN", 15)
+    with pytest.raises(DomainError) as err:
+        brute_branch(N_MOD4, 3)
+    assert err.value.code == "BOUND_TOO_SMALL"
+    # Bound 5 reaches every axis; its 36-cell box is over the cap.
+    monkeypatch.setattr(oracle, "MAX_SCAN", 30)
+    with pytest.raises(DomainError) as err:
+        brute_branch(N_MOD4, 5)
+    assert err.value.code == "LIMIT_EXCEEDED"
+    assert err.value.message == "box of 36 points exceeds the oracle cap"
 
 
 def test_object_dtype_mask():
