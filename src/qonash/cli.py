@@ -360,7 +360,10 @@ def _parser() -> argparse.ArgumentParser:
         "--max-index",
         type=_positive_int,
         default=10**6,
-        help="cap on the tower degree and on the box cells of each singular face",
+        help=(
+            "cap on each branch's candidate points: the sum of the index over "
+            "the singular faces, checked before enumeration"
+        ),
     )
     return parser
 

@@ -107,9 +107,7 @@ def face_table(n: Lattice) -> tuple[Face, ...]:
     return tuple(_classify(n, faces))
 
 
-def parallelepiped_points(
-    n: Lattice, indices, *, max_points: int | None = None
-) -> list[tuple[int, ...]]:
+def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
     """Lattice points in the half-open edge parallelepiped of a face.
 
     These are the x in N with x_i in (0, c_i] on the face coordinates (c_i
@@ -119,25 +117,18 @@ def parallelepiped_points(
     idx = _check_indices(n.dim, indices)
     if not idx:
         raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
-    return face_parallelepiped(n, face_data(n, idx), max_points)
+    return face_parallelepiped(n, face_data(n, idx))
 
 
-def face_parallelepiped(n: Lattice, face: Face, max_points: int | None) -> list:
+def face_parallelepiped(n: Lattice, face: Face) -> list:
     """:func:`parallelepiped_points` of a nonempty face already classified.
 
     Walking the face's section basis up from its last row, each row's
     coefficient has exactly c_i/p choices (p its pivot at i), so no choice
-    is wasted on a non-point.
+    is wasted on a non-point, and the face yields exactly its index of points.
     """
-    idx = face.indices
-    total = prod(face.reach)
-    if max_points is not None and total > max_points:
-        raise DomainError(
-            "LIMIT_EXCEEDED",
-            f"face {idx} needs {total} box cells, above the cap {max_points}",
-        )
     points = [(0,) * n.dim]
-    for i, c, row in reversed(list(zip(idx, face.reach, face.section))):
+    for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
         p = row[i - 1]
         # The c/p coefficients y that put x_i + y*p in (0, c].
         points = [
@@ -179,32 +170,28 @@ def divisor_on_ray(n: Lattice, m: tuple[int, ...], origin: str) -> Divisor:
     )
 
 
-def minimal_toric_divisors(
-    n: Lattice, *, max_points: int | None = None
-) -> list[Divisor]:
+def minimal_toric_divisors(n: Lattice) -> list[Divisor]:
     """Divisors labelled by the minimal lattice points of the singular faces."""
-    points = minimal_singular_points(n, face_table(n), max_points)
+    points = minimal_singular_points(n, face_table(n))
     return [divisor_on_ray(n, m, ORIGIN_TORIC_MINIMAL) for m in points]
 
 
-def minimal_singular_points(
-    n: Lattice, faces: tuple[Face, ...], max_points: int | None
-) -> list[tuple[int, ...]]:
+def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[int, ...]]:
     """S_min of N as sorted integer points, given its face table.
 
     The minimal elements of the union of relative interiors of singular faces
     are found inside the edge parallelepipeds: subtracting an edge generator
     moves any farther point strictly down while staying in the same face.
+    The parallelepipeds are disjoint, each point's support being its face,
+    so there are exactly sum(face.index) candidates over the singular faces.
     """
     if n.denom != 1:
         raise DomainError(
             "NOT_SUBLATTICE", "expected a sublattice of Z^d (dual of a superlattice)"
         )
-    candidates: set[tuple[int, ...]] = set()
-    for face in faces:
-        if not face.regular:
-            candidates.update(face_parallelepiped(n, face, max_points))
-    return minimal_elements(candidates)
+    return minimal_elements(
+        [p for face in faces if not face.regular for p in face_parallelepiped(n, face)]
+    )
 
 
 def barycenter(n: Lattice, indices) -> Divisor:

@@ -140,7 +140,7 @@ def _dominated_barycenters(e_points, s_points) -> list[Diagnostic]:
 
 
 def essential_divisors(
-    n: Lattice, relevant: RelevantFaces, *, max_points: int | None = None
+    n: Lattice, relevant: RelevantFaces
 ) -> tuple[list[Divisor], list[Divisor], list[Diagnostic]]:
     """Split the essential divisors over the relevant faces into E and V.
 
@@ -149,22 +149,24 @@ def essential_divisors(
     barycenter.  Their union is the full set of essential divisors relative
     to B, and equals the image of the Nash components.
     """
-    return _split(n, conegeom.face_table(n), relevant, max_points)[1:]
+    return _split(n, conegeom.face_table(n), relevant)[1:]
 
 
-def _split(n: Lattice, faces, relevant: RelevantFaces, max_points: int | None):
+def _split(n: Lattice, faces, relevant: RelevantFaces):
     """S_min, E, V and diagnostics of N given its face table; every dominance
     test runs on integer points, and each Divisor is built once."""
-    s_points = conegeom.minimal_singular_points(n, faces, max_points)
+    s_points = conegeom.minimal_singular_points(n, faces)
     e_points = sorted(
         conegeom.barycenter_point(n, f)
         for f in faces
         if f.regular and f.indices in relevant.faces
     )
     s_min = [conegeom.divisor_on_ray(n, p, ORIGIN_TORIC_MINIMAL) for p in s_points]
-    kept = [not any(e != p and leq_sigma(e, p) for e in e_points) for p in s_points]
-    v_points = list(itertools.compress(s_points, kept))
-    v_divisors = list(itertools.compress(s_min, kept))
+    # V is all of S_min: were p in S_min on a singular G strictly above the
+    # barycenter b of a regular F, then F < G, p_i = c_i on F, and p - b in
+    # the interior of G - F forces G - F regular and p the corner sum_G c_i
+    # e_i, yet a singular G's box holds another point below that corner.
+    v_points, v_divisors = s_points, s_min
     diagnostics = _dominated_barycenters(e_points, s_points)
     if not diagnostics:
         # By coordinate sum, so a strict dominator always comes first.
@@ -195,15 +197,19 @@ def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[i
     return tuple(out)
 
 
-def _build_tower(branch: BranchInput, max_points: int | None) -> BranchLattices:
+def _prepare(branch: BranchInput, max_points: int | None):
+    """Tower and face table of a branch, refused if its candidate points,
+    sum(index) over the singular faces, exceed ``max_points``."""
     lattices = qobranch.build_tower(branch.spec)
-    if max_points is not None and lattices.degree_n > max_points:
+    faces = conegeom.face_table(lattices.N)
+    points = sum(f.index for f in faces if not f.regular)
+    if max_points is not None and points > max_points:
         raise DomainError(
             "LIMIT_EXCEEDED",
-            f"degree {lattices.degree_n} above --max-index {max_points}",
+            f"{points} candidate points above --max-index {max_points}",
             branch=branch.spec.label,
         )
-    return lattices
+    return lattices, faces
 
 
 def analyze_branch(
@@ -211,16 +217,17 @@ def analyze_branch(
 ) -> BranchReport:
     """Relative Nash data of one branch.
 
-    ``max_points`` caps the tower degree and the box cells of each singular
-    face.  Raises B_MISSING_SING when the normalization is singular but no
-    singular-locus faces were supplied, since B must contain the singular
-    locus for the face picture to be meaningful.
+    ``max_points`` caps the candidate points: sum(index) over the singular
+    faces, the exact number of parallelepiped points enumerated, checked
+    before enumeration.  Raises B_MISSING_SING when the normalization is
+    singular but no singular-locus faces were supplied, since B must contain
+    the singular locus for the face picture to be meaningful.
     """
-    return _analyze(branch, _build_tower(branch, max_points), max_points)
+    return _analyze(branch, *_prepare(branch, max_points))
 
 
 def _analyze(
-    branch: BranchInput, lattices: BranchLattices, max_points: int | None
+    branch: BranchInput, lattices: BranchLattices, faces: tuple[Face, ...]
 ) -> BranchReport:
     label = branch.spec.label
     n = lattices.N
@@ -243,7 +250,6 @@ def _analyze(
             raise DomainError(exc.code, exc.message, branch=label or None) from None
     relevant = componentize(raw)
 
-    faces = conegeom.face_table(n)
     sigma_singular = any(not f.regular for f in faces)
     if sigma_singular and not sing_faces:
         raise DomainError(
@@ -253,7 +259,7 @@ def _analyze(
             branch=label or None,
         )
 
-    s_min, e_divisors, v_divisors, diagnostics = _split(n, faces, relevant, max_points)
+    s_min, e_divisors, v_divisors, diagnostics = _split(n, faces, relevant)
     if not relevant.faces and not sigma_singular:
         diagnostics = diagnostics + [
             Diagnostic(
@@ -324,12 +330,13 @@ def analyze_variety(
     The preimage of the singular locus splits as the disjoint union of the
     per-branch preimages of B_i, so Nash components and essential divisors
     are counted branch by branch and summed.  ``max_points`` caps each
-    branch as in :func:`analyze_branch`.
+    branch's candidate points before any enumeration, as in
+    :func:`analyze_branch`.
     """
     branches = list(branches)
-    # Tower errors and degree caps, in branch order, precede contact errors.
-    towers = [_build_tower(b, max_points) for b in branches]
+    # Tower errors and candidate budgets, in branch order, precede contacts.
+    prepared = [_prepare(b, max_points) for b in branches]
     _check_contact_symmetry(branches)
-    reports = tuple(_analyze(b, l, max_points) for b, l in zip(branches, towers))
+    reports = tuple(_analyze(b, *p) for b, p in zip(branches, prepared))
     total = sum(r.nash_count for r in reports)
     return VarietyReport(branches=reports, total_nash=total, total_essential=total)

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qonash import conegeom, intlat, oracle, qobranch
 from qonash.cli import parse_variety, render_json, run
@@ -237,8 +240,34 @@ def test_degree_cap_precedes_branch_analysis(tmp_path, capsys):
     }
     code, out, err = run_cli(capsys, "analyze", _write(tmp_path, doc), "--max-index", "3")
     assert (code, out) == (1, "")
-    assert "[LIMIT_EXCEEDED] branch 'B': degree 4 above --max-index 3" in err
+    assert "[LIMIT_EXCEEDED] branch 'B': 4 candidate points above --max-index 3" in err
     assert "B_MISSING_SING" not in err
+
+
+def test_max_index_counts_candidate_points(tmp_path, capsys):
+    # (1/6, 1/10, 1/15) has 40 candidate points, though face {1,2,3} alone
+    # has 6 * 10 * 15 = 900 box cells.
+    doc = {
+        "schema_version": 1,
+        "dim": 3,
+        "branches": [
+            {
+                "label": "wide",
+                "char_exponents": [[[1, 6], [1, 10], [1, 15]]],
+                "sing_faces": [[1, 2], [1, 3], [2, 3]],
+            }
+        ],
+    }
+    path = _write(tmp_path, doc)
+    code, out, err = run_cli(capsys, "analyze", path, "--format", "json", "--max-index", "40")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "analyze", path, "--format", "json")[1]
+    code, out, err = run_cli(capsys, "analyze", path, "--max-index", "39")
+    assert (code, out) == (1, "")
+    assert err == (
+        "qonash: error: [LIMIT_EXCEEDED] branch 'wide': "
+        "40 candidate points above --max-index 39\n"
+    )
 
 
 def test_each_quantity_computed_once(capsys, monkeypatch):
@@ -389,3 +418,75 @@ def test_subprocess_determinism_single_case():
     first = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
     second = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
     assert first.stdout == second.stdout
+
+
+# Keys of the input schema, so that arbitrary JSON also reaches past the
+# top-level checks.
+SCHEMA_KEYS = (
+    "schema_version", "dim", "branches", "contacts", "label", "char_exponents",
+    "sing_faces", "extra_faces", "from_label", "to_label", "exponent",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def schema_documents(draw):
+    """Documents of the input schema's shape: small rationals, some of them
+    negative or zero, face indices now and then out of range, and contacts
+    with unknown, self or one-way partners."""
+    dim = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    numerator = st.sampled_from([1, 2, 3, 4, 0] * 4 + [-1])
+    rational = st.tuples(numerator, st.integers(1, 4)).map(list)
+    vector = st.lists(rational, min_size=dim, max_size=dim)
+    index = st.sampled_from([*range(1, dim + 1)] * 3 + [0, dim + 1])
+    faces = st.lists(st.lists(index, min_size=1, max_size=dim), max_size=3)
+    branches = [
+        {
+            "label": label,
+            "char_exponents": draw(st.lists(vector, max_size=2)),
+            "sing_faces": draw(faces),
+            "extra_faces": draw(faces),
+        }
+        for label in labels
+    ]
+    partner = st.sampled_from(labels * 4 + ["ghost"])
+    contact = st.fixed_dictionaries(
+        {"from_label": partner, "to_label": partner, "exponent": vector}
+    )
+    contacts = draw(st.lists(contact, max_size=4))
+    return {"schema_version": 1, "dim": dim, "branches": branches, "contacts": contacts}
+
+
+class TestFuzz:
+    # Any document ends in exit 0, 1 or 2, a coded error line on failure,
+    # and never a traceback.
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+    def check(self, path, doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["analyze", str(path), "--max-index", "2000"])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert "qonash: error: " in err.getvalue()
+
+    @given(schema_documents())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_schema_documents(self, path, doc):
+        self.check(path, doc)
+
+    @given(JSON_VALUES)
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_json_values(self, path, doc):
+        self.check(path, doc)

@@ -102,11 +102,6 @@ class TestParallelepipedPoints:
         with pytest.raises(DomainError):
             parallelepiped_points(Z2, ())
 
-    def test_point_cap(self):
-        with pytest.raises(DomainError) as err:
-            parallelepiped_points(N_MOD4, (1, 2), max_points=3)
-        assert err.value.code == "LIMIT_EXCEEDED"
-
 
 class TestMinimalElements:
     def test_chain(self):
@@ -230,7 +225,7 @@ class TestFaceProperties:
         )
         expected = face_data(n, idx).index
         assume(expected <= 4000)
-        pts = parallelepiped_points(n, idx, max_points=500_000)
+        pts = parallelepiped_points(n, idx)
         assert len(pts) == expected
         if expected == 1:
             total = face_data(n, idx).primgens[0]

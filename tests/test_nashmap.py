@@ -1,5 +1,8 @@
+import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from qonash import (
     RelevantFaces,
     analyze_branch,
     analyze_variety,
+    build_tower,
     componentize,
     contact_faces,
     contains,
@@ -24,6 +28,8 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
+from qonash import conegeom
+from qonash.cli import parse_variety
 from qonash.nashmap import lemma_min_diagnostics
 from towers import random_branches
 
@@ -369,3 +375,160 @@ class TestRandomizedInvariants:
         ]
         first, second = analyze_variety(branches), analyze_variety(branches)
         assert first == second and hash(first) == hash(second)
+
+
+def candidate_budget(branch):
+    """Sum of the index over the singular faces of the branch's N."""
+    faces = conegeom.face_table(build_tower(branch.spec).N)
+    return sum(f.index for f in faces if not f.regular)
+
+
+def count_enumerated(monkeypatch):
+    """Record the length of every face_parallelepiped result."""
+    counts = []
+    real = conegeom.face_parallelepiped
+
+    def counted(*args):
+        points = real(*args)
+        counts.append(len(points))
+        return points
+
+    monkeypatch.setattr(conegeom, "face_parallelepiped", counted)
+    return counts
+
+
+def cross_branch(spec):
+    """The branch with B the full coordinate cross, which holds any
+    singular locus."""
+    return BranchInput(spec=spec, sing_faces=tuple((k,) for k in range(1, spec.dim + 1)))
+
+
+class TestCandidateBudget:
+    # (1/6, 1/10, 1/15): degree 30, 40 candidates, and face {1,2,3} alone
+    # has 6 * 10 * 15 = 900 box cells.
+    WIDE = BranchInput(
+        spec=BranchSpec(3, (vec(F(1, 6), F(1, 10), F(1, 15)),), "wide"),
+        sing_faces=((1, 2), (1, 3), (2, 3)),
+    )
+
+    def test_over_budget_refused_before_enumeration(self, monkeypatch):
+        counts = count_enumerated(monkeypatch)
+        quartic = BranchInput(
+            spec=BranchSpec(2, (vec(F(1, 4), F(1, 4)),), "quartic"),
+            sing_faces=((1, 2),),
+        )
+        with pytest.raises(DomainError) as err:
+            analyze_branch(quartic, max_points=3)
+        assert (err.value.code, err.value.branch) == ("LIMIT_EXCEEDED", "quartic")
+        assert err.value.message == "4 candidate points above --max-index 3"
+        # The cone before it fits, yet nothing is enumerated: every budget is
+        # checked before any branch is analysed, and before contacts.
+        ghost = cone_branch(contacts=(Contact(vec(1, 1), "ghost"),))
+        with pytest.raises(DomainError) as err:
+            analyze_variety([ghost, quartic], max_points=3)
+        assert (err.value.code, err.value.branch) == ("LIMIT_EXCEEDED", "quartic")
+        # Two branches over budget: the first in branch order is reported.
+        with pytest.raises(DomainError) as err:
+            analyze_variety([self.WIDE, quartic], max_points=3)
+        assert (err.value.code, err.value.branch) == ("LIMIT_EXCEEDED", "wide")
+        assert counts == []
+
+    def test_budget_boundary(self):
+        branches = [self.WIDE, cone_branch()] + [
+            cross_branch(spec)
+            for spec, lattices_ in random_branches(12, seed=91)
+            if singular_faces(lattices_.N)
+        ]
+        assert candidate_budget(self.WIDE) == 40
+        for branch in branches:
+            points = candidate_budget(branch)
+            assert analyze_branch(branch, max_points=points) == analyze_branch(branch)
+            with pytest.raises(DomainError) as err:
+                analyze_branch(branch, max_points=points - 1)
+            assert (err.value.code, err.value.message) == (
+                "LIMIT_EXCEEDED", f"{points} candidate points above --max-index {points - 1}"
+            )
+
+    def test_enumeration_is_the_budget(self, monkeypatch):
+        counts = count_enumerated(monkeypatch)
+        for d in range(2, 7):
+            for spec, _ in random_branches(6, seed=610 + d, dims=(d,), max_index=12):
+                del counts[:]
+                report = analyze_branch(cross_branch(spec))
+                assert counts == [f.index for f in report.faces if not f.regular]
+                assert sum(counts) == candidate_budget(cross_branch(spec))
+
+
+def permute(v, order):
+    """The vector whose coordinate j is v's coordinate order[j]."""
+    return tuple(v[i] for i in order)
+
+
+def permute_face(idx, order):
+    return tuple(sorted(j + 1 for j, i in enumerate(order) if i + 1 in idx))
+
+
+class TestMetamorphic:
+    # Relabelling the coordinates relabels the whole answer, and the order
+    # of the branches is immaterial.
+    def test_coordinate_permutation(self):
+        rng = random.Random(41)
+        for d in range(2, 7):
+            for spec, _ in random_branches(5, seed=410 + d, dims=(d,), max_index=12):
+                sing = tuple(
+                    tuple(sorted(rng.sample(range(1, d + 1), rng.choice((1, 2)))))
+                    for _ in range(rng.randint(1, 3))
+                )
+                extra = tuple(
+                    tuple(sorted(rng.sample(range(1, d + 1), rng.randint(1, d))))
+                    for _ in range(rng.randint(0, 2))
+                )
+                contacts = [
+                    [F(rng.randint(0, 2), rng.randint(1, 3)) for _ in range(d)]
+                    for _ in range(rng.randint(0, 2))
+                ]
+                contacts = [c for c in contacts if any(c)]
+                order = rng.sample(range(d), d)
+                base = analyze_branch(
+                    BranchInput(
+                        spec=spec,
+                        sing_faces=sing,
+                        extra_faces=extra,
+                        contacts=tuple(Contact(RatVec(c), "other") for c in contacts),
+                    )
+                )
+                moved = analyze_branch(
+                    BranchInput(
+                        spec=BranchSpec(
+                            d, tuple(RatVec(permute(e, order)) for e in spec.char_exponents)
+                        ),
+                        sing_faces=tuple(permute_face(f, order) for f in sing),
+                        extra_faces=tuple(permute_face(f, order) for f in extra),
+                        contacts=tuple(
+                            Contact(RatVec(permute(c, order)), "other") for c in contacts
+                        ),
+                    )
+                )
+                for name in ("s_min", "E", "V"):
+                    before = {permute(x.vector, order) for x in getattr(base, name)}
+                    assert before == {tuple(x.vector) for x in getattr(moved, name)}, name
+                assert base.nash_count == moved.nash_count
+                assert len(base.faces) == len(moved.faces)
+                assert sum(f.index for f in base.faces if not f.regular) == sum(
+                    f.index for f in moved.faces if not f.regular
+                )
+                assert {permute_face(f, order) for f in base.relevant.faces} == set(
+                    moved.relevant.faces
+                )
+
+    @pytest.mark.parametrize("case", ["reducible", "smooth"])
+    def test_branch_order(self, case):
+        path = Path(__file__).parent / "corpus" / f"{case}.json"
+        _, branches = parse_variety(json.loads(path.read_text()))
+        assert len(branches) > 1
+        base = analyze_variety(branches)
+        by_label = {r.label: r for r in base.branches}
+        for order in itertools.permutations(branches):
+            report = analyze_variety(order)
+            assert report.total_nash == report.total_essential == base.total_nash
+            assert {r.label: r for r in report.branches} == by_label
