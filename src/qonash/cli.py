@@ -162,14 +162,15 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
 # ------------------------------------------------------------------- output
 
 
-def _vec_json(v: RatVec) -> list[list[int]]:
-    return [[c.numerator, c.denominator] for c in v.coords]
+def _vec_json(v) -> list[list[int]]:
+    """A RatVec or an integer point as [numerator, denominator] pairs."""
+    return [[c.numerator, c.denominator] for c in v]
 
 
 def _divisor_json(d: conegeom.Divisor) -> dict:
     return {
-        "vector": _vec_json(d.vector),
-        "primitive": _vec_json(d.primitive),
+        "vector": _vec_json(d.point),
+        "primitive": _vec_json(d.primitive_point),
         "multiplicity": d.multiplicity,
         "origin": d.origin,
     }
@@ -225,7 +226,8 @@ def _fmt_face(idx) -> str:
 
 
 def _fmt_divisor(d: conegeom.Divisor) -> str:
-    return f"{d.vector} = {d.multiplicity}*{d.primitive}"
+    vector, primitive = (", ".join(map(str, p)) for p in (d.point, d.primitive_point))
+    return f"({vector}) = {d.multiplicity}*({primitive})"
 
 
 def render_text(result: VarietyReport, dim: int) -> str:

@@ -45,12 +45,21 @@ class Face:
 
 @dataclass(frozen=True, order=True)
 class Divisor:
-    """A divisorial label: lattice vector, its primitive part, multiplicity."""
+    """A divisorial label: a point of N inside Z^d, its primitive part and the
+    multiplicity, all integral; ``vector`` and ``primitive`` are RatVec views."""
 
-    vector: RatVec
-    primitive: RatVec
+    point: tuple[int, ...]
+    primitive_point: tuple[int, ...]
     multiplicity: int
     origin: str
+
+    @property
+    def vector(self) -> RatVec:
+        return RatVec(self.point)
+
+    @property
+    def primitive(self) -> RatVec:
+        return RatVec(self.primitive_point)
 
 
 def leq_sigma(u, v) -> bool:
@@ -157,17 +166,21 @@ def singular_faces(n: Lattice) -> list[tuple[int, ...]]:
     return [face.indices for face in face_table(n) if not face.regular]
 
 
+def _require_sublattice(n: Lattice) -> None:
+    if n.denom != 1:
+        raise DomainError(
+            "NOT_SUBLATTICE", "expected a sublattice of Z^d (dual of a superlattice)"
+        )
+
+
 def divisor_on_ray(n: Lattice, m: tuple[int, ...], origin: str) -> Divisor:
-    """Split the lattice vector m/denom as multiplicity times a primitive one."""
+    """Split the point m of N as multiplicity times a primitive point; N must
+    lie in Z^d, as the dual of every lattice containing Z^d does."""
+    _require_sublattice(n)
     coeffs = n.scaled_coefficients(m)
     assert coeffs is not None, f"{m} is not a lattice vector"
     q = gcd(*coeffs)
-    return Divisor(
-        vector=RatVec(Fraction(x, n.denom) for x in m),
-        primitive=RatVec(Fraction(x // q, n.denom) for x in m),
-        multiplicity=q,
-        origin=origin,
-    )
+    return Divisor(tuple(m), tuple(x // q for x in m), q, origin)
 
 
 def minimal_toric_divisors(n: Lattice) -> list[Divisor]:
@@ -185,10 +198,7 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
     The parallelepipeds are disjoint, each point's support being its face,
     so there are exactly sum(face.index) candidates over the singular faces.
     """
-    if n.denom != 1:
-        raise DomainError(
-            "NOT_SUBLATTICE", "expected a sublattice of Z^d (dual of a superlattice)"
-        )
+    _require_sublattice(n)
     return minimal_elements(
         [p for face in faces if not face.regular for p in face_parallelepiped(n, face)]
     )

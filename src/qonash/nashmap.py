@@ -112,19 +112,8 @@ def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
     faces are honest orbit-closure components) this can never fire; a hit
     means the supplied face data contradicts the lattice.
     """
-    return _dominated_barycenters(
-        [_point(d) for d in e_divisors], [_point(d) for d in s_min]
-    )
-
-
-def _point(d: Divisor) -> tuple[int, ...]:
-    assert d.vector.is_integral()  # divisors label points of N, inside Z^d
-    return tuple(c.numerator for c in d.vector)
-
-
-def _dominated_barycenters(e_points, s_points) -> list[Diagnostic]:
-    """:func:`lemma_min_diagnostics` on the integer points themselves."""
-    pool = e_points + s_points
+    e_points = [d.point for d in e_divisors]
+    pool = e_points + [d.point for d in s_min]
     out = []
     for p in e_points:
         x = next((q for q in pool if q != p and leq_sigma(q, p)), None)
@@ -155,27 +144,27 @@ def essential_divisors(
 def _split(n: Lattice, faces, relevant: RelevantFaces):
     """S_min, E, V and diagnostics of N given its face table; every dominance
     test runs on integer points, and each Divisor is built once."""
-    s_points = conegeom.minimal_singular_points(n, faces)
-    e_points = sorted(
-        conegeom.barycenter_point(n, f)
+    s_min = [
+        conegeom.divisor_on_ray(n, p, ORIGIN_TORIC_MINIMAL)
+        for p in conegeom.minimal_singular_points(n, faces)
+    ]
+    e_divisors = sorted(
+        conegeom.divisor_on_ray(n, conegeom.barycenter_point(n, f), ORIGIN_BARYCENTER)
         for f in faces
         if f.regular and f.indices in relevant.faces
     )
-    s_min = [conegeom.divisor_on_ray(n, p, ORIGIN_TORIC_MINIMAL) for p in s_points]
     # V is all of S_min: were p in S_min on a singular G strictly above the
     # barycenter b of a regular F, then F < G, p_i = c_i on F, and p - b in
     # the interior of G - F forces G - F regular and p the corner sum_G c_i
     # e_i, yet a singular G's box holds another point below that corner.
-    v_points, v_divisors = s_points, s_min
-    diagnostics = _dominated_barycenters(e_points, s_points)
+    diagnostics = lemma_min_diagnostics(e_divisors, s_min)
     if not diagnostics:
         # By coordinate sum, so a strict dominator always comes first.
-        combined = sorted(e_points + v_points, key=sum)
+        combined = sorted((d.point for d in e_divisors + s_min), key=sum)
         assert not any(
             a != b and leq_sigma(a, b) for a, b in itertools.combinations(combined, 2)
         ), "essential divisors must form an antichain"
-    e_divisors = [conegeom.divisor_on_ray(n, p, ORIGIN_BARYCENTER) for p in e_points]
-    return s_min, e_divisors, v_divisors, diagnostics
+    return s_min, e_divisors, s_min, diagnostics
 
 
 def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[int, ...], ...]:

@@ -2,7 +2,7 @@
 
 These deliberately share no algorithmic code with the main path.  Each box
 is scanned as a residue grid: x lies in N exactly when x . adj = 0 (mod det)
-in every column of an adjugate found here by Gauss-Jordan elimination; the
+in every column of an adjugate found here by fraction-free elimination; the
 sum splits by axis, so residue tables per axis, broadcast and compared, mark
 every member.  Faces are classified by counting members by support, and
 minimality is a prefix OR over the grid of hits, in slabs along the first
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,30 +26,24 @@ _CHUNK = 1 << 20
 
 
 def _adjugate(mat: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(det * inverse, det) of an integer matrix, by Gauss-Jordan."""
+    """(det * inverse, det) of an integer matrix, by fraction-free Gauss-Jordan
+    elimination on [mat | I] (Bareiss, Math. Comp. 22, 1968): each entry stays
+    a minor up to sign, so every division by the previous pivot is exact."""
     d = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    inv = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next(r for r in range(col, d) if a[r][col] != 0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        det *= a[col][col]
-        f = 1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
-        inv[col] = [x * f for x in inv[col]]
+    rows = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(d):
+        piv = next(r for r in range(k, d) if rows[r][k])
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
         for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    det_int = int(det)
-    adj = [[x * det_int for x in row] for row in inv]
-    assert all(x.denominator == 1 for row in adj for x in row)
-    return [[x.numerator for x in row] for row in adj], det_int
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(top[k] * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = top[k]
+    return [[sign * x for x in row[d:]] for row in rows], sign * prev
 
 
 class _BoxScanner:

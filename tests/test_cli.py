@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from qonash import conegeom, intlat, oracle, qobranch
 from qonash.cli import parse_variety, render_json, run
+from towers import random_branches
 
 CORPUS = Path(__file__).parent / "corpus"
 CASES = ["whitney", "a1_cone", "plane_cusp", "degree4", "reducible", "smooth"]
@@ -490,3 +492,21 @@ class TestFuzz:
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_json_values(self, path, doc):
         self.check(path, doc)
+
+
+def test_containing_extra_face_keeps_json(tmp_path, capsys):
+    # An extra face containing a relevant face of B adds nothing to B.
+    rng = random.Random(59)
+    for d in range(2, 6):
+        cross = [[k] for k in range(1, d + 1)]
+        for spec, _ in random_branches(2, seed=590 + d, dims=(d,), max_index=24):
+            exps = [[[c.numerator, c.denominator] for c in v] for v in spec.char_exponents]
+            branch = {"label": "b", "char_exponents": exps, "sing_faces": cross}
+            doc = {"schema_version": 1, "dim": d, "branches": [branch]}
+            args = ("analyze", _write(tmp_path, doc), "--format", "json")
+            code, base, err = run_cli(capsys, *args)
+            assert (code, err) == (0, "")
+            more = rng.sample(range(1, d + 1), rng.randint(0, d))
+            branch["extra_faces"] = [sorted({rng.randint(1, d), *more})]
+            args = ("analyze", _write(tmp_path, doc), "--format", "json")
+            assert run_cli(capsys, *args) == (0, base, ""), branch["extra_faces"]

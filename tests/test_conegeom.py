@@ -328,3 +328,26 @@ class TestHighDimensionInvariants:
             for idx in singular_faces(n):
                 for point in parallelepiped_points(n, idx):
                     assert any(leq_sigma(m, point) for m in s_min), (idx, point)
+
+
+class TestIntegralDivisor:
+    # N lies in Z^d, so a Divisor stores integers and derives its RatVecs.
+    HALF = lat((1, 0), (0, F(1, 2)))
+
+    def test_fields_are_integer_points(self):
+        d = divisor_on_ray(N_EVEN, (2, 2), "toric-minimal")
+        assert (d.point, d.primitive_point, d.multiplicity) == ((2, 2), (1, 1), 2)
+        assert all(type(x) is int for x in d.point + d.primitive_point)
+        assert (d.vector, d.primitive) == (vec(2, 2), vec(1, 1))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: divisor_on_ray(n, (2, 0), "toric-minimal"),
+            lambda n: barycenter(n, (1,)),
+        ],
+    )
+    def test_rational_lattice_refused(self, make):
+        with pytest.raises(DomainError) as err:
+            make(self.HALF)
+        assert err.value.code == "NOT_SUBLATTICE"

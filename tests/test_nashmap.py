@@ -28,7 +28,7 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
-from qonash import conegeom
+from qonash import conegeom, nashmap
 from qonash.cli import parse_variety
 from qonash.nashmap import lemma_min_diagnostics
 from towers import random_branches
@@ -532,3 +532,46 @@ class TestMetamorphic:
             report = analyze_variety(order)
             assert report.total_nash == report.total_essential == base.total_nash
             assert {r.label: r for r in report.branches} == by_label
+
+
+def test_split_builds_no_ratvec(monkeypatch):
+    # Divisors carry integer points; with no diagnostics to word, the split
+    # constructs no RatVec at all.
+    built = 0
+    init = RatVec.__init__
+
+    def counted(self, coords):
+        nonlocal built
+        built += 1
+        init(self, coords)
+
+    cases = []
+    for spec, lattices in random_branches(60, seed=20250810):
+        n = lattices.N
+        cross = componentize([(k,) for k in range(1, spec.dim + 1)])
+        cases.append((n, conegeom.face_table(n), cross))
+    monkeypatch.setattr(RatVec, "__init__", counted)
+    points = 0
+    for n, faces, cross in cases:
+        s_min, e_divisors, _, diagnostics = nashmap._split(n, faces, cross)
+        assert diagnostics == [] and len(e_divisors) == n.dim
+        points += len(s_min)
+    assert built == 0 and points > 0
+
+
+class TestContainingFace:
+    # A face that contains a relevant face lies in its orbit closure, so
+    # adding it to B as an extra face changes nothing.
+    def test_report_unchanged(self):
+        rng = random.Random(53)
+        for d in range(2, 6):
+            cross = tuple((k,) for k in range(1, d + 1))
+            for spec, _ in random_branches(6, seed=530 + d, dims=(d,), max_index=24):
+                base = analyze_branch(BranchInput(spec=spec, sing_faces=cross))
+                inner = rng.choice(base.relevant.faces)
+                more = rng.sample(range(1, d + 1), rng.randint(0, d))
+                outer = tuple(sorted(set(inner) | set(more)))
+                grown = analyze_branch(
+                    BranchInput(spec=spec, sing_faces=cross, extra_faces=(outer,))
+                )
+                assert grown == base, outer

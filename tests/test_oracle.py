@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction as F
 from operator import le
@@ -231,3 +232,37 @@ def test_oracle_shares_no_membership_code(monkeypatch):
     assert brute_face_index(N_MOD4, (1, 2)) == 4
     assert brute_face_index(N_EVEN, (2,)) == 1
     assert brute_branch(N_MOD4, 4)[1] == {(1, 2)}
+
+
+def _cofactor_det(m):
+    """Determinant by expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_adjugate_matches_cofactor_determinant():
+    rng = random.Random(61)
+    for d in range(1, 7):
+        checked = swapped = 0
+        for _ in range(60):
+            # Half the entries zero, so leading pivots vanish and rows swap.
+            a = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(d)] for _ in range(d)]
+            det = _cofactor_det(a)
+            if det == 0:
+                continue
+            adj, got = oracle._adjugate(a)
+            assert got == det, a
+            scalar = [[det * (i == j) for j in range(d)] for i in range(d)]
+            assert _matmul(adj, a) == _matmul(a, adj) == scalar, a
+            checked += 1
+            swapped += a[0][0] == 0
+        assert checked >= 10 and (d == 1 or swapped > 0), (d, checked, swapped)
