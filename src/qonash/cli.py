@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import conegeom
 from .errors import DomainError, SchemaError
@@ -217,8 +218,34 @@ def report_to_dict(result: VarietyReport, dim: int) -> dict:
     }
 
 
+def _write(value, nl: str) -> str:
+    """One value as ``json.dumps(indent=2, sort_keys=True)`` writes it, its own
+    lines opened by ``nl``, a newline and that depth's indent."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is not dict and kind is not list:
+        raise TypeError(f"a report holds no {kind.__name__}")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if kind is dict:
+        body = sep.join([f"{_escape(k)}: {_write(value[k], inner)}" for k in sorted(value)])
+        return f"{{{inner}{body}{nl}}}"
+    if type(value[0]) is int and all(type(x) is int for x in value):
+        return f"[{inner}{sep.join(map(int.__repr__, value))}{nl}]"  # rows and pairs
+    return f"[{inner}{sep.join([_write(x, inner) for x in value])}{nl}]"
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The canonical report: byte for byte ``json.dumps(payload, indent=2,
+    sort_keys=True) + "\\n"`` for dicts, lists, str, int and bool."""
+    return _write(payload, "\n") + "\n"
 
 
 def _fmt_face(idx) -> str:
@@ -260,18 +287,9 @@ def render_text(result: VarietyReport, dim: int) -> str:
                 lines.append(f"    {_fmt_face(idx)}: {tag}, edge generators {gens}")
         else:
             lines.append("  relevant faces: (none)")
-        lines.append(
-            "  S_min: "
-            + ("; ".join(_fmt_divisor(d) for d in report.s_min) or "(empty)")
-        )
-        lines.append(
-            "  E (barycenters): "
-            + ("; ".join(_fmt_divisor(d) for d in report.E) or "(empty)")
-        )
-        lines.append(
-            "  V (surviving minimal): "
-            + ("; ".join(_fmt_divisor(d) for d in report.V) or "(empty)")
-        )
+        titles = ("S_min", "E (barycenters)", "V (surviving minimal)")
+        for title, divisors in zip(titles, (report.s_min, report.E, report.V)):
+            lines.append(f"  {title}: " + ("; ".join(map(_fmt_divisor, divisors)) or "(empty)"))
         for diag in report.diagnostics:
             lines.append(f"  note [{diag.code}]: {diag.message}")
         lines.append(
@@ -303,8 +321,8 @@ def _oracle_check(result: VarietyReport) -> None:
         # bound if one lies beyond it.
         bound = max(f.reach[0] for f in report.faces[: n.dim])
         brute, singular = oracle.brute_branch(n, bound)
-        main = [d.vector for d in report.s_min]
-        if brute != main:
+        if brute != [d.point for d in report.s_min]:
+            main, brute = [d.vector for d in report.s_min], list(map(RatVec, brute))
             raise DomainError(
                 "ORACLE_MISMATCH",
                 f"minimal singular-face points differ: main {main}, brute {brute}",

@@ -137,24 +137,34 @@ def _support(offset: int, shape) -> np.ndarray:
     return sum((x > 0) * bit(1 << a) for a, x in enumerate(axes))
 
 
+def _count_by_support(scanner: _BoxScanner, reach) -> np.ndarray:
+    """Members of [0, reach]^d by support bitmask (support F: the edge box of F)."""
+    d = len(reach)
+    grid = scanner.grid([0] * d, reach, range(d))
+    return sum(np.bincount(_support(o, m.shape)[m], minlength=1 << d) for o, m in grid)
+
+
+@functools.lru_cache(maxsize=16)
+def _face_counts(n: Lattice) -> tuple[int, ...]:
+    scanner = _BoxScanner(n)
+    # The whole quotient Z^d / N is killed by |det|, so the axis scan is safe.
+    return tuple(_count_by_support(scanner, _axis_reach(scanner, scanner.det)).tolist())
+
+
 def brute_face_index(n: Lattice, indices) -> int:
     """Count lattice points in the half-open edge box of a face, by its grid.
 
     Equals the lattice index underlying the face's regularity flag: the face
-    is regular exactly when the count is 1.
+    is regular exactly when the count is 1.  The counts of every face come
+    from one scan of the lattice, kept for the next faces asked about.
     """
     idx = tuple(sorted(set(indices)))
     if not idx or any(not 1 <= i <= n.dim for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
-    scanner = _BoxScanner(n)
-    # The whole quotient Z^d / N is killed by |det|, so the axis scan is safe.
-    reach = _axis_reach(scanner, scanner.det)
-    cols = [i - 1 for i in idx]
-    grid = scanner.grid([1] * len(cols), [reach[c] for c in cols], cols)
-    return sum(int(mask.sum()) for _, mask in grid)
+    return _face_counts(n)[sum(1 << (i - 1) for i in idx)]
 
 
-def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, ...]]]:
+def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     """(minimal points of the union of singular-face interiors, singular faces).
 
     One scanner counts the members of [0, reach]^d by support (the cells of
@@ -170,11 +180,7 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, .
     scanner = _BoxScanner(n)
     reach = _axis_reach(scanner, bound)
     box = scanner.grid([0] * d, [bound] * d, range(d))  # capped before counting
-    counts = sum(
-        np.bincount(_support(offset, mask.shape)[mask], minlength=1 << d)
-        for offset, mask in scanner.grid([0] * d, reach, range(d))
-    )
-    is_singular = counts > 1  # the origin alone has support 0
+    is_singular = _count_by_support(scanner, reach) > 1  # the origin has support 0
     faces = np.flatnonzero(is_singular)
     singular = {tuple(i + 1 for i in range(d) if s >> i & 1) for s in faces}
     # below[1:] marks the cells with a hit at or below them; below[0] carries.
@@ -193,9 +199,9 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[RatVec], set[tuple[int, .
         points[:, 0] += offset
         found.append(points)
         last = below[-1]
-    return [RatVec(x) for x in np.concatenate(found).tolist()], singular
+    return list(map(tuple, np.concatenate(found).tolist())), singular
 
 
 def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
     """Minimal points of the union of singular-face interiors, by box search."""
-    return brute_branch(n, bound)[0]
+    return [RatVec(x) for x in brute_branch(n, bound)[0]]

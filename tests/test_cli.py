@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -7,14 +8,26 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qonash import conegeom, intlat, oracle, qobranch
-from qonash.cli import parse_variety, render_json, run
+from qonash import (
+    BranchInput,
+    BranchSpec,
+    RatVec,
+    analyze_variety,
+    conegeom,
+    intlat,
+    oracle,
+    qobranch,
+)
+from qonash.cli import parse_variety, render_json, report_to_dict, run
+from qonash.conegeom import Divisor
+from qonash.nashmap import lemma_min_diagnostics
 from towers import random_branches
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -51,6 +64,67 @@ def test_json_report_roundtrips(capsys, case):
     )
     assert code == 0
     assert render_json(json.loads(out)) == out
+
+
+def _dumps(payload):
+    """The reference bytes of the report writer."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _cross_branch(spec):
+    """A branch whose B is the full coordinate cross."""
+    return BranchInput(spec, sing_faces=tuple((k,) for k in range(1, spec.dim + 1)))
+
+
+def test_render_json_matches_json_dumps():
+    reports = []
+    for case in CASES:  # EMPTY_B, empty E/V/s_min and several branches among them
+        dim, inputs = parse_variety(json.loads((CORPUS / f"{case}.json").read_text()))
+        reports.append((analyze_variety(inputs), dim))
+    for spec, _ in random_branches(520, seed=20250810):  # the criterion-1 towers
+        reports.append((analyze_variety([_cross_branch(spec)]), spec.dim))
+    for dim in (1, 8):
+        spec = BranchSpec(dim, (RatVec([F(1, 2)] * dim),), f"d{dim}")
+        reports.append((analyze_variety([_cross_branch(spec)]), dim))
+    result, dim = reports[0]
+    fake = Divisor((3, 3), (1, 1), 3, "barycenter")
+    minimal = [Divisor((1, 1), (1, 1), 1, "toric-minimal")]
+    inconsistent = dataclasses.replace(
+        result.branches[0], diagnostics=tuple(lemma_min_diagnostics([fake], minimal))
+    )
+    reports.append((dataclasses.replace(result, branches=(inconsistent,)), dim))
+    codes = set()
+    for result, dim in reports:
+        payload = report_to_dict(result, dim)
+        assert render_json(payload) == _dumps(payload)
+        codes.update(d["code"] for b in payload["branches"] for d in b["diagnostics"])
+    assert codes == {"EMPTY_B", "LEMMA_MIN_VIOLATION"}
+
+
+# Quotes, backslashes, control and non-ASCII characters, astral ones (escaped
+# as surrogate pairs) and lone surrogates.
+LABELS = st.text(
+    st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2028\U0001f600\ud800')
+    | st.characters(exclude_categories=()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_render_json_escapes_labels(labels):
+    cone = RatVec([F(1, 2), F(1, 2)])
+    branches = [BranchInput(BranchSpec(2, (cone,), labels[0]), sing_faces=((1, 2),))]
+    branches += [BranchInput(BranchSpec(2, (), label)) for label in labels[1:]]
+    payload = report_to_dict(analyze_variety(branches), 2)
+    assert render_json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("value", [None, 0.5, (1, 2)])
+def test_render_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        render_json({"x": value})
 
 
 def test_text_and_json_share_facts(capsys):
