@@ -316,9 +316,9 @@ def _oracle_check(result: VarietyReport) -> None:
 
     for report in result.branches:
         n = report.lattices.N
-        # The edges lead the face table.  The largest axis reach bounds every
-        # minimal point; the oracle finds its own reaches and refuses the
-        # bound if one lies beyond it.
+        # The edges lead the face table.  The oracle scans only the box of
+        # its own axis reaches, read off its adjugate, and refuses the bound
+        # if one lies beyond the largest reach the main path found.
         bound = max(f.reach[0] for f in report.faces[: n.dim])
         brute, singular = oracle.brute_branch(n, bound)
         if brute != [d.point for d in report.s_min]:

@@ -4,9 +4,11 @@ These deliberately share no algorithmic code with the main path.  Each box
 is scanned as a residue grid: x lies in N exactly when x . adj = 0 (mod det)
 in every column of an adjugate found here by fraction-free elimination; the
 sum splits by axis, so residue tables per axis, broadcast and compared, mark
-every member.  Faces are classified by counting members by support, and
-minimality is a prefix OR over the grid of hits, in slabs along the first
-axis so memory stays flat.  Slow is fine; independent is the point.
+every member.  The same adjugate gives each axis reach c_k in closed form,
+and a branch is scanned only in its reach box prod [0, c_k].  Faces are
+classified by counting members by support, and minimality is a prefix OR
+over the grid of hits, in slabs along the first axis so memory stays flat.
+Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -118,15 +120,19 @@ class _BoxScanner:
 
 
 def _axis_reach(scanner: _BoxScanner, bound: int) -> list[int]:
-    """Coordinate of the primitive lattice point on each axis, by scanning."""
+    """Coordinate of the primitive lattice point on each axis, in closed form.
+
+    t * e_k is a member exactly when t * adj[k] = 0 (mod det) in every column,
+    so the least such t > 0 is det / gcd(det, adj[k] mod det); it divides det.
+    A reach beyond ``bound`` is refused.
+    """
     reach = []
-    for k in range(scanner.dim):
-        # The scan yields in ascending order, so the first hit is the least.
-        hit = next(scanner.scan([1], [bound], [k]), None)
-        if hit is None:
+    for k, row in enumerate(scanner.residues.tolist()):
+        c = scanner.det // math.gcd(scanner.det, *row)
+        if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"
             raise DomainError("BOUND_TOO_SMALL", msg)
-        reach.append(hit[k])
+        reach.append(c)
     return reach
 
 
@@ -147,7 +153,6 @@ def _count_by_support(scanner: _BoxScanner, reach) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _face_counts(n: Lattice) -> tuple[int, ...]:
     scanner = _BoxScanner(n)
-    # The whole quotient Z^d / N is killed by |det|, so the axis scan is safe.
     return tuple(_count_by_support(scanner, _axis_reach(scanner, scanner.det)).tolist())
 
 
@@ -167,26 +172,28 @@ def brute_face_index(n: Lattice, indices) -> int:
 def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     """(minimal points of the union of singular-face interiors, singular faces).
 
-    One scanner counts the members of [0, reach]^d by support (the cells of
-    support F are the edge box of face F, singular if it holds two or more
-    points), then scans [0, bound]^d once: a member of singular support is
-    minimal when the prefix OR of those hits is clear one cell below it on
-    every axis.  The bound must reach the primitive point on every axis (the
-    result is then independent of it); otherwise an error is raised.
+    Everything happens in the reach box [0, c_1] x ... x [0, c_d], where c_k
+    is the primitive point on axis k: one scanner counts its members by
+    support (the cells of support F are the edge box of face F, singular if
+    it holds two or more points), then scans it again: a member of singular
+    support is minimal when the prefix OR of those hits is clear one cell
+    below it on every axis.  The box holds every minimal point, since
+    subtracting c_k e_k from a point beyond it stays in the same face
+    interior.  The bound need only reach every c_k (the result is then
+    independent of it); otherwise an error is raised.
     """
     if bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
     d = n.dim
     scanner = _BoxScanner(n)
     reach = _axis_reach(scanner, bound)
-    box = scanner.grid([0] * d, [bound] * d, range(d))  # capped before counting
     is_singular = _count_by_support(scanner, reach) > 1  # the origin has support 0
     faces = np.flatnonzero(is_singular)
     singular = {tuple(i + 1 for i in range(d) if s >> i & 1) for s in faces}
     # below[1:] marks the cells with a hit at or below them; below[0] carries.
-    last = np.zeros((bound + 1,) * (d - 1), dtype=bool)
+    last = np.zeros([c + 1 for c in reach[1:]], dtype=bool)
     found = []
-    for offset, mask in box:
+    for offset, mask in scanner.grid([0] * d, reach, range(d)):
         hits = mask & is_singular[_support(offset, mask.shape)]
         below = np.concatenate([last[None], hits])
         for axis in range(d):

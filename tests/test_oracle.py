@@ -188,16 +188,19 @@ def test_residues_packed_into_several_keys():
 
 
 def test_memory_flat_in_box_size(monkeypatch):
-    # Boxes of 256**2 and 512**2 cells in slabs of 4096: the peak of the
+    # N = {x : x_1 + x_2 = 0 mod m} reaches m on both axes, so its box has
+    # (m + 1)**2 cells: 257**2 and 513**2 in slabs of 4096.  The peak of the
     # larger scan stays within twice the smaller's (without slabs it is
-    # about four times).
+    # about four times).  S_min, {(i, m - i)}, grows with m alone, so it is
+    # built outside the trace and returned as tuples.
     monkeypatch.setattr(oracle, "_CHUNK", 4096)
-    brute_minimal_S(N_MOD4, 4)
+    brute_branch(N_MOD4, 4)
     peaks = []
-    for bound in (255, 511):
+    for m in (256, 512):
+        n, s_min = lat((m, 0), (m - 1, 1)), [(i, m - i) for i in range(1, m)]
         tracemalloc.start()
         try:
-            assert brute_minimal_S(N_MOD4, bound) == [vec(1, 3), vec(2, 2), vec(3, 1)]
+            assert brute_branch(n, m)[0] == s_min
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -211,12 +214,48 @@ def test_bound_error_precedes_cap(monkeypatch):
     with pytest.raises(DomainError) as err:
         brute_branch(N_MOD4, 3)
     assert err.value.code == "BOUND_TOO_SMALL"
-    # Bound 5 reaches every axis; its 36-cell box is over the cap.
-    monkeypatch.setattr(oracle, "MAX_SCAN", 30)
+    # Bound 5 reaches every axis; the 25-cell reach box is over the cap.
+    monkeypatch.setattr(oracle, "MAX_SCAN", 24)
     with pytest.raises(DomainError) as err:
         brute_branch(N_MOD4, 5)
     assert err.value.code == "LIMIT_EXCEEDED"
-    assert err.value.message == "box of 36 points exceeds the oracle cap"
+    assert err.value.message == "box of 25 points exceeds the oracle cap"
+
+
+def test_bound_far_beyond_reach():
+    # Only the reach box [0, 4]^2 is scanned, whatever the bound.
+    assert brute_branch(N_MOD4, 10**9) == brute_branch(N_MOD4, 4)
+
+
+def _first_hits(scanner, tops):
+    """The least member of [1, tops[k]] on each axis k, by scanning."""
+    return [
+        next((x[k] for x in scanner.scan([1], [top], [k])), None)
+        for k, top in enumerate(tops)
+    ]
+
+
+def test_axis_reach_matches_axis_scan():
+    rng = random.Random(13)
+    for d in range(1, 7):
+        for _ in range(20):
+            # A lower-triangular basis plus one more generator, entries small
+            # enough that each axis scan up to det stays under the cap.
+            rows = [
+                [rng.randint(0, 4) for _ in range(i)] + [rng.randint(1, 4)] + [0] * (d - i - 1)
+                for i in range(d)
+            ]
+            rows.append([rng.randint(-4, 4) for _ in range(d)])
+            scanner = _BoxScanner(lat(*rows))
+            assert scanner.dtype is np.int64
+            reach = oracle._axis_reach(scanner, scanner.det)
+            assert reach == _first_hits(scanner, [scanner.det] * d), rows
+    # det = 2**32 needs Python ints, and the axis box [1, det] is over the
+    # cap; the first hit of [1, c_k] being c_k pins c_k all the same.
+    scanner = _BoxScanner(lat((2**16, 0), (0, 2**16)))
+    assert scanner.dtype is object
+    reach = oracle._axis_reach(scanner, scanner.det)
+    assert reach == [2**16, 2**16] == _first_hits(scanner, reach)
 
 
 def test_object_dtype_mask():
