@@ -379,7 +379,7 @@ def _parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--max-index",
         type=_positive_int,
-        default=10**6,
+        default=10**5,
         help=(
             "cap on each branch's candidate points: the sum of the index over "
             "the singular faces, checked before enumeration"

@@ -11,11 +11,11 @@ everything downstream cares about.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, repeat
 from math import gcd, prod
-from operator import le
+from operator import add, and_, eq, le
 
 from . import intlat
 from .errors import DomainError
@@ -112,7 +112,7 @@ def face_data(n: Lattice, indices) -> Face:
 def face_table(n: Lattice) -> tuple[Face, ...]:
     """Every nonempty face of the quadrant, by size and then indices."""
     axes = range(1, n.dim + 1)
-    faces = [idx for size in axes for idx in itertools.combinations(axes, size)]
+    faces = [idx for size in axes for idx in combinations(axes, size)]
     return tuple(_classify(n, faces))
 
 
@@ -136,29 +136,69 @@ def face_parallelepiped(n: Lattice, face: Face) -> list:
     coefficient has exactly c_i/p choices (p its pivot at i), so no choice
     is wasted on a non-point, and the face yields exactly its index of points.
     """
-    points = [(0,) * n.dim]
-    for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
-        p = row[i - 1]
-        # The c/p coefficients y that put x_i + y*p in (0, c].
+    rows = list(zip(face.indices, face.reach, face.section))
+    i, c, row = rows.pop()
+    # From the origin the last row's coefficient runs over 1..c/p.
+    points = [tuple(map(y.__mul__, row)) for y in range(1, c // row[i - 1] + 1)]
+    for i, c, row in reversed(rows):
+        p, k = row[i - 1], c // row[i - 1]
+        # x + y*row has its coordinate i in (0, c] for the k coefficients y
+        # from -((x_i - 1) // p) on; each multiple y*row is built once.
+        lows = [-((x[i - 1] - 1) // p) for x in points]
+        base = min(lows)
+        multiples = [tuple(map(y.__mul__, row)) for y in range(base, max(lows) + k)]
         points = [
-            tuple(a + y * b for a, b in zip(x, row))
-            for x in points
-            for y in range(-((x[i - 1] - 1) // p), c // p - (x[i - 1] - 1) // p)
+            tuple(map(add, x, m))
+            for x, low in zip(points, lows)
+            for m in multiples[low - base : low - base + k]
         ]
     points.sort()
     return points
 
 
+def undominated(pts) -> list:
+    """The distinct points of a finite set that no other point of it lies
+    below in the quadrant order, sorted.
+
+    Bitmap dominance (Tan, Eng & Ooi, VLDB 2001).  In decreasing
+    lexicographic order every point below p comes after p, and a point after
+    p that is at or below p on every axis past the first is below p.  So
+    point j owns bit j, each distinct value on each of those axes maps to one
+    mask, the OR of the bits of the points at or below it, and p is minimal
+    iff the AND of its masks has no bit above its own.
+    """
+    pts = sorted(set(pts), reverse=True)
+    if len(pts) < 2:
+        return pts
+    axes = list(zip(*pts))[1:]
+    least = pts[-1]
+    # The least point lies below all others iff it is least on every axis.
+    if all(map(eq, map(min, axes), least[1:])):
+        return [least]
+    ands = repeat((1 << len(pts)) - 1)
+    for axis in axes:
+        mask = {}
+        bit = 1
+        for v in axis:
+            mask[v] = mask.get(v, 0) | bit
+            bit <<= 1
+        below = 0
+        for v in sorted(mask):
+            below = mask[v] = below | mask[v]
+        ands = map(and_, ands, map(mask.__getitem__, axis))
+    kept = []
+    top = 2  # the first bit above the current point's own
+    for p, under in zip(pts, ands):
+        if under < top:
+            kept.append(p)
+        top <<= 1
+    kept.reverse()
+    return kept
+
+
 def minimal_elements(pts) -> list:
     """Minimal elements of a finite set for the quadrant order, sorted."""
-    kept: list = []
-    for v in sorted(set(pts), key=sum):
-        # Any strict dominator has strictly smaller coordinate sum, so it is
-        # either already kept or dominated by something kept.
-        if not any(leq_sigma(u, v) for u in kept):
-            kept.append(v)
-    kept.sort()
-    return kept
+    return undominated(pts)
 
 
 def singular_faces(n: Lattice) -> list[tuple[int, ...]]:

@@ -320,6 +320,29 @@ def test_degree_cap_precedes_branch_analysis(tmp_path, capsys):
     assert "B_MISSING_SING" not in err
 
 
+def test_default_max_index(tmp_path, capsys):
+    # (1/m, 1/m) has m candidate points on face {1,2}, all but the corner
+    # minimal; the default budget admits m = 10^5 and refuses m = 10^5 + 1.
+    m = 10**5 + 1
+    doc = {
+        "schema_version": 1,
+        "dim": 2,
+        "branches": [
+            {
+                "label": "diag",
+                "char_exponents": [[[1, m], [1, m]]],
+                "sing_faces": [[1], [2]],
+            }
+        ],
+    }
+    code, out, err = run_cli(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err == (
+        "qonash: error: [LIMIT_EXCEEDED] branch 'diag': "
+        f"{m} candidate points above --max-index {m - 1}\n"
+    )
+
+
 def test_max_index_counts_candidate_points(tmp_path, capsys):
     # (1/6, 1/10, 1/15) has 40 candidate points, though face {1,2,3} alone
     # has 6 * 10 * 15 = 900 box cells.

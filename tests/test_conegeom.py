@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,12 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
-from qonash.conegeom import divisor_on_ray, face_table
+from qonash.conegeom import (
+    divisor_on_ray,
+    face_parallelepiped,
+    face_table,
+    minimal_singular_points,
+)
 from qonash.oracle import _axis_reach, _BoxScanner
 from towers import random_branches
 
@@ -113,6 +119,64 @@ class TestMinimalElements:
 
     def test_empty(self):
         assert minimal_elements(set()) == []
+
+    def test_single_point(self):
+        assert minimal_elements([(3, 1, 4)]) == [(3, 1, 4)]
+        assert minimal_elements([(3, 1, 4)] * 3) == [(3, 1, 4)]
+        assert minimal_elements([vec(F(1, 2), 3)]) == [vec(F(1, 2), 3)]
+
+
+def by_definition(pts):
+    """p is minimal iff no q != p in the set has q <= p."""
+    pts = set(pts)
+    return sorted(p for p in pts if not any(q != p and leq_sigma(q, p) for q in pts))
+
+
+def sum_sweep(pts):
+    """The coordinate-sum sweep that computed minimal_elements before the
+    bitmap: a strict dominator has a strictly smaller coordinate sum."""
+    kept = []
+    for v in sorted(set(pts), key=sum):
+        if not any(leq_sigma(u, v) for u in kept):
+            kept.append(v)
+    kept.sort()
+    return kept
+
+
+class TestMinimalElementsByDefinition:
+    def test_random_sets(self):
+        # Few values per axis, drawn with replacement: duplicates and ties on
+        # every axis, and sets whose least point lies below all the others.
+        rng = random.Random(61)
+        for d in range(1, 9):
+            for _ in range(150):
+                pool = [
+                    tuple(rng.randint(0, rng.choice((1, 3, 6))) for _ in range(d))
+                    for _ in range(rng.randint(1, 12))
+                ]
+                pts = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+                assert minimal_elements(pts) == by_definition(pts), pts
+
+    def test_ratvec_points(self):
+        rng = random.Random(62)
+        for d in range(1, 5):
+            for _ in range(60):
+                pts = [
+                    vec(*(F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(d)))
+                    for _ in range(rng.randint(0, 10))
+                ]
+                assert minimal_elements(pts) == by_definition(pts), pts
+
+    def test_branches_match_sum_sweep(self):
+        for _, lattices_ in random_branches(200, seed=20250810):
+            n = lattices_.N
+            faces = face_table(n)
+            candidates = [
+                p for face in faces if not face.regular for p in face_parallelepiped(n, face)
+            ]
+            expected = sum_sweep(candidates)
+            assert minimal_elements(candidates) == expected
+            assert minimal_singular_points(n, faces) == expected
 
 
 class TestMinimalToricDivisors:

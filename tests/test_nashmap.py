@@ -559,6 +559,15 @@ def test_split_builds_no_ratvec(monkeypatch):
     assert built == 0 and points > 0
 
 
+def test_split_refuses_dominated_pair(monkeypatch):
+    # Two comparable points in S_min and no barycenter to flag them: only the
+    # antichain assert stands between them and the report.
+    dominated = [(2, 2), (4, 4)]
+    monkeypatch.setattr(conegeom, "minimal_singular_points", lambda n, faces: dominated)
+    with pytest.raises(AssertionError, match="essential divisors must form an antichain"):
+        nashmap._split(Z2, conegeom.face_table(Z2), RelevantFaces(faces=()))
+
+
 class TestContainingFace:
     # A face that contains a relevant face lies in its orbit closure, so
     # adding it to B as an extra face changes nothing.
