@@ -3,10 +3,11 @@
 Faces of the quadrant are coordinate subsets; a face is regular when its
 primitive edge generators form a basis of the lattice points in its span.
 Each face's data is read off the Hermite basis of its section lattice
-(:func:`intlat.section`): its axes' generators, its index and its
-parallelepiped points.  The lattice points in the relative interiors of the
-singular faces, and the barycenters of the regular ones, label the divisors
-everything downstream cares about.
+(:func:`intlat.section`, or :func:`intlat.face_sections` for the whole
+table): its axes' generators, its index and its parallelepiped points.  The
+lattice points in the relative interiors of the singular faces, and the
+barycenters of the regular ones, label the divisors everything downstream
+cares about.
 """
 
 from __future__ import annotations
@@ -78,27 +79,31 @@ def _check_indices(dim: int, indices) -> tuple[int, ...]:
     return idx
 
 
-def _classify(n: Lattice, faces) -> list[Face]:
-    """Classify faces of N listed with each axis's singleton first.
+def _classify(n: Lattice, sections) -> list[Face]:
+    """Classify faces of N from (face, section) pairs, each axis's singleton
+    listed before the faces through it.
 
-    Each face's section is computed once.  An axis's primitive generator is
-    c/denom times e_k, c the pivot of its singleton section.  A face's index
-    is the covolume of its edge sublattice over that of its section: the
-    product of its axes' c over the product of the section's pivots.
+    An axis's primitive generator is c/denom times e_k, c the pivot of its
+    singleton section.  A face's index is the covolume of its edge
+    sublattice over that of its section: the product of its axes' c over the
+    product of the section's pivots.
     """
     reach: dict[int, int] = {}
     gens: dict[int, RatVec] = {}
     out = []
-    for idx in faces:
-        section = tuple(intlat.section(n, idx))
+    for idx, section in sections:
         if len(idx) == 1:
             (k,) = idx
-            reach[k] = section[0][k - 1]
-            gens[k] = RatVec.unit(n.dim, k).scale(Fraction(reach[k], n.denom))
+            reach[k] = c = section[0][k - 1]
+            gens[k] = RatVec(
+                [Fraction(c, n.denom) if i == k else 0 for i in range(1, n.dim + 1)]
+            )
         c = tuple(reach[i] for i in idx)
         pivots = prod(row[i - 1] for i, row in zip(idx, section))
         assert prod(c) % pivots == 0
-        out.append(Face(idx, tuple(gens[i] for i in idx), c, prod(c) // pivots, section))
+        out.append(
+            Face(idx, tuple(gens[i] for i in idx), c, prod(c) // pivots, tuple(section))
+        )
     return out
 
 
@@ -106,14 +111,17 @@ def face_data(n: Lattice, indices) -> Face:
     """Edge generators, index, regularity and section of a quadrant face."""
     idx = _check_indices(n.dim, indices)
     # Its axes' singletons, then the face; a singleton face is listed once.
-    return _classify(n, dict.fromkeys([(i,) for i in idx] + [idx]))[-1]
+    faces = dict.fromkeys([(i,) for i in idx] + [idx])
+    return _classify(n, [(f, intlat.section(n, f)) for f in faces])[-1]
 
 
 def face_table(n: Lattice) -> tuple[Face, ...]:
-    """Every nonempty face of the quadrant, by size and then indices."""
+    """Every nonempty face of the quadrant, by size and then indices, each
+    section computed once by :func:`intlat.face_sections`."""
+    sections = intlat.face_sections(n)
     axes = range(1, n.dim + 1)
     faces = [idx for size in axes for idx in combinations(axes, size)]
-    return tuple(_classify(n, faces))
+    return tuple(_classify(n, [(idx, sections[idx]) for idx in faces]))
 
 
 def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
@@ -165,11 +173,19 @@ def undominated(pts) -> list:
     p that is at or below p on every axis past the first is below p.  So
     point j owns bit j, each distinct value on each of those axes maps to one
     mask, the OR of the bits of the points at or below it, and p is minimal
-    iff the AND of its masks has no bit above its own.
+    iff the AND of its masks has no bit above its own.  With one axis past
+    the first, p is minimal iff it is below every later point on that axis,
+    so a running minimum from the end replaces the masks and their n^2/2 bits.
     """
     pts = sorted(set(pts), reverse=True)
     if len(pts) < 2:
         return pts
+    if len(pts[0]) == 2:
+        kept = []
+        for p in reversed(pts):
+            if not kept or p[1] < kept[-1][1]:
+                kept.append(p)
+        return kept
     axes = list(zip(*pts))[1:]
     least = pts[-1]
     # The least point lies below all others iff it is least on every axis.

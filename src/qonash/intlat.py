@@ -11,6 +11,7 @@ solver: it decides membership and reads the adjugate that gives the dual.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import DomainError
@@ -363,10 +364,10 @@ def lattice_from_generators(gens) -> Lattice:
         raise DomainError("DIMENSION_MISMATCH", "generators of mixed dimension")
     denom = lcm(*(g.denominator() for g in gens))
     rows = [[(c * denom).numerator for c in g.coords] for g in gens]
-    return _lattice_from_scaled(denom, rows)
+    return lattice_from_scaled(denom, rows)
 
 
-def _lattice_from_scaled(denom: int, int_rows: list[list[int]]) -> Lattice:
+def lattice_from_scaled(denom: int, int_rows: list[list[int]]) -> Lattice:
     """Canonical lattice spanned by the integer rows over denom.
 
     The rows are put in HNF and the common factor of denom and the HNF
@@ -389,7 +390,7 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
         )
     denom = lcm(a.denom, b.denom)
     rows = [[x * denom // l.denom for x in r] for l in (a, b) for r in l.scaled_basis]
-    return _lattice_from_scaled(denom, rows)
+    return lattice_from_scaled(denom, rows)
 
 
 def dual_lattice(l: Lattice) -> Lattice:
@@ -404,7 +405,7 @@ def dual_lattice(l: Lattice) -> Lattice:
         l.scaled_coefficients([det if j == i else 0 for j in range(d)])
         for i in range(d)
     ]
-    return _lattice_from_scaled(det, [[l.denom * x for x in col] for col in zip(*adj)])
+    return lattice_from_scaled(det, [[l.denom * x for x in col] for col in zip(*adj)])
 
 
 def contains(l: Lattice, v: RatVec) -> bool:
@@ -442,10 +443,44 @@ def section(l: Lattice, idx) -> list[tuple[int, ...]]:
     of that section (Cohen, GTM 138, 2.4); they come back in ambient order,
     row r pivoting at coordinate idx[r].
     """
-    order = [i - 1 for i in idx] + [j for j in range(l.dim) if j + 1 not in idx]
-    rows = hnf([[row[c] for c in order] for row in l.scaled_basis])
-    place = sorted(range(l.dim), key=order.__getitem__)
-    return [tuple(row[k] for k in place) for row in rows[: len(idx)]]
+    rest = [j for j in range(l.dim) if j + 1 not in idx]
+    return _leading_rows(l.scaled_basis, [i - 1 for i in idx] + rest, len(idx))
+
+
+def _leading_rows(rows, cols, size: int) -> list[tuple[int, ...]]:
+    """The leading ``size`` rows of the HNF of ``rows`` taken on the columns
+    ``cols`` (0-based, in that order), put back in place with 0 elsewhere."""
+    out = []
+    for row in _hnf_core([[row[c] for c in cols] for row in rows])[:size]:
+        full = [0] * len(rows[0])
+        for c, x in zip(cols, row):
+            full[c] = x
+        out.append(tuple(full))
+    return out
+
+
+def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """:func:`section` of every nonempty face, each read off a face one larger.
+
+    The leading rows of a Hermite form depend only on the leading columns, so
+    the section of F is the first |F| rows of the section of F + {d} when F
+    misses the last coordinate d.  Otherwise it is the section of F within
+    the section of F + {j}, j any coordinate off F, which is zero off the
+    columns (F..., j): one Hermite form of size |F| + 1.  Faces go from the
+    largest down, so each larger face is ready when it is needed.
+    """
+    d = l.dim
+    out = {tuple(range(1, d + 1)): [tuple(r) for r in l.scaled_basis]}
+    for size in range(d - 1, 0, -1):
+        for idx in combinations(range(1, d + 1), size):
+            if idx[-1] != d:
+                out[idx] = out[idx + (d,)][:size]
+            else:
+                # The last coordinate off F: the fewest rows pivot after it.
+                j = next(k for k in range(d - 1, 0, -1) if k not in idx)
+                cols = [i - 1 for i in idx] + [j - 1]
+                out[idx] = _leading_rows(out[tuple(sorted(idx + (j,)))], cols, size)
+    return out
 
 
 def primitive_on_ray(l: Lattice, k: int) -> RatVec:

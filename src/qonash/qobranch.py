@@ -9,7 +9,8 @@ geometry downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import lcm, prod
+from operator import le
 
 from . import intlat
 from .errors import DomainError
@@ -62,8 +63,7 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
                 branch=spec.label or None,
             )
     for j in range(len(exps) - 1):
-        diff = exps[j + 1] - exps[j]
-        if not diff.is_nonnegative():
+        if not all(map(le, exps[j], exps[j + 1])):
             raise DomainError(
                 "CHAIN_ORDER",
                 f"exponents {j + 1} and {j + 2} are not componentwise ordered: "
@@ -75,9 +75,13 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
     step_indices = []
     for j, lam in enumerate(exps, start=1):
         prev = tower[-1]
-        # prev contains Z^d, so one HNF of its basis and lam gives the step;
-        # in canonical form nxt == prev exactly when lam already lies in prev.
-        nxt = intlat.lattice_from_generators([*prev.basis, lam])
+        # prev contains Z^d, so one HNF of its scaled basis and lam's
+        # numerators over their common denominator gives the step; in
+        # canonical form nxt == prev exactly when lam already lies in prev.
+        denom = lcm(prev.denom, lam.denominator())
+        rows = [[x * (denom // prev.denom) for x in r] for r in prev.scaled_basis]
+        rows.append([c.numerator * (denom // c.denominator) for c in lam])
+        nxt = intlat.lattice_from_scaled(denom, rows)
         if nxt == prev:
             raise DomainError(
                 "NOT_CHARACTERISTIC",
@@ -85,7 +89,11 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
                 f"by the earlier ones",
                 branch=spec.label or None,
             )
-        step_indices.append(prev.det // nxt.det)  # covolume ratio [nxt : prev]
+        # [nxt : prev] is the covolume ratio det prev / det nxt, with
+        # det = (product of the scaled pivots) / denom^d.
+        step_indices.append(
+            _pivots(prev) * nxt.denom**d // (_pivots(nxt) * prev.denom**d)
+        )
         tower.append(nxt)
 
     M = tower[-1]
@@ -97,3 +105,7 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
         degree_n=prod(step_indices),
         step_indices=tuple(step_indices),
     )
+
+
+def _pivots(l: Lattice) -> int:
+    return prod(l.scaled_basis[i][i] for i in range(l.dim))

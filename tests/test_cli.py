@@ -378,6 +378,7 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
         (qobranch, "build_tower"),
         (conegeom, "face_parallelepiped"),
         (conegeom, "minimal_elements"),
+        (intlat, "face_sections"),
         (intlat, "section"),
         (intlat, "primitive_on_ray"),
         (intlat, "snf"),
@@ -388,9 +389,13 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            if _name in ("face_parallelepiped", "section", "_BoxScanner"):
+            if _name in ("face_parallelepiped", "face_sections", "_BoxScanner"):
                 calls[_name, args[0]] += 1
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            if _name == "face_sections":
+                # One section for each face, all from this single call.
+                calls["sections", args[0]] += len(out)
+            return out
 
         monkeypatch.setattr(module, name, counted)
     code, out, _ = run_cli(
@@ -403,13 +408,14 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     expected = Counter()
     for b, n in zip(branches, lattices):
         expected["face_parallelepiped", n] += len(b["singular_faces_of_sigma"])
-        expected["section", n] += 2**dim - 1
+        expected["face_sections", n] += 1
+        expected["sections", n] += 2**dim - 1
         expected["_BoxScanner", n] += 1
     for key, count in expected.items():
         assert calls[key] == count, key
     assert calls["build_tower"] == calls["minimal_elements"] == len(branches)
     assert calls["_BoxScanner"] == len(branches)
-    for name in ("primitive_on_ray", "snf", "contains", "index"):
+    for name in ("section", "primitive_on_ray", "snf", "contains", "index"):
         assert calls[name] == 0, name
 
 

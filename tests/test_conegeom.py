@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,9 @@ from qonash.conegeom import (
     face_parallelepiped,
     face_table,
     minimal_singular_points,
+    undominated,
 )
+from qonash.intlat import face_sections, section
 from qonash.oracle import _axis_reach, _BoxScanner
 from towers import random_branches
 
@@ -87,6 +90,50 @@ class TestFaceData:
             face_data(Z2, (0, 1))
         with pytest.raises(DomainError):
             face_data(Z2, (3,))
+
+
+def random_lattice(rng, d, denom):
+    """A full-rank lattice spanned by d + 1 random vectors over denom, drawn
+    again until it is integral exactly when denom is 1."""
+    while True:
+        gens = [
+            RatVec(F(rng.randint(-6, 6), denom) for _ in range(d)) for _ in range(d + 1)
+        ]
+        try:
+            n = lattice_from_generators(gens)
+        except DomainError:
+            continue
+        if (n.denom > 1) == (denom > 1):
+            return n
+
+
+class TestFaceTableMatchesFaceData:
+    """face_table reads every section off a face one larger; face_data
+    computes each face on its own from full Hermite forms."""
+
+    @staticmethod
+    def check(n):
+        table = face_table(n)
+        sections = face_sections(n)
+        assert [f.indices for f in table] == [
+            idx
+            for size in range(1, n.dim + 1)
+            for idx in itertools.combinations(range(1, n.dim + 1), size)
+        ]
+        assert len(sections) == len(table)
+        for face in table:
+            assert face == face_data(n, face.indices), face.indices
+            assert sections[face.indices] == section(n, face.indices), face.indices
+
+    def test_random_lattices(self):
+        rng = random.Random(1515)
+        for d in range(1, 9):
+            for denom in [1] * 3 + [rng.randint(2, 6) for _ in range(3)]:
+                self.check(random_lattice(rng, d, denom))
+
+    def test_acceptance_towers(self):
+        for _, lattices_ in random_branches(200, seed=20250810):
+            self.check(lattices_.N)
 
 
 class TestParallelepipedPoints:
@@ -177,6 +224,25 @@ class TestMinimalElementsByDefinition:
             expected = sum_sweep(candidates)
             assert minimal_elements(candidates) == expected
             assert minimal_singular_points(n, faces) == expected
+
+
+class TestUndominatedMemory:
+    @staticmethod
+    def peak(n):
+        # A 2-D antichain: every point is kept and each second coordinate is
+        # distinct, the case where per-value prefix masks hold n^2/2 bits.
+        pts = [(i, n - i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            kept = undominated(pts)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == n
+        return top
+
+    def test_two_coordinate_peak_is_linear(self):
+        assert self.peak(12_000) < 2.5 * self.peak(6_000)
 
 
 class TestMinimalToricDivisors:

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -9,6 +11,7 @@ from qonash import (
     RatVec,
     build_tower,
     contains,
+    dual_lattice,
     index,
     lattice_from_generators,
     standard_lattice,
@@ -122,3 +125,61 @@ def test_one_hnf_per_tower_step(monkeypatch):
         calls.clear()
         build_tower(s)
         assert len(calls) == len(s.char_exponents) + 1
+
+
+def reference_tower(s):
+    """The tower through rational generators, step by step: M_j is the lattice
+    generated by M_{j-1}'s basis as RatVecs together with lambda_j.  Returns
+    (tower, N, step indices), or the refusal's error code."""
+    exps = s.char_exponents
+    if any(not (b - a).is_nonnegative() for a, b in zip(exps, exps[1:])):
+        return "CHAIN_ORDER"
+    tower = [standard_lattice(s.dim)]
+    for lam in exps:
+        nxt = lattice_from_generators([*tower[-1].basis, lam])
+        if nxt == tower[-1]:
+            return "NOT_CHARACTERISTIC"
+        tower.append(nxt)
+    steps = tuple(index(p, q) for p, q in zip(tower, tower[1:]))
+    return tuple(tower), dual_lattice(tower[-1]), steps
+
+
+def random_spec(rng):
+    """Exponent chains that are mostly valid; some repeat a step by an integer
+    vector (not characteristic) or drop below the previous one (chain order)."""
+    d = rng.randint(1, 5)
+    exps = []
+    prev = [F(0)] * d
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.1 and exps:
+            lam = [c + rng.randint(0, 2) for c in prev]
+        elif kind < 0.2:
+            lam = [F(rng.randint(0, 12), rng.randint(1, 8)) for _ in range(d)]
+        else:
+            q = rng.randint(1, 9)
+            lam = [c + F(rng.randint(0, 2 * q), q) for c in prev]
+        exps.append(lam)
+        prev = lam
+    return spec(*exps, dim=d)
+
+
+def test_integer_step_matches_rational_reference():
+    rng = random.Random(1515)
+    specs = [s for s, _ in random_branches(100, seed=20250810)]
+    specs += [random_spec(rng) for _ in range(400)]
+    codes = Counter()
+    for s in specs:
+        expected = reference_tower(s)
+        try:
+            got = build_tower(s)
+        except DomainError as err:
+            assert err.code == expected, s
+            codes[err.code] += 1
+            continue
+        assert (got.tower, got.N, got.step_indices) == expected, s
+        assert got.M == got.tower[-1]
+        assert got.degree_n == prod(got.step_indices)
+        codes["ok"] += 1
+    # Every outcome is exercised, each many times.
+    assert min(codes[c] for c in ("ok", "NOT_CHARACTERISTIC", "CHAIN_ORDER")) >= 20, codes
