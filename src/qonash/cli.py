@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
@@ -96,8 +97,7 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
     raw_branches = doc.get("branches")
     _expect(isinstance(raw_branches, list), "$.branches", "expected a list")
 
-    labels: list[str] = []
-    parsed = []
+    parsed: dict[str, tuple[BranchSpec, tuple, tuple, list[Contact]]] = {}
     for b, raw in enumerate(raw_branches):
         path = f"$.branches[{b}]"
         _expect(isinstance(raw, dict), path, "expected an object")
@@ -111,26 +111,22 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
         _expect(
             isinstance(label, str) and label != "", f"{path}.label", "nonempty string required"
         )
-        _expect(label not in labels, f"{path}.label", f"duplicate label {label!r}")
-        labels.append(label)
+        _expect(label not in parsed, f"{path}.label", f"duplicate label {label!r}")
         exps_raw = raw.get("char_exponents", [])
         _expect(isinstance(exps_raw, list), f"{path}.char_exponents", "expected a list")
         exps = tuple(
             _parse_vector(e, dim, f"{path}.char_exponents[{j}]")
             for j, e in enumerate(exps_raw)
         )
-        parsed.append(
-            {
-                "label": label,
-                "exps": exps,
-                "sing": _parse_faces(raw.get("sing_faces"), f"{path}.sing_faces"),
-                "extra": _parse_faces(raw.get("extra_faces"), f"{path}.extra_faces"),
-            }
+        parsed[label] = (
+            BranchSpec(dim=dim, char_exponents=exps, label=label),
+            _parse_faces(raw.get("sing_faces"), f"{path}.sing_faces"),
+            _parse_faces(raw.get("extra_faces"), f"{path}.extra_faces"),
+            [],
         )
 
     contacts_raw = doc.get("contacts", [])
     _expect(isinstance(contacts_raw, list), "$.contacts", "expected a list")
-    contact_map: dict[str, list[Contact]] = {label: [] for label in labels}
     for c, raw in enumerate(contacts_raw):
         path = f"$.contacts[{c}]"
         _expect(isinstance(raw, dict), path, "expected an object")
@@ -143,19 +139,14 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
         frm, to = raw.get("from_label"), raw.get("to_label")
         _expect(isinstance(frm, str), f"{path}.from_label", "string required")
         _expect(isinstance(to, str), f"{path}.to_label", "string required")
-        _expect(frm in contact_map, f"{path}.from_label", f"unknown branch {frm!r}")
-        _expect(to in contact_map, f"{path}.to_label", f"unknown branch {to!r}")
+        _expect(frm in parsed, f"{path}.from_label", f"unknown branch {frm!r}")
+        _expect(to in parsed, f"{path}.to_label", f"unknown branch {to!r}")
         exponent = _parse_vector(raw.get("exponent"), dim, f"{path}.exponent")
-        contact_map[frm].append(Contact(exponent=exponent, partner=to))
+        parsed[frm][3].append(Contact(exponent=exponent, partner=to))
 
     inputs = [
-        BranchInput(
-            spec=BranchSpec(dim=dim, char_exponents=p["exps"], label=p["label"]),
-            sing_faces=p["sing"],
-            extra_faces=p["extra"],
-            contacts=tuple(contact_map[p["label"]]),
-        )
-        for p in parsed
+        BranchInput(spec, sing, extra, tuple(contacts))
+        for spec, sing, extra, contacts in parsed.values()
     ]
     return dim, inputs
 
@@ -182,6 +173,7 @@ def _lattice_json(l: Lattice) -> dict:
 
 
 def _branch_json(report: BranchReport) -> dict:
+    s_min = [_divisor_json(d) for d in report.s_min]
     return {
         "label": report.label,
         "char_exponents": [_vec_json(v) for v in report.char_exponents],
@@ -198,9 +190,9 @@ def _branch_json(report: BranchReport) -> dict:
             for idx, face in ((idx, report.face(idx)) for idx in report.relevant.faces)
         ],
         "singular_faces_of_sigma": [list(i) for i in report.singular_faces_of_sigma],
-        "s_min": [_divisor_json(d) for d in report.s_min],
+        "s_min": s_min,
         "E": [_divisor_json(d) for d in report.E],
-        "V": [_divisor_json(d) for d in report.V],
+        "V": s_min,  # V is S_min
         "nash_count": report.nash_count,
         "diagnostics": [
             {"code": d.code, "message": d.message} for d in report.diagnostics
@@ -287,9 +279,9 @@ def render_text(result: VarietyReport, dim: int) -> str:
                 lines.append(f"    {_fmt_face(idx)}: {tag}, edge generators {gens}")
         else:
             lines.append("  relevant faces: (none)")
-        titles = ("S_min", "E (barycenters)", "V (surviving minimal)")
-        for title, divisors in zip(titles, (report.s_min, report.E, report.V)):
-            lines.append(f"  {title}: " + ("; ".join(map(_fmt_divisor, divisors)) or "(empty)"))
+        s_min, e = ("; ".join(map(_fmt_divisor, d)) or "(empty)" for d in (report.s_min, report.E))
+        lines += [f"  S_min: {s_min}", f"  E (barycenters): {e}"]
+        lines.append(f"  V (surviving minimal): {s_min}")  # V is S_min
         for diag in report.diagnostics:
             lines.append(f"  note [{diag.code}]: {diag.message}")
         lines.append(
@@ -432,12 +424,23 @@ def run(argv=None) -> int:
                 file=sys.stderr,
             )
     if args.fmt == "json":
-        payload = report_to_dict(result, dim)
-        sys.stdout.write(render_json(payload))
+        text = render_json(report_to_dict(result, dim))
     else:
-        sys.stdout.write(render_text(result, dim))
+        text = render_text(result, dim)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"qonash: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # bytes a failed write left for the flush at exit
+        # Point fd 1 at devnull, as the `signal` docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)

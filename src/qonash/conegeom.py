@@ -72,13 +72,6 @@ def leq_sigma(u, v) -> bool:
     return all(map(le, u, v))
 
 
-def _check_indices(dim: int, indices) -> tuple[int, ...]:
-    idx = tuple(sorted(set(indices)))
-    if any(not isinstance(i, int) or not 1 <= i <= dim for i in idx):
-        raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{dim}")
-    return idx
-
-
 def _classify(n: Lattice, sections) -> list[Face]:
     """Classify faces of N from (face, section) pairs, each axis's singleton
     listed before the faces through it.
@@ -109,7 +102,9 @@ def _classify(n: Lattice, sections) -> list[Face]:
 
 def face_data(n: Lattice, indices) -> Face:
     """Edge generators, index, regularity and section of a quadrant face."""
-    idx = _check_indices(n.dim, indices)
+    idx = tuple(sorted(set(indices)))
+    if any(not isinstance(i, int) or not 1 <= i <= n.dim for i in idx):
+        raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     # Its axes' singletons, then the face; a singleton face is listed once.
     faces = dict.fromkeys([(i,) for i in idx] + [idx])
     return _classify(n, [(f, intlat.section(n, f)) for f in faces])[-1]
@@ -131,10 +126,10 @@ def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
     the positive coordinate of the primitive edge generator) and x_j = 0 off
     them, as sorted integer tuples denom*x; see :func:`face_parallelepiped`.
     """
-    idx = _check_indices(n.dim, indices)
-    if not idx:
+    face = face_data(n, indices)
+    if not face.indices:
         raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
-    return face_parallelepiped(n, face_data(n, idx))
+    return face_parallelepiped(n, face)
 
 
 def face_parallelepiped(n: Lattice, face: Face) -> list:
@@ -164,9 +159,9 @@ def face_parallelepiped(n: Lattice, face: Face) -> list:
     return points
 
 
-def undominated(pts) -> list:
-    """The distinct points of a finite set that no other point of it lies
-    below in the quadrant order, sorted.
+def minimal_elements(pts) -> list:
+    """Minimal elements of a finite set for the quadrant order: its distinct
+    points that no other point of it lies below, sorted.
 
     Bitmap dominance (Tan, Eng & Ooi, VLDB 2001).  In decreasing
     lexicographic order every point below p comes after p, and a point after
@@ -210,11 +205,6 @@ def undominated(pts) -> list:
         top <<= 1
     kept.reverse()
     return kept
-
-
-def minimal_elements(pts) -> list:
-    """Minimal elements of a finite set for the quadrant order, sorted."""
-    return undominated(pts)
 
 
 def singular_faces(n: Lattice) -> list[tuple[int, ...]]:
@@ -262,10 +252,10 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
 
 def barycenter(n: Lattice, indices) -> Divisor:
     """Sum of the primitive edge generators of a regular face."""
-    idx = _check_indices(n.dim, indices)
-    if not idx:
+    face = face_data(n, indices)
+    if not face.indices:
         raise DomainError("BAD_FACE", "the zero face has no barycenter")
-    return divisor_on_ray(n, barycenter_point(n, face_data(n, idx)), ORIGIN_BARYCENTER)
+    return divisor_on_ray(n, barycenter_point(n, face), ORIGIN_BARYCENTER)
 
 
 def barycenter_point(n: Lattice, face: Face) -> tuple[int, ...]:

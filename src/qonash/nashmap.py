@@ -3,14 +3,15 @@
 For one branch the relevant faces of the quadrant are assembled from the
 singular-locus faces, any user-supplied extra faces, and the supports of the
 contact monomials with the other branches.  The essential divisors are the
-barycenters of the regular relevant faces together with the surviving minimal
-lattice points of the singular faces; their number equals the number of Nash
-components.  A reduced variety is the disjoint union of its branches'
-relative problems, so counts simply add up.
+barycenters of the regular relevant faces (E) together with the minimal
+lattice points of the singular faces (V, all of S_min); their number equals
+the number of Nash components.  A reduced variety is the disjoint union of
+its branches' relative problems, so counts simply add up.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import conegeom, qobranch
@@ -58,9 +59,12 @@ class BranchReport:
     faces: tuple[Face, ...]
     s_min: tuple[Divisor, ...]
     E: tuple[Divisor, ...]
-    V: tuple[Divisor, ...]
     nash_count: int
     diagnostics: tuple[Diagnostic, ...] = field(default=())
+
+    @property
+    def V(self) -> tuple[Divisor, ...]:
+        return self.s_min  # no S_min point lies above a barycenter (see _split)
 
     @property
     def singular_faces_of_sigma(self) -> tuple[tuple[int, ...], ...]:
@@ -74,7 +78,10 @@ class BranchReport:
 class VarietyReport:
     branches: tuple[BranchReport, ...]
     total_nash: int
-    total_essential: int
+
+    @property
+    def total_essential(self) -> int:
+        return self.total_nash  # one essential divisor per Nash component
 
 
 def contact_faces(m: RatVec) -> list[tuple[int]]:
@@ -134,15 +141,15 @@ def essential_divisors(
 
     E holds the barycenters of the regular relevant faces; V holds the
     minimal singular-face lattice points not strictly dominated by a
-    barycenter.  Their union is the full set of essential divisors relative
-    to B, and equals the image of the Nash components.
+    barycenter: all of S_min.  Their union is the full set of essential
+    divisors relative to B, and equals the image of the Nash components.
     """
-    return _split(n, conegeom.face_table(n), relevant)[1:]
+    return _split(n, conegeom.face_table(n), relevant)
 
 
 def _split(n: Lattice, faces, relevant: RelevantFaces):
-    """S_min, E, V and diagnostics of N given its face table; every dominance
-    test runs on integer points, and each Divisor is built once."""
+    """E, S_min (which is V) and diagnostics of N given its face table; every
+    dominance test runs on integer points, and each Divisor is built once."""
     s_min = [
         conegeom.divisor_on_ray(n, p, ORIGIN_TORIC_MINIMAL)
         for p in conegeom.minimal_singular_points(n, faces)
@@ -160,10 +167,10 @@ def _split(n: Lattice, faces, relevant: RelevantFaces):
     # pairwise scan only runs to word the diagnostics of inconsistent input.
     points = {d.point for d in e_divisors + s_min}
     diagnostics = []
-    if len(conegeom.undominated(points)) < len(points):
+    if len(conegeom.minimal_elements(points)) < len(points):
         diagnostics = lemma_min_diagnostics(e_divisors, s_min)
         assert diagnostics, "essential divisors must form an antichain"
-    return s_min, e_divisors, s_min, diagnostics
+    return e_divisors, s_min, diagnostics
 
 
 def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[int, ...], ...]:
@@ -247,7 +254,7 @@ def _analyze(
             branch=label or None,
         )
 
-    s_min, e_divisors, v_divisors, diagnostics = _split(n, faces, relevant)
+    e_divisors, s_min, diagnostics = _split(n, faces, relevant)
     if not relevant.faces and not sigma_singular:
         diagnostics = diagnostics + [
             Diagnostic(
@@ -263,18 +270,17 @@ def _analyze(
         faces=faces,
         s_min=tuple(s_min),
         E=tuple(e_divisors),
-        V=tuple(v_divisors),
-        nash_count=len(e_divisors) + len(v_divisors),
+        nash_count=len(e_divisors) + len(s_min),
         diagnostics=tuple(diagnostics),
     )
 
 
 def _check_contact_symmetry(branches) -> None:
-    labels = [b.spec.label for b in branches]
-    dupes = {l for l in labels if labels.count(l) > 1}
+    labels = Counter(b.spec.label for b in branches)
+    dupes = [l for l, count in labels.items() if count > 1]
     if dupes:
         raise DomainError("DUPLICATE_LABEL", f"branch labels not unique: {sorted(dupes)}")
-    by_label = {b.spec.label: b for b in branches}
+    pairs = {(b.spec.label, c.partner) for b in branches for c in b.contacts}
     for b in branches:
         seen = set()
         for contact in b.contacts:
@@ -289,7 +295,7 @@ def _check_contact_symmetry(branches) -> None:
                 raise DomainError(
                     "SELF_CONTACT", "a branch cannot meet itself", branch=b.spec.label
                 )
-            if partner not in by_label:
+            if partner not in labels:
                 raise DomainError(
                     "UNKNOWN_BRANCH",
                     f"contact names unknown branch {partner!r}",
@@ -302,7 +308,7 @@ def _check_contact_symmetry(branches) -> None:
                     branch=b.spec.label or None,
                 )
             seen.add(partner)
-            if not any(c.partner == b.spec.label for c in by_label[partner].contacts):
+            if (partner, b.spec.label) not in pairs:
                 raise DomainError(
                     "ASYMMETRIC_CONTACT",
                     f"branch {b.spec.label!r} lists a contact with {partner!r} "
@@ -326,5 +332,4 @@ def analyze_variety(
     prepared = [_prepare(b, max_points) for b in branches]
     _check_contact_symmetry(branches)
     reports = tuple(_analyze(b, *p) for b, p in zip(branches, prepared))
-    total = sum(r.nash_count for r in reports)
-    return VarietyReport(branches=reports, total_nash=total, total_essential=total)
+    return VarietyReport(branches=reports, total_nash=sum(r.nash_count for r in reports))

@@ -377,6 +377,7 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     for module, name in [
         (qobranch, "build_tower"),
         (conegeom, "face_parallelepiped"),
+        (conegeom, "minimal_singular_points"),
         (conegeom, "minimal_elements"),
         (intlat, "face_sections"),
         (intlat, "section"),
@@ -413,7 +414,9 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
         expected["_BoxScanner", n] += 1
     for key, count in expected.items():
         assert calls[key] == count, key
-    assert calls["build_tower"] == calls["minimal_elements"] == len(branches)
+    assert calls["build_tower"] == calls["minimal_singular_points"] == len(branches)
+    # Once for S_min, once for the antichain check on E and S_min.
+    assert calls["minimal_elements"] == 2 * len(branches)
     assert calls["_BoxScanner"] == len(branches)
     for name in ("section", "primitive_on_ray", "snf", "contains", "index"):
         assert calls[name] == 0, name
@@ -447,6 +450,76 @@ def test_asymmetric_contact_exit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 1
     assert "ASYMMETRIC_CONTACT" in err
+
+
+def _sheets(labels, contacts):
+    """A dim-2 document of smooth sheets and (from, to) contacts at (1, 1)."""
+    one = [[1, 1], [1, 1]]
+    return {
+        "schema_version": 1,
+        "dim": 2,
+        "branches": [{"label": label} for label in labels],
+        "contacts": [{"from_label": f, "to_label": t, "exponent": one} for f, t in contacts],
+    }
+
+
+@pytest.mark.parametrize(
+    "labels, contacts, code, line",
+    [
+        # Branch labels are read before any contact.
+        (
+            ["a", "b", "a", "b"],
+            [("ghost", "a")],
+            2,
+            "schema: $.branches[2].label: duplicate label 'a'",
+        ),
+        (
+            ["a", "b"],
+            [("a", "b"), ("ghost", "c"), ("b", "ghost")],
+            2,
+            "schema: $.contacts[1].from_label: unknown branch 'ghost'",
+        ),
+        (["a"], [("a", "ghost")], 2, "schema: $.contacts[0].to_label: unknown branch 'ghost'"),
+        # Then the first faulty contact of the first branch that has one.
+        (
+            ["a", "b"],
+            [("b", "a"), ("a", "a"), ("a", "b")],
+            1,
+            "[SELF_CONTACT] branch 'a': a branch cannot meet itself",
+        ),
+        (
+            ["a", "b"],
+            [("a", "b"), ("b", "b")],
+            1,
+            "[ASYMMETRIC_CONTACT] branch 'a' lists a contact with 'b' but not conversely",
+        ),
+        (
+            ["a", "b"],
+            [("a", "b"), ("b", "a"), ("a", "b")],
+            1,
+            "[DUPLICATE_CONTACT] branch 'a': more than one contact listed for branch 'b'",
+        ),
+    ],
+)
+def test_error_precedence(tmp_path, capsys, labels, contacts, code, line):
+    path = _write(tmp_path, _sheets(labels, contacts))
+    assert run_cli(capsys, "analyze", path) == (code, "", f"qonash: error: {line}\n")
+
+
+def test_closed_stdout_exits_cleanly():
+    # Standard output is a pipe whose reader has already gone.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qonash", "analyze", str(CORPUS / "whitney.json"),
+             "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, env=_src_env(),
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == b"qonash: error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

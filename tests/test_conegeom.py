@@ -29,7 +29,6 @@ from qonash.conegeom import (
     face_parallelepiped,
     face_table,
     minimal_singular_points,
-    undominated,
 )
 from qonash.intlat import face_sections, section
 from qonash.oracle import _axis_reach, _BoxScanner
@@ -156,6 +155,42 @@ class TestParallelepipedPoints:
             parallelepiped_points(Z2, ())
 
 
+class TestFaceRefusals:
+    """The exact code and message of each refusal of the single-face entry
+    points; every face is validated once, by face_data."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("fn", [face_data, parallelepiped_points, barycenter])
+    def test_indices_out_of_range(self, fn, d):
+        for bad in [(0,), (d + 1,), (1, d + 1)]:
+            with pytest.raises(DomainError) as err:
+                fn(standard_lattice(d), bad)
+            assert err.value.code == "BAD_FACE"
+            assert err.value.message == f"face indices {bad} not within 1..{d}"
+
+    @pytest.mark.parametrize(
+        "fn, what", [(parallelepiped_points, "parallelepiped"), (barycenter, "barycenter")]
+    )
+    def test_zero_face(self, fn, what):
+        with pytest.raises(DomainError) as err:
+            fn(N_EVEN, ())
+        assert err.value.code == "BAD_FACE"
+        assert err.value.message == f"the zero face has no {what}"
+
+    def test_zero_face_data(self):
+        # The zero face is a face of the quadrant: no edges, index 1.
+        face = face_data(N_EVEN, ())
+        assert (face.indices, face.primgens, face.reach, face.index) == ((), (), (), 1)
+
+    def test_barycenter_of_singular_face(self):
+        with pytest.raises(DomainError) as err:
+            barycenter(N_EVEN, (2, 1, 2))
+        assert err.value.code == "SINGULAR_FACE"
+        assert err.value.message == (
+            "face (1, 2) is singular; barycenters live on regular faces"
+        )
+
+
 class TestMinimalElements:
     def test_chain(self):
         assert minimal_elements({vec(1, 1), vec(2, 2)}) == [vec(1, 1)]
@@ -234,7 +269,7 @@ class TestUndominatedMemory:
         pts = [(i, n - i) for i in range(n)]
         tracemalloc.start()
         try:
-            kept = undominated(pts)
+            kept = minimal_elements(pts)
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

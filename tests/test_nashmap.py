@@ -270,6 +270,91 @@ class TestAnalyzeVariety:
         assert err.value.code == "ASYMMETRIC_CONTACT"
 
 
+def sheets(**partners):
+    """Smooth plane sheets, one per keyword, each with contacts (1, 1) to the
+    listed partner labels (None for an unlabelled contact), in order."""
+    return [
+        BranchInput(
+            spec=BranchSpec(2, (), label),
+            contacts=tuple(Contact(vec(1, 1), p) for p in targets),
+        )
+        for label, targets in partners.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "branches, error",
+    [
+        # Duplicate labels precede every contact fault, wherever they lie.
+        (
+            sheets(a=["ghost"], b=[]) + sheets(b=[], c=["c"]) + sheets(a=[]),
+            "[DUPLICATE_LABEL] branch labels not unique: ['a', 'b']",
+        ),
+        # Otherwise the first faulty contact in input order wins ...
+        (sheets(a=["a", "b"], b=[]), "[SELF_CONTACT] branch 'a': a branch cannot meet itself"),
+        (
+            sheets(a=["b"], b=["b"]),
+            "[ASYMMETRIC_CONTACT] branch 'a' lists a contact with 'b' but not conversely",
+        ),
+        (
+            sheets(a=[None, "a"]),
+            "[ASYMMETRIC_CONTACT] branch 'a': contact without a partner label "
+            "cannot be matched",
+        ),
+        (
+            sheets(a=["b", "b", "ghost"], b=["a"]),
+            "[DUPLICATE_CONTACT] branch 'a': more than one contact listed for branch 'b'",
+        ),
+        (
+            sheets(a=["ghost", "b", "b"], b=["a"]),
+            "[UNKNOWN_BRANCH] branch 'a': contact names unknown branch 'ghost'",
+        ),
+        # ... and within one contact the one-way test comes last, yet before
+        # the next contact's duplicate.
+        (
+            sheets(a=["b", "b"], b=[]),
+            "[ASYMMETRIC_CONTACT] branch 'a' lists a contact with 'b' but not conversely",
+        ),
+        (
+            sheets(a=["b"], b=["a", "a", "c"], c=[]),
+            "[DUPLICATE_CONTACT] branch 'b': more than one contact listed for branch 'a'",
+        ),
+    ],
+)
+def test_contact_error_precedence(branches, error):
+    with pytest.raises(DomainError) as err:
+        analyze_variety(branches)
+    assert str(err.value) == error
+
+
+class CountedContacts(tuple):
+    """A contact tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_contact_check_is_linear():
+    # A complete contact graph: each branch meets every other once.  The
+    # check may read each branch's contacts a bounded number of times, not
+    # once more per contact that names it.
+    labels = [f"b{i}" for i in range(40)]
+    branches = [
+        BranchInput(
+            spec=BranchSpec(2, (), label),
+            contacts=CountedContacts(
+                Contact(vec(1, 1), other) for other in labels if other != label
+            ),
+        )
+        for label in labels
+    ]
+    nashmap._check_contact_symmetry(branches)
+    assert max(b.contacts.iterations for b in branches) <= 2
+
+
 def random_relevant(rng, dim):
     pool = [
         tuple(sorted(rng.sample(range(1, dim + 1), rng.randint(1, dim))))
@@ -553,7 +638,7 @@ def test_split_builds_no_ratvec(monkeypatch):
     monkeypatch.setattr(RatVec, "__init__", counted)
     points = 0
     for n, faces, cross in cases:
-        s_min, e_divisors, _, diagnostics = nashmap._split(n, faces, cross)
+        e_divisors, s_min, diagnostics = nashmap._split(n, faces, cross)
         assert diagnostics == [] and len(e_divisors) == n.dim
         points += len(s_min)
     assert built == 0 and points > 0
