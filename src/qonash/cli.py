@@ -11,6 +11,7 @@ are guaranteed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -428,6 +429,8 @@ def run(argv=None) -> int:
     else:
         text = render_text(result, dim)
     try:
+        if sys.stdout is None:  # fd 1 was closed before Python started
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
@@ -439,7 +442,8 @@ def run(argv=None) -> int:
 def main() -> None:
     status = run()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:  # bytes a failed write left for the flush at exit
         # Point fd 1 at devnull, as the `signal` docs advise for SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -8,10 +8,14 @@ One test per criterion, each printing a single pass/fail line (run with
   3. quantified invariant suite (200+ random cases per invariant)
   4. smooth degenerate case
   5. byte-identical CLI reruns over the whole corpus
+
+Beside criterion 1, the oracle's second tier checks larger towers (d = 3..5,
+degree 201..1 000) against the same brute force, sized to its scan cap.
 """
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -41,8 +45,9 @@ from qonash import (
     monomial_valuation,
     primitive_on_ray,
 )
+from qonash.conegeom import face_table
 from qonash.nashmap import componentize, lemma_min_diagnostics
-from qonash.oracle import brute_face_index, brute_minimal_S
+from qonash.oracle import brute_branch, brute_face_index, brute_minimal_S
 from towers import random_branch, random_branches
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -93,6 +98,41 @@ def test_criterion_1_oracle_equivalence():
     assert seen_dims == {2, 3, 4}
     assert elapsed < 120, f"runtime target exceeded: {elapsed:.1f}s"
     _passed(f"1 oracle-equivalence ({len(branches)} towers, {elapsed:.1f}s)")
+
+
+def _second_tier_tower(rng, d):
+    """A random tower of degree 201..1 000 whose oracle box and candidate
+    count stay small: exponent denominators at most 30, reach box at most
+    10^6 cells, sum of the singular faces' indices at most 10^5."""
+    while True:
+        exps, prev = [], [F(0)] * d
+        for _ in range(rng.randint(1, 3)):
+            q = rng.randint(2, 30)  # on the 1/q grid, at or above the last exponent
+            prev = [F(-(-x.numerator * q // x.denominator) + rng.randint(0, q), q) for x in prev]
+            exps.append(RatVec(prev))
+        try:
+            lattices = build_tower(BranchSpec(dim=d, char_exponents=tuple(exps)))
+        except DomainError:
+            continue
+        faces = face_table(lattices.N)
+        reach = [face.reach[0] for face in faces[:d]]
+        if (
+            201 <= lattices.degree_n <= 1000
+            and math.prod(c + 1 for c in reach) <= 10**6
+            and sum(face.index for face in faces if not face.regular) <= 10**5
+        ):
+            return exps, lattices.N, max(reach)
+
+
+def test_oracle_second_tier():
+    """S_min and the singular faces equal brute force on larger towers."""
+    rng = random.Random(20261018)
+    for d in (3, 4, 5):
+        for _ in range(15):
+            exps, n, bound = _second_tier_tower(rng, d)
+            main = [div.point for div in minimal_toric_divisors(n)]
+            singular = {face.indices for face in face_table(n) if not face.regular}
+            assert brute_branch(n, bound) == (main, singular), exps
 
 
 def _branch_from_corpus(case, label):

@@ -522,6 +522,19 @@ def test_closed_stdout_exits_cleanly():
     assert done.stderr == b"qonash: error: cannot write output: [Errno 32] Broken pipe\n"
 
 
+def test_stdout_closed_before_start():
+    # With fd 1 closed (`>&-` in a shell) Python sets sys.stdout to None.
+    done = subprocess.run(
+        [sys.executable, "-m", "qonash", "analyze", str(CORPUS / "whitney.json"),
+         "--format", "json"],
+        stderr=subprocess.PIPE, env=_src_env(), preexec_fn=lambda: os.close(1),
+    )
+    assert done.returncode == 2
+    assert done.stderr == (
+        b"qonash: error: cannot write output: [Errno 9] standard output is closed\n"
+    )
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     doc = json.loads((CORPUS / "whitney.json").read_text())
     doc["typo_field"] = True

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from qonash.conegeom import (
     minimal_singular_points,
 )
 from qonash.intlat import face_sections, section
-from qonash.oracle import _axis_reach, _BoxScanner
+from qonash.oracle import _BoxScanner, _support
 from towers import random_branches
 
 
@@ -441,15 +442,20 @@ class TestMinimalDivisorsOnTowers:
     ).N
 
     def test_enumeration_matches_box_scan(self):
-        # Every face, regular ones included, against the oracle's own scan
-        # of the box prod [1, c_j] on the face's columns.
+        # Every face, regular ones included, against the oracle's own scan:
+        # the members of its reach box prod [0, c_j] with support F are the
+        # points of the box prod [1, c_j] on the columns of face F.
         for n in [lattices_.N for _, lattices_ in self.BRANCHES] + [self.D6]:
-            scanner = _BoxScanner(n)
-            reach = _axis_reach(scanner, scanner.det)
+            by_support = {}
+            for offset, mask in _BoxScanner(n).grid():
+                points = np.argwhere(mask)
+                points[:, 0] += offset
+                supports = _support(offset, mask.shape)[mask].tolist()
+                for s, p in zip(supports, points.tolist()):
+                    by_support.setdefault(s, []).append(tuple(p))
             for face in face_table(n):
                 idx = face.indices
-                cols = [i - 1 for i in idx]
-                box = sorted(scanner.scan([1] * len(idx), [reach[c] for c in cols], cols))
+                box = sorted(by_support[sum(1 << (i - 1) for i in idx)])
                 pts = parallelepiped_points(n, idx)
                 assert pts == box, (n, idx)
                 assert len(pts) == face_data(n, idx).index

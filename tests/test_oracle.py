@@ -4,7 +4,6 @@ import tracemalloc
 from fractions import Fraction as F
 from operator import le
 
-import numpy as np
 import pytest
 
 from qonash import (
@@ -170,9 +169,9 @@ def test_matches_per_point_reference(n):
     [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)],
 )
 def test_small_slabs_match_per_point_reference(n, monkeypatch):
-    # 128 cells a slab: on 18 of these lattices the box [0, bound]^d, and on
-    # 11 the face-count box [0, reach]^d, span several slabs, so the
-    # prefix OR is carried from one slab to the next.
+    # 128 cells a slab: on 11 of these 42 lattices the reach box
+    # prod [0, c_k] spans several slabs, so the prefix OR is carried from
+    # one slab to the next.
     monkeypatch.setattr(oracle, "_CHUNK", 128)
     bound, s_min, singular = _reference_branch(n)
     assert brute_branch(n, bound) == (s_min, singular)
@@ -227,47 +226,53 @@ def test_bound_far_beyond_reach():
     assert brute_branch(N_MOD4, 10**9) == brute_branch(N_MOD4, 4)
 
 
-def _first_hits(scanner, tops):
-    """The least member of [1, tops[k]] on each axis k, by scanning."""
-    return [
-        next((x[k] for x in scanner.scan([1], [top], [k])), None)
-        for k, top in enumerate(tops)
-    ]
-
-
 def test_axis_reach_matches_axis_scan():
     rng = random.Random(13)
     for d in range(1, 7):
         for _ in range(20):
-            # A lower-triangular basis plus one more generator, entries small
-            # enough that each axis scan up to det stays under the cap.
+            # A lower-triangular basis plus one more generator; each axis
+            # reach divides det, so the search up to det always ends.
             rows = [
                 [rng.randint(0, 4) for _ in range(i)] + [rng.randint(1, 4)] + [0] * (d - i - 1)
                 for i in range(d)
             ]
             rows.append([rng.randint(-4, 4) for _ in range(d)])
-            scanner = _BoxScanner(lat(*rows))
-            assert scanner.dtype is np.int64
-            reach = oracle._axis_reach(scanner, scanner.det)
-            assert reach == _first_hits(scanner, [scanner.det] * d), rows
-    # det = 2**32 needs Python ints, and the axis box [1, det] is over the
-    # cap; the first hit of [1, c_k] being c_k pins c_k all the same.
-    scanner = _BoxScanner(lat((2**16, 0), (0, 2**16)))
-    assert scanner.dtype is object
-    reach = oracle._axis_reach(scanner, scanner.det)
-    assert reach == [2**16, 2**16] == _first_hits(scanner, reach)
+            n = lat(*rows)
+            scanner = _BoxScanner(n)
+            first = []  # the least t > 0 with t * e_k in N, point by point
+            for k in range(d):
+                t = 1
+                while not _member(n.scaled_basis, [t * (i == k) for i in range(d)]):
+                    t += 1
+                first.append(t)
+            assert scanner.reach == first, rows
+    # det = 2**32: the reach is read off the adjugate in Python ints, though
+    # the box is far over the cap and no int64 residue is ever formed.
+    assert _BoxScanner(lat((2**16, 0), (0, 2**16))).reach == [2**16, 2**16]
 
 
-def test_object_dtype_mask():
-    # adj = diag(2**62, 1): products of box points with it overflow int64,
-    # so the mask multiplies Python ints in an object array.
-    scanner = _BoxScanner(lat((1, 0), (0, 2**62)))
-    assert max(map(max, scanner.adj)) == 2**62
-    expected = [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert list(scanner.scan([0, 0], [3, 3], [0, 1])) == expected
-    blocks = list(scanner.blocks([0, 0], [3, 3], [0, 1]))
-    assert all(block.dtype == np.int64 for block in blocks)
-    assert [tuple(row) for block in blocks for row in block.tolist()] == expected
+def test_huge_det_refused():
+    # det = 2**62: the reach box [0, 1] x [0, 2**62] is refused by its cell
+    # count before any residue or box-sized array is built.
+    n = lat((1, 0), (0, 2**62))
+    assert _BoxScanner(n).reach == [1, 2**62]
+    message = f"box of {2 * (2**62 + 1)} points exceeds the oracle cap"
+    for call in (lambda: brute_branch(n, 2**62), lambda: brute_face_index(n, (1,))):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "LIMIT_EXCEEDED"
+        assert err.value.message == message
+
+
+def test_one_scan_per_branch(monkeypatch):
+    # Singular faces and minimal points come from the same pass over the grid.
+    scans = []
+    real = _BoxScanner.grid
+    monkeypatch.setattr(_BoxScanner, "grid", lambda self: scans.append(self) or real(self))
+    for n in (N_MOD4, TOWERS.D6, standard_lattice(3)):
+        scans.clear()
+        brute_branch(n, max(_BoxScanner(n).reach))
+        assert len(scans) == 1
 
 
 def test_oracle_shares_no_membership_code(monkeypatch):
