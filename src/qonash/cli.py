@@ -381,6 +381,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr(line: str) -> None:
+    """Write one line to stderr; a closed or failing stderr writes nothing
+    and costs neither the report nor the exit status."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -392,14 +402,14 @@ def run(argv=None) -> int:
                 raw = handle.read()
         text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"qonash: error: cannot read input: {exc}", file=sys.stderr)
+        _stderr(f"qonash: error: cannot read input: {exc}")
         return 2
 
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers integer literals over Python's digit limit.
-        print(f"qonash: error: invalid JSON: {exc}", file=sys.stderr)
+        _stderr(f"qonash: error: invalid JSON: {exc}")
         return 2
 
     try:
@@ -412,18 +422,15 @@ def run(argv=None) -> int:
         if args.oracle_check:
             _oracle_check(result)
     except SchemaError as exc:
-        print(f"qonash: error: schema: {exc}", file=sys.stderr)
+        _stderr(f"qonash: error: schema: {exc}")
         return 2
     except DomainError as exc:
-        print(f"qonash: error: {exc}", file=sys.stderr)
+        _stderr(f"qonash: error: {exc}")
         return 1
 
     for report in result.branches:
         for diag in report.diagnostics:
-            print(
-                f"qonash: branch {report.label!r}: [{diag.code}] {diag.message}",
-                file=sys.stderr,
-            )
+            _stderr(f"qonash: branch {report.label!r}: [{diag.code}] {diag.message}")
     if args.fmt == "json":
         text = render_json(report_to_dict(result, dim))
     else:
@@ -434,7 +441,7 @@ def run(argv=None) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"qonash: error: cannot write output: {exc}", file=sys.stderr)
+        _stderr(f"qonash: error: cannot write output: {exc}")
         return 2
     return 0
 

@@ -210,66 +210,25 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
 
 
 def snf(mat) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
+
+    Row Hermite forms of the matrix and then of each form's transpose reach
+    a diagonal (Kannan & Bachem, SIAM J. Comput. 8, 1979): the last pivot is
+    the gcd of the last column, so it never grows, and once it stops
+    shrinking it divides its row and the next form splits it off.  Pairs of
+    diagonal entries then become their gcd and lcm.
+    """
     a = _int_rows(mat)
-    m, n = len(a), len(a[0])
-    if all(x == 0 for row in a for x in row):
+    if not any(map(any, a)):
         raise DomainError("ZERO_MATRIX", "Smith form of the zero matrix is undefined")
-
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        entries = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if a[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-
-        # Clear row and column t; each pass shrinks the pivot or finishes.
-        while True:
-            for i in range(t + 1, m):
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            col_left = [i for i in range(t + 1, m) if a[i][t] != 0]
-            if col_left:
-                i = min(col_left, key=lambda i: abs(a[i][t]))
-                a[t], a[i] = a[i], a[t]
-                continue
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-            row_left = [j for j in range(t + 1, n) if a[t][j] != 0]
-            if row_left:
-                j = min(row_left, key=lambda j: abs(a[t][j]))
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                continue
-            break
-
-        pivot = abs(a[t][t])
-        bad = [
-            (i, j)
-            for i in range(t + 1, m)
-            for j in range(t + 1, n)
-            if a[i][j] % pivot != 0
-        ]
-        if bad:
-            i, _ = bad[0]
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
-            continue
-        factors.append(pivot)
-        t += 1
-    return tuple(factors)
+    h = _hnf_core(a)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = _hnf_core([list(col) for col in zip(*h)])
+    d = [row[i] for i, row in enumerate(h)]
+    for i, j in combinations(range(len(d)), 2):
+        g = gcd(d[i], d[j])
+        d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 class Lattice:

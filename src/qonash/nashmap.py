@@ -150,15 +150,20 @@ def essential_divisors(
 def _split(n: Lattice, faces, relevant: RelevantFaces):
     """E, S_min (which is V) and diagnostics of N given its face table; every
     dominance test runs on integer points, and each Divisor is built once."""
+    # Every point is primitive in N.  Were p in S_min equal to q*p' with p'
+    # in N and q >= 2, p' would lie in the same singular face strictly below
+    # p.  A barycenter sum_F c_i e_i has coefficients (1, ..., 1) in the
+    # basis c_i e_i of N on span F (F regular), a saturated sublattice of N.
     s_min = [
-        conegeom.divisor_on_ray(n, p, ORIGIN_TORIC_MINIMAL)
+        Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL)
         for p in conegeom.minimal_singular_points(n, faces)
     ]
-    e_divisors = sorted(
-        conegeom.divisor_on_ray(n, conegeom.barycenter_point(n, f), ORIGIN_BARYCENTER)
+    barycenters = sorted(
+        conegeom.barycenter_point(n, f)
         for f in faces
         if f.regular and f.indices in relevant.faces
     )
+    e_divisors = [Divisor(p, p, 1, ORIGIN_BARYCENTER) for p in barycenters]
     # V is all of S_min: were p in S_min on a singular G strictly above the
     # barycenter b of a regular F, then F < G, p_i = c_i on F, and p - b in
     # the interior of G - F forces G - F regular and p the corner sum_G c_i

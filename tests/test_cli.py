@@ -379,6 +379,7 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
         (conegeom, "face_parallelepiped"),
         (conegeom, "minimal_singular_points"),
         (conegeom, "minimal_elements"),
+        (conegeom, "divisor_on_ray"),
         (intlat, "face_sections"),
         (intlat, "section"),
         (intlat, "primitive_on_ray"),
@@ -418,7 +419,8 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     # Once for S_min, once for the antichain check on E and S_min.
     assert calls["minimal_elements"] == 2 * len(branches)
     assert calls["_BoxScanner"] == len(branches)
-    for name in ("section", "primitive_on_ray", "snf", "contains", "index"):
+    # Every reported divisor is primitive by construction: none is solved for.
+    for name in ("section", "primitive_on_ray", "snf", "contains", "index", "divisor_on_ray"):
         assert calls[name] == 0, name
 
 
@@ -533,6 +535,33 @@ def test_stdout_closed_before_start():
     assert done.stderr == (
         b"qonash: error: cannot write output: [Errno 9] standard output is closed\n"
     )
+
+
+# Before start, fd 2 closed (Python sets sys.stderr to None, and print would
+# fall back to stdout) or open read-only (each write fails with EBADF).
+LOST_STDERR = {
+    "closed": lambda: os.close(2),
+    "read-only": lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2),
+}
+
+
+@pytest.mark.parametrize("lost", LOST_STDERR)
+def test_lost_stderr_keeps_report_and_status(lost):
+    def analyze(*argv, stdin=None):
+        return subprocess.run(
+            [sys.executable, "-m", "qonash", "analyze", *argv],
+            input=stdin, stdout=subprocess.PIPE, env=_src_env(),
+            preexec_fn=LOST_STDERR[lost],
+        )
+
+    # The smooth branch's EMPTY_B note goes to stderr; losing it costs nothing.
+    done = analyze(str(CORPUS / "smooth.json"), "--format", "json")
+    assert done.returncode == 0
+    assert done.stdout == (CORPUS / "golden" / "smooth.report.json").read_bytes()
+    done = analyze(str(CORPUS / "missing.json"))
+    assert (done.returncode, done.stdout) == (2, b"")
+    done = analyze("-", stdin=b'{"dim": 0}')
+    assert (done.returncode, done.stdout) == (2, b"")
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

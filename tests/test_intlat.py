@@ -390,6 +390,28 @@ def test_hnf_and_kernel_match_sympy():
         assert hnf(rows) == [tuple(int(x) for x in expected.row(i)) for i in range(d)]
 
 
+def test_snf_matches_sympy():
+    # Non-square and rank-deficient matrices against sympy's invariant
+    # factors, which share no code with the alternating Hermite forms.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(9090)
+    deficient = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.choice((0, rng.randint(-60, 60))) for _ in range(n)] for _ in range(m)]
+        if m > 2 and rng.random() < 0.3:
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        if not any(map(any, rows)):
+            continue
+        rank = sympy.Matrix(rows).rank()
+        deficient += rank < min(m, n)
+        expected = [abs(int(f)) for f in invariant_factors(sympy.Matrix(rows)) if f]
+        assert snf(rows) == tuple(expected), rows
+    assert deficient > 30
+
+
 class TestRatVec:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):

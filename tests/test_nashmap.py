@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -449,6 +450,36 @@ class TestRandomizedInvariants:
                 ]
                 assert v == expected
         assert fired > 0
+
+    def test_divisors_are_primitive(self):
+        # E and S_min are built as primitive points without solving for
+        # their coefficients; divisor_on_ray, which does, must agree.  The
+        # criterion-1 towers, then random towers in d = 2..8, take turns
+        # between a componentized random face list and the uncomponentized
+        # list of every face, which puts every regular face's barycenter in E.
+        rng = random.Random(35)
+        towers = random_branches(520, seed=20250810, dims=(2, 3, 4))
+        for d in range(2, 9):
+            towers += random_branches(6, seed=350 + d, dims=(d,), max_index=12)
+        checked = Counter()
+        for t, (_, lattices_) in enumerate(towers):
+            n = lattices_.N
+            d = n.dim
+            if t % 2:
+                relevant = RelevantFaces(
+                    faces=tuple(f.indices for f in conegeom.face_table(n))
+                )
+            else:
+                relevant = componentize(
+                    tuple(sorted(rng.sample(range(1, d + 1), rng.randint(1, d))))
+                    for _ in range(rng.randint(0, 4))
+                )
+            e, v, _ = essential_divisors(n, relevant)
+            for div in e + v:
+                assert div == conegeom.divisor_on_ray(n, div.point, div.origin)
+                checked[div.origin, d] += 1
+        for d in range(2, 9):
+            assert checked["barycenter", d] and checked["toric-minimal", d], d
 
     def test_determinism(self):
         branches = [
