@@ -77,6 +77,11 @@ def _parse_faces(value, path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _known_keys(raw: dict, known: set[str], path: str) -> None:
+    for key in raw:
+        _expect(key in known, f"{path}.{key}", "unknown key")
+
+
 def parse_variety(doc) -> tuple[int, list[BranchInput]]:
     """Validate a parsed JSON document and build the branch inputs."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
@@ -86,9 +91,7 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
         "$.schema_version",
         f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}",
     )
-    known = {"schema_version", "dim", "branches", "contacts"}
-    for key in doc:
-        _expect(key in known, f"$.{key}", "unknown key")
+    _known_keys(doc, {"schema_version", "dim", "branches", "contacts"}, "$")
     dim = doc.get("dim")
     _expect(
         _is_int(dim) and 1 <= dim <= MAX_DIM,
@@ -102,12 +105,7 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
     for b, raw in enumerate(raw_branches):
         path = f"$.branches[{b}]"
         _expect(isinstance(raw, dict), path, "expected an object")
-        for key in raw:
-            _expect(
-                key in {"label", "char_exponents", "sing_faces", "extra_faces"},
-                f"{path}.{key}",
-                "unknown key",
-            )
+        _known_keys(raw, {"label", "char_exponents", "sing_faces", "extra_faces"}, path)
         label = raw.get("label")
         _expect(
             isinstance(label, str) and label != "", f"{path}.label", "nonempty string required"
@@ -131,12 +129,7 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
     for c, raw in enumerate(contacts_raw):
         path = f"$.contacts[{c}]"
         _expect(isinstance(raw, dict), path, "expected an object")
-        for key in raw:
-            _expect(
-                key in {"from_label", "to_label", "exponent"},
-                f"{path}.{key}",
-                "unknown key",
-            )
+        _known_keys(raw, {"from_label", "to_label", "exponent"}, path)
         frm, to = raw.get("from_label"), raw.get("to_label")
         _expect(isinstance(frm, str), f"{path}.from_label", "string required")
         _expect(isinstance(to, str), f"{path}.to_label", "string required")

@@ -139,11 +139,8 @@ def face_parallelepiped(n: Lattice, face: Face) -> list:
     coefficient has exactly c_i/p choices (p its pivot at i), so no choice
     is wasted on a non-point, and the face yields exactly its index of points.
     """
-    rows = list(zip(face.indices, face.reach, face.section))
-    i, c, row = rows.pop()
-    # From the origin the last row's coefficient runs over 1..c/p.
-    points = [tuple(map(y.__mul__, row)) for y in range(1, c // row[i - 1] + 1)]
-    for i, c, row in reversed(rows):
+    points = [(0,) * n.dim]
+    for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
         p, k = row[i - 1], c // row[i - 1]
         # x + y*row has its coordinate i in (0, c] for the k coefficients y
         # from -((x_i - 1) // p) on; each multiple y*row is built once.

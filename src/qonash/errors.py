@@ -22,9 +22,10 @@ class DomainError(ValueError):
     def __init__(self, code: str, message: str, *, branch: str | None = None):
         self.code = code
         self.message = message
-        self.branch = branch
+        # An unlabelled branch (label "") gets no branch prefix.
+        self.branch = branch or None
         prefix = f"[{code}]"
-        if branch is not None:
+        if self.branch is not None:
             prefix += f" branch {branch!r}:"
         super().__init__(f"{prefix} {message}")
 

@@ -10,6 +10,7 @@ solver: it decides membership and reads the adjugate that gives the dual.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -28,13 +29,14 @@ def _as_fraction(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class RatVec:
     """Immutable vector of exact rationals in ambient d-space."""
 
-    __slots__ = ("coords",)
+    coords: tuple[Fraction, ...]
 
-    def __init__(self, coords):
-        self.coords = tuple(_as_fraction(c) for c in coords)
+    def __post_init__(self):
+        self.coords = tuple(map(_as_fraction, self.coords))
         if not 1 <= len(self.coords) <= MAX_DIM:
             raise DomainError(
                 "DIMENSION_MISMATCH",
@@ -64,12 +66,6 @@ class RatVec:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatVec) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
 
     def __lt__(self, other: "RatVec") -> bool:
         return self.coords < other.coords
@@ -231,6 +227,7 @@ def snf(mat) -> tuple[int, ...]:
     return tuple(d)
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class Lattice:
     """Full-rank rational lattice in d-space, canonically represented.
 
@@ -241,12 +238,9 @@ class Lattice:
     operations below.
     """
 
-    __slots__ = ("dim", "denom", "scaled_basis")
-
-    def __init__(self, dim: int, denom: int, scaled_basis: tuple[tuple[int, ...], ...]):
-        self.dim = dim
-        self.denom = denom
-        self.scaled_basis = scaled_basis
+    dim: int
+    denom: int
+    scaled_basis: tuple[tuple[int, ...], ...]
 
     @property
     def basis(self) -> tuple[RatVec, ...]:
@@ -283,17 +277,6 @@ class Lattice:
             if r:
                 return None
         return tuple(y)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.dim == other.dim
-            and self.denom == other.denom
-            and self.scaled_basis == other.scaled_basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.denom, self.scaled_basis))
 
     def __repr__(self) -> str:
         rows = ", ".join(str(v) for v in self.basis)

@@ -184,14 +184,14 @@ def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[i
         idx = tuple(sorted(set(raw)))
         if not idx or any(not isinstance(i, int) or not 1 <= i <= dim for i in idx):
             raise DomainError(
-                "BAD_FACE", f"{kind} face {tuple(raw)} not within 1..{dim}", branch=label or None
+                "BAD_FACE", f"{kind} face {tuple(raw)} not within 1..{dim}", branch=label
             )
         if kind == "singular-locus" and len(idx) > 2 and len(idx) != dim:
             raise DomainError(
                 "BAD_FACE",
                 f"singular-locus face {idx} must have one or two indices "
                 f"(or all {dim} for a point singularity)",
-                branch=label or None,
+                branch=label,
             )
         out.append(idx)
     return tuple(out)
@@ -242,12 +242,12 @@ def _analyze(
                 "DIMENSION_MISMATCH",
                 f"contact exponent {contact.exponent} has dimension "
                 f"{contact.exponent.dim}, expected {d}",
-                branch=label or None,
+                branch=label,
             )
         try:
             raw.extend(contact_faces(contact.exponent))
         except DomainError as exc:
-            raise DomainError(exc.code, exc.message, branch=label or None) from None
+            raise DomainError(exc.code, exc.message, branch=label) from None
     relevant = componentize(raw)
 
     sigma_singular = any(not f.regular for f in faces)
@@ -256,7 +256,7 @@ def _analyze(
             "B_MISSING_SING",
             "the normalization is singular but no singular-locus faces were "
             "supplied; B must contain the singular locus",
-            branch=label or None,
+            branch=label,
         )
 
     e_divisors, s_min, diagnostics = _split(n, faces, relevant)
@@ -294,7 +294,7 @@ def _check_contact_symmetry(branches) -> None:
                 raise DomainError(
                     "ASYMMETRIC_CONTACT",
                     "contact without a partner label cannot be matched",
-                    branch=b.spec.label or None,
+                    branch=b.spec.label,
                 )
             if partner == b.spec.label:
                 raise DomainError(
@@ -304,13 +304,13 @@ def _check_contact_symmetry(branches) -> None:
                 raise DomainError(
                     "UNKNOWN_BRANCH",
                     f"contact names unknown branch {partner!r}",
-                    branch=b.spec.label or None,
+                    branch=b.spec.label,
                 )
             if partner in seen:
                 raise DomainError(
                     "DUPLICATE_CONTACT",
                     f"more than one contact listed for branch {partner!r}",
-                    branch=b.spec.label or None,
+                    branch=b.spec.label,
                 )
             seen.add(partner)
             if (partner, b.spec.label) not in pairs:

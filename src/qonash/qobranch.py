@@ -54,13 +54,13 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
             raise DomainError(
                 "DIMENSION_MISMATCH",
                 f"exponent {j} has dimension {lam.dim}, expected {d}",
-                branch=spec.label or None,
+                branch=spec.label,
             )
         if not lam.is_nonnegative():
             raise DomainError(
                 "NEGATIVE_EXPONENT",
                 f"exponent {j} = {lam} has a negative coordinate",
-                branch=spec.label or None,
+                branch=spec.label,
             )
     for j in range(len(exps) - 1):
         if not all(map(le, exps[j], exps[j + 1])):
@@ -68,7 +68,7 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
                 "CHAIN_ORDER",
                 f"exponents {j + 1} and {j + 2} are not componentwise ordered: "
                 f"{exps[j]} vs {exps[j + 1]}",
-                branch=spec.label or None,
+                branch=spec.label,
             )
 
     tower = [intlat.standard_lattice(d)]
@@ -87,7 +87,7 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
                 "NOT_CHARACTERISTIC",
                 f"exponent {j} = {lam} already lies in the lattice generated "
                 f"by the earlier ones",
-                branch=spec.label or None,
+                branch=spec.label,
             )
         # [nxt : prev] is the covolume ratio det prev / det nxt, with
         # det = (product of the scaled pivots) / denom^d.

@@ -425,3 +425,24 @@ class TestRatVec:
         v = vec(0, F(3, 2), 0)
         assert v.support() == (2,)
         assert vec(1, 1) < vec(1, 2)
+
+    def test_value_semantics(self):
+        a, b = RatVec([1, F(1, 2)]), RatVec([F(2, 2), F(1, 2)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert RatVec([1, 2]) != (1, 2)
+
+    def test_sorted_is_lexicographic(self):
+        vs = [vec(1, 2), vec(0, 5), vec(1, F(1, 2)), vec(0, 3)]
+        assert sorted(vs) == [vec(0, 3), vec(0, 5), vec(1, F(1, 2)), vec(1, 2)]
+
+
+class TestLatticeValue:
+    def test_equal_however_built(self):
+        summed = lattice_sum(lat((1, 0), (0, F(1, 2))), lat((1, 0), (0, 1), (F(1, 4), F(1, 4))))
+        built = lat((1, 0), (0, 1), (F(1, 4), F(1, 4)), (0, F(1, 2)))
+        assert summed == built and hash(summed) == hash(built) and len({summed, built}) == 1
+
+    def test_denom_distinguishes(self):
+        half = lat((F(1, 2), 0), (0, F(1, 2)))
+        assert half.scaled_basis == Z2.scaled_basis and half.denom == 2
+        assert half != Z2

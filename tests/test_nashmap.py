@@ -565,6 +565,19 @@ class TestCandidateBudget:
                 "LIMIT_EXCEEDED", f"{points} candidate points above --max-index {points - 1}"
             )
 
+    def test_unlabelled_branch_named_nowhere(self):
+        # A library BranchSpec has label "" by default; its errors carry no
+        # branch prefix, whichever check raises them.
+        half = BranchSpec(2, (vec(F(1, 2), F(1, 2)),))
+        with pytest.raises(DomainError) as err:
+            analyze_branch(BranchInput(half, sing_faces=((1, 2),)), max_points=1)
+        assert str(err.value) == "[LIMIT_EXCEEDED] 2 candidate points above --max-index 1"
+        assert err.value.branch is None
+        with pytest.raises(DomainError) as err:
+            analyze_variety([BranchInput(BranchSpec(2, ()), contacts=(Contact(vec(1, 1), ""),))])
+        assert str(err.value) == "[SELF_CONTACT] a branch cannot meet itself"
+        assert err.value.branch is None
+
     def test_enumeration_is_the_budget(self, monkeypatch):
         counts = count_enumerated(monkeypatch)
         for d in range(2, 7):
