@@ -195,6 +195,7 @@ def _branch_json(report: BranchReport) -> dict:
 
 
 def report_to_dict(result: VarietyReport, dim: int) -> dict:
+    """The report as a dict, the view :func:`render_json` writes."""
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": dim,
@@ -204,34 +205,97 @@ def report_to_dict(result: VarietyReport, dim: int) -> dict:
     }
 
 
-def _write(value, nl: str) -> str:
-    """One value as ``json.dumps(indent=2, sort_keys=True)`` writes it, its own
-    lines opened by ``nl``, a newline and that depth's indent."""
-    kind = type(value)
-    if kind is str:
-        return _escape(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is not dict and kind is not list:
-        raise TypeError(f"a report holds no {kind.__name__}")
-    if not value:
-        return "{}" if kind is dict else "[]"
+def _list(items: list[str], nl: str) -> str:
+    """Written items as a JSON list opened at ``nl`` (a newline and that
+    depth's indent), one item a line one level deeper."""
+    if not items:
+        return "[]"
     inner = nl + "  "
-    sep = "," + inner
-    if kind is dict:
-        body = sep.join([f"{_escape(k)}: {_write(value[k], inner)}" for k in sorted(value)])
-        return f"{{{inner}{body}{nl}}}"
-    if type(value[0]) is int and all(type(x) is int for x in value):
-        return f"[{inner}{sep.join(map(int.__repr__, value))}{nl}]"  # rows and pairs
-    return f"[{inner}{sep.join([_write(x, inner) for x in value])}{nl}]"
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
-def render_json(payload: dict) -> str:
-    """The canonical report: byte for byte ``json.dumps(payload, indent=2,
-    sort_keys=True) + "\\n"`` for dicts, lists, str, int and bool."""
-    return _write(payload, "\n") + "\n"
+def _ints(values, nl: str) -> str:
+    return _list([str(x) for x in values], nl)
+
+
+def _vec(v, nl: str) -> str:
+    """A RatVec or an integer point as [numerator, denominator] pairs."""
+    n1, n2 = nl + "  ", nl + "    "
+    return _list([f"[{n2}{c.numerator},{n2}{c.denominator}{n1}]" for c in v], nl)
+
+
+def _divisors(divisors, nl: str) -> str:
+    n1, n2 = nl + "  ", nl + "    "
+    out = []
+    for d in divisors:
+        vector = _vec(d.point, n2)
+        primitive = vector if d.primitive_point == d.point else _vec(d.primitive_point, n2)
+        out.append(
+            f'{{{n2}"multiplicity": {d.multiplicity},{n2}"origin": {_escape(d.origin)},'
+            f'{n2}"primitive": {primitive},{n2}"vector": {vector}{n1}}}'
+        )
+    return _list(out, nl)
+
+
+def _lattice(l: Lattice, nl: str) -> str:
+    n1 = nl + "  "
+    rows = _list([_ints(row, n1 + "  ") for row in l.scaled_basis], n1)
+    return f'{{{n1}"denom": {l.denom},{n1}"scaled_basis": {rows}{nl}}}'
+
+
+def _branch_pieces(report: BranchReport) -> list[str]:
+    """One branch of the report, at the depth of the ``branches`` items."""
+    nl, k = "\n    ", "\n      "  # the branch object, its keys
+    f1, f2, f3 = k + "  ", k + "    ", k + "      "  # the items of a key's list
+    faces = []
+    for idx in report.relevant.faces:
+        face = report.face(idx)
+        gens = _list([_vec(p, f3) for p in face.primgens], f2)
+        regular = "true" if face.regular else "false"
+        faces.append(
+            f'{{{f2}"indices": {_ints(idx, f2)},{f2}"primitive_generators": {gens},'
+            f'{f2}"regular": {regular}{f1}}}'
+        )
+    notes = [
+        f'{{{f2}"code": {_escape(d.code)},{f2}"message": {_escape(d.message)}{f1}}}'
+        for d in report.diagnostics
+    ]
+    exps = _list([_vec(v, f1) for v in report.char_exponents], k)
+    sing = _list([_ints(i, f1) for i in report.singular_faces_of_sigma], k)
+    s_min = _divisors(report.s_min, k)
+    lattices = report.lattices
+    return [
+        f'{nl}{{{k}"E": {_divisors(report.E, k)},{k}"V": ',
+        s_min,  # V is S_min
+        f',{k}"char_exponents": {exps},{k}"degree": {lattices.degree_n},'
+        f'{k}"diagnostics": {_list(notes, k)},{k}"label": {_escape(report.label)},'
+        f'{k}"lattice_M": {_lattice(lattices.M, k)},'
+        f'{k}"lattice_N": {_lattice(lattices.N, k)},{k}"nash_count": {report.nash_count},'
+        f'{k}"relevant_faces": {_list(faces, k)},{k}"s_min": ',
+        s_min,
+        f',{k}"singular_faces_of_sigma": {sing},'
+        f'{k}"tower_step_indices": {_ints(lattices.step_indices, k)}{nl}}}',
+    ]
+
+
+def render_json(result: VarietyReport, dim: int) -> list[str]:
+    """The canonical report as string pieces, to be written in order: joined,
+    byte for byte ``json.dumps(report_to_dict(result, dim), indent=2,
+    sort_keys=True) + "\\n"``.  A branch's S_min block is built once and is
+    the same string object as its V block."""
+    pieces = ['{\n  "branches": [']
+    for i, report in enumerate(result.branches):
+        if i:
+            pieces.append(",")
+        pieces += _branch_pieces(report)
+    close = "\n  ]" if result.branches else "]"
+    pieces.append(
+        f'{close},\n  "dim": {dim},'
+        f'\n  "schema_version": {SCHEMA_VERSION},'
+        f'\n  "total_essential": {result.total_essential},'
+        f'\n  "total_nash": {result.total_nash}\n}}\n'
+    )
+    return pieces
 
 
 def _fmt_face(idx) -> str:
@@ -425,13 +489,13 @@ def run(argv=None) -> int:
         for diag in report.diagnostics:
             _stderr(f"qonash: branch {report.label!r}: [{diag.code}] {diag.message}")
     if args.fmt == "json":
-        text = render_json(report_to_dict(result, dim))
+        pieces = render_json(result, dim)
     else:
-        text = render_text(result, dim)
+        pieces = [render_text(result, dim)]
     try:
         if sys.stdout is None:  # fd 1 was closed before Python started
             raise OSError(errno.EBADF, "standard output is closed")
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except OSError as exc:
         _stderr(f"qonash: error: cannot write output: {exc}")

@@ -31,7 +31,10 @@ def _as_fraction(value: RatLike) -> Fraction:
 
 @dataclass(slots=True, unsafe_hash=True, repr=False)
 class RatVec:
-    """Immutable vector of exact rationals in ambient d-space."""
+    """Vector of exact rationals in ambient d-space, a value: callers must not
+    mutate it.  Nothing enforces this (the class is not frozen, which keeps
+    construction cheap), and a vector changed after hashing is lost from its
+    set."""
 
     coords: tuple[Fraction, ...]
 

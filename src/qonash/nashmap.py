@@ -180,12 +180,13 @@ def _split(n: Lattice, faces, relevant: RelevantFaces):
 
 def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[int, ...], ...]:
     out = []
-    for raw in faces:
+    for raw in map(tuple, faces):
+        # A bool is an int to isinstance, and would merge with 1 in a set.
+        if not raw or not all(
+            isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= dim for i in raw
+        ):
+            raise DomainError("BAD_FACE", f"{kind} face {raw} not within 1..{dim}", branch=label)
         idx = tuple(sorted(set(raw)))
-        if not idx or any(not isinstance(i, int) or not 1 <= i <= dim for i in idx):
-            raise DomainError(
-                "BAD_FACE", f"{kind} face {tuple(raw)} not within 1..{dim}", branch=label
-            )
         if kind == "singular-locus" and len(idx) > 2 and len(idx) != dim:
             raise DomainError(
                 "BAD_FACE",

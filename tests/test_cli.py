@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -63,7 +64,7 @@ def test_json_report_roundtrips(capsys, case):
         capsys, "analyze", str(CORPUS / f"{case}.json"), "--format", "json"
     )
     assert code == 0
-    assert render_json(json.loads(out)) == out
+    assert _dumps(json.loads(out)) == out
 
 
 def _dumps(payload):
@@ -76,11 +77,19 @@ def _cross_branch(spec):
     return BranchInput(spec, sing_faces=tuple((k,) for k in range(1, spec.dim + 1)))
 
 
+def _diagonal(denom, label="b"):
+    """A d = 2 branch with denom - 1 points in S_min, all but one candidate."""
+    spec = BranchSpec(2, (RatVec([F(1, denom)] * 2),), label)
+    return analyze_variety([BranchInput(spec, sing_faces=((1, 2),))])
+
+
 def test_render_json_matches_json_dumps():
     reports = []
     for case in CASES:  # EMPTY_B, empty E/V/s_min and several branches among them
         dim, inputs = parse_variety(json.loads((CORPUS / f"{case}.json").read_text()))
         reports.append((analyze_variety(inputs), dim))
+    reports.append((analyze_variety([]), 3))  # "branches": []
+    reports.append((_diagonal(2000), 2))
     for spec, _ in random_branches(520, seed=20250810):  # the criterion-1 towers
         reports.append((analyze_variety([_cross_branch(spec)]), spec.dim))
     for dim in (1, 8):
@@ -96,9 +105,36 @@ def test_render_json_matches_json_dumps():
     codes = set()
     for result, dim in reports:
         payload = report_to_dict(result, dim)
-        assert render_json(payload) == _dumps(payload)
+        assert "".join(render_json(result, dim)) == _dumps(payload)
         codes.update(d["code"] for b in payload["branches"] for d in b["diagnostics"])
     assert codes == {"EMPTY_B", "LEMMA_MIN_VIOLATION"}
+
+
+def test_render_json_writes_s_min_once():
+    dim, inputs = parse_variety(json.loads((CORPUS / "reducible.json").read_text()))
+    result = analyze_variety(inputs)
+    pieces = render_json(result, dim)
+    after = {
+        key: [pieces[i + 1] for i, p in enumerate(pieces) if p.endswith(f'"{key}": ')]
+        for key in ("V", "s_min")
+    }
+    assert len(after["V"]) == len(after["s_min"]) == len(result.branches) > 1
+    assert any("toric-minimal" in block for block in after["V"])
+    for v, s_min in zip(after["V"], after["s_min"]):
+        assert v is s_min
+
+
+def test_render_json_peak_memory():
+    result = _diagonal(4000)
+    tracemalloc.start()
+    try:
+        pieces = render_json(result, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The S_min block, written twice, is held once; json.dumps of the dict
+    # view peaks near 7 times the report.
+    assert peak < 2 * len("".join(pieces))
 
 
 # Quotes, backslashes, control and non-ASCII characters, astral ones (escaped
@@ -117,14 +153,8 @@ def test_render_json_escapes_labels(labels):
     cone = RatVec([F(1, 2), F(1, 2)])
     branches = [BranchInput(BranchSpec(2, (cone,), labels[0]), sing_faces=((1, 2),))]
     branches += [BranchInput(BranchSpec(2, (), label)) for label in labels[1:]]
-    payload = report_to_dict(analyze_variety(branches), 2)
-    assert render_json(payload) == _dumps(payload)
-
-
-@pytest.mark.parametrize("value", [None, 0.5, (1, 2)])
-def test_render_json_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        render_json({"x": value})
+    result = analyze_variety(branches)
+    assert "".join(render_json(result, 2)) == _dumps(report_to_dict(result, 2))
 
 
 def test_text_and_json_share_facts(capsys):

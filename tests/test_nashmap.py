@@ -174,6 +174,22 @@ class TestAnalyzeBranch:
             )
         assert err.value.code == "BAD_FACE"
 
+    @pytest.mark.parametrize(
+        "sing, shown", [(((True,), (2,)), "(True,)"), (((1, 2), (2, True)), "(2, True)")]
+    )
+    def test_bool_face_index_refused(self, sing, shown):
+        # True == 1, and a set would merge it with a real index 1.
+        with pytest.raises(DomainError) as err:
+            analyze_variety(
+                [BranchInput(BranchSpec(2, (vec(F(1, 2), F(1, 2)),), "c"), sing_faces=sing)]
+            )
+        assert str(err.value) == (
+            f"[BAD_FACE] branch 'c': singular-locus face {shown} not within 1..2"
+        )
+        extra = BranchInput(cone_branch().spec, ((1, 2),), extra_faces=((False,),))
+        with pytest.raises(DomainError, match=r"extra face \(False,\) not within 1\.\.2"):
+            analyze_branch(extra)
+
     def test_full_set_sing_face_legal_for_point_singularity(self):
         report = analyze_branch(cone_branch())
         assert report.nash_count == 1
