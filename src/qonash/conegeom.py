@@ -12,6 +12,7 @@ cares about.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -133,27 +134,68 @@ def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
 
 
 def face_parallelepiped(n: Lattice, face: Face) -> list:
-    """:func:`parallelepiped_points` of a nonempty face already classified.
-
-    Walking the face's section basis up from its last row, each row's
-    coefficient has exactly c_i/p choices (p its pivot at i), so no choice
-    is wasted on a non-point, and the face yields exactly its index of points.
-    """
-    points = [(0,) * n.dim]
-    for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
-        p, k = row[i - 1], c // row[i - 1]
-        # x + y*row has its coordinate i in (0, c] for the k coefficients y
-        # from -((x_i - 1) // p) on; each multiple y*row is built once.
-        lows = [-((x[i - 1] - 1) // p) for x in points]
-        base = min(lows)
-        multiples = [tuple(map(y.__mul__, row)) for y in range(base, max(lows) + k)]
-        points = [
-            tuple(map(add, x, m))
-            for x, low in zip(points, lows)
-            for m in multiples[low - base : low - base + k]
-        ]
+    """:func:`parallelepiped_points` of a nonempty face already classified:
+    the :func:`_box_walk` of its half-open box, sorted, which yields exactly
+    the face's index of points."""
+    points = _box_walk(n.dim, face, strict=False)
     points.sort()
     return points
+
+
+def _box_walk(dim: int, face: Face, strict: bool, stair=None) -> list:
+    """Points x of N with 0 < x_i <= c_i on the face's coordinates, or
+    0 < x_i < c_i when ``strict`` (the open box), and x_j = 0 off them.
+
+    The walk goes up the face's section basis from its last row, one
+    :func:`_walk_level` a row.  Row r pivots at coordinate i = indices[r]
+    and is 0 past it, so once the later rows' coefficients are fixed,
+    coordinate i moves with row r's coefficient alone, and no choice is
+    wasted on a non-point.  A level holds at most the product of c_i/p over
+    the rows so far, so never more than the face's index of points.
+
+    ``stair`` holds, as two lists, the coordinates j and k of the staircase
+    (see :func:`minimal_singular_points`) of the singular 2-face {j, k} of
+    the face's last two coordinates.  Once x_j and x_k are fixed, a partial
+    point goes if a staircase point s has s_j <= x_j and s_k <= x_k: every
+    point it completes to is s plus a vector positive on the rest of the
+    face, so s lies strictly below it.  The staircase rises in j and falls
+    in k, so the last point with s_j <= x_j decides, found by one bisect.
+    """
+    points = [(0,) * dim]
+    for level, (i, c, row) in enumerate(
+        reversed(list(zip(face.indices, face.reach, face.section)))
+    ):
+        points = _walk_level(points, i, c, row, strict)
+        if level == 1 and stair:
+            (j, k), (xs, ys) = face.indices[-2:], stair
+            points = [
+                x
+                for x in points
+                if not (at := bisect_right(xs, x[j - 1])) or ys[at - 1] > x[k - 1]
+            ]
+        if not points:
+            break
+    return points
+
+
+def _walk_level(points, i: int, c: int, row, strict: bool) -> list:
+    """Each partial point plus every multiple y*row that puts its coordinate
+    i in (0, c], or in (0, c) when ``strict``.
+
+    With p the pivot of row at i, coordinate i takes the values x_i + y*p
+    from the least positive one, v in [1, p], on: c/p of them lie in (0, c],
+    and the last is c itself iff v = p, that is iff p divides x_i.  Each
+    multiple y*row is built once, not once per point.
+    """
+    p, k = row[i - 1], c // row[i - 1]
+    lows = [-((x[i - 1] - 1) // p) for x in points]
+    base = min(lows)
+    multiples = [tuple(map(y.__mul__, row)) for y in range(base, max(lows) + k)]
+    return [
+        tuple(map(add, x, m))
+        for x, low in zip(points, lows)
+        for m in multiples[low - base : low - base + k - (strict and not x[i - 1] % p)]
+    ]
 
 
 def minimal_elements(pts) -> list:
@@ -233,18 +275,52 @@ def minimal_toric_divisors(n: Lattice) -> list[Divisor]:
 
 
 def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[int, ...]]:
-    """S_min of N as sorted integer points, given its face table.
+    """S_min of N as sorted integer points, given its face table: the
+    minimal elements of S, the union of N's points in the relative interiors
+    of the singular faces.
 
-    The minimal elements of the union of relative interiors of singular faces
-    are found inside the edge parallelepipeds: subtracting an edge generator
-    moves any farther point strictly down while staying in the same face.
-    The parallelepipeds are disjoint, each point's support being its face,
-    so there are exactly sum(face.index) candidates over the singular faces.
+    A point of S on a singular face G with some x_i > c_i lies above
+    x - c_i e_i, again in S on G, so S_min lies in the half-open edge boxes
+    0 < x_i <= c_i of the singular faces, and even in their open boxes
+    0 < x_i < c_i.  For let p in the half-open box of G be at reach
+    (x_i = c_i) exactly on a nonempty I of G.  If I = G, p is G's corner,
+    above every other point of the box, and a singular G's box holds its
+    index >= 2 points.  Otherwise q = p - sum_I c_i e_i is a point of N in
+    the open box of G - I and strictly below p.  A regular face's points
+    are integer combinations of its c_i e_i, so its open box is empty;
+    G - I is singular, q lies in S, and p is not minimal.
+
+    A singleton face is always regular, so a point of S below a point of a
+    singular 2-face G lies on G itself.  G's share of S_min is therefore
+    the set of minimal points of its own open box: in increasing order, the
+    points whose second coordinate falls below every earlier one.  This
+    staircase prunes the walk of each larger face (see :func:`_box_walk`),
+    and one :func:`minimal_elements` pass over the staircases and the
+    larger faces' survivors finishes S_min.  It is skipped when no face of
+    three or more coordinates is singular.
     """
     _require_sublattice(n)
-    return minimal_elements(
-        [p for face in faces if not face.regular for p in face_parallelepiped(n, face)]
-    )
+    singular = [face for face in faces if not face.regular]
+    found, stairs = [], {}
+    for face in singular:
+        if len(face.indices) == 2:
+            i, j = face.indices
+            xs, ys = stairs[face.indices] = [], []
+            for p in sorted(_box_walk(n.dim, face, strict=True)):
+                if not ys or p[j - 1] < ys[-1]:
+                    xs.append(p[i - 1])
+                    ys.append(p[j - 1])
+                    found.append(p)
+    larger = [
+        p
+        for face in singular
+        if len(face.indices) > 2
+        for p in _box_walk(n.dim, face, strict=True, stair=stairs.get(face.indices[-2:]))
+    ]
+    if not larger:
+        found.sort()
+        return found
+    return minimal_elements(found + larger)
 
 
 def barycenter(n: Lattice, indices) -> Divisor:

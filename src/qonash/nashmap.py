@@ -11,8 +11,10 @@ its branches' relative problems, so counts simply add up.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import conegeom, qobranch
 from .conegeom import ORIGIN_BARYCENTER, ORIGIN_TORIC_MINIMAL, Divisor, Face, leq_sigma
@@ -148,8 +150,9 @@ def essential_divisors(
 
 
 def _split(n: Lattice, faces, relevant: RelevantFaces):
-    """E, S_min (which is V) and diagnostics of N given its face table; every
-    dominance test runs on integer points, and each Divisor is built once."""
+    """E, S_min (which is V) and diagnostics of N given its face table; the
+    antichain is proved, not checked point by point, and each Divisor is
+    built once."""
     # Every point is primitive in N.  Were p in S_min equal to q*p' with p'
     # in N and q >= 2, p' would lie in the same singular face strictly below
     # p.  A barycenter sum_F c_i e_i has coefficients (1, ..., 1) in the
@@ -158,21 +161,20 @@ def _split(n: Lattice, faces, relevant: RelevantFaces):
         Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL)
         for p in conegeom.minimal_singular_points(n, faces)
     ]
-    barycenters = sorted(
-        conegeom.barycenter_point(n, f)
-        for f in faces
-        if f.regular and f.indices in relevant.faces
-    )
+    regular = [f for f in faces if f.regular and f.indices in relevant.faces]
+    barycenters = sorted(conegeom.barycenter_point(n, f) for f in regular)
     e_divisors = [Divisor(p, p, 1, ORIGIN_BARYCENTER) for p in barycenters]
-    # V is all of S_min: were p in S_min on a singular G strictly above the
-    # barycenter b of a regular F, then F < G, p_i = c_i on F, and p - b in
-    # the interior of G - F forces G - F regular and p the corner sum_G c_i
-    # e_i, yet a singular G's box holds another point below that corner.
-    # When E and S_min form an antichain no barycenter is dominated, so the
-    # pairwise scan only runs to word the diagnostics of inconsistent input.
-    points = {d.point for d in e_divisors + s_min}
+    # E and S_min form an antichain unless one regular relevant face lies
+    # inside another.  S_min is one by construction.  No p in S_min lies
+    # below a barycenter b_F: its support, a singular face, would lie in F,
+    # and every subface of a regular face is regular.  No b_F lies below p
+    # in S_min: p lies in the open box 0 < p_i < c_i of its face (see
+    # minimal_singular_points), and b_F is c_i on F.  Last, b_F <= b_G iff F
+    # lies inside G, as b_F is c_i on F and 0 off it.  So V is all of S_min,
+    # and the pairwise scan runs only to word the diagnostics of
+    # inconsistent input.
     diagnostics = []
-    if len(conegeom.minimal_elements(points)) < len(points):
+    if any(set(f.indices) < set(g.indices) for f in regular for g in regular):
         diagnostics = lemma_min_diagnostics(e_divisors, s_min)
         assert diagnostics, "essential divisors must form an antichain"
     return e_divisors, s_min, diagnostics
@@ -199,9 +201,27 @@ def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[i
 
 
 def _prepare(branch: BranchInput, max_points: int | None):
-    """Tower and face table of a branch, refused if its candidate points,
-    sum(index) over the singular faces, exceed ``max_points``."""
+    """Tower and face table of a branch, refused with LIMIT_EXCEEDED before
+    any enumeration if its candidate points, sum(index) over the singular
+    faces, exceed ``max_points``, or if the report could not write its
+    integers: the degree or a lattice entry has more digits than
+    ``sys.get_int_max_str_digits()`` allows.  Every integer the report
+    writes, but for the input's own exponents, is at most the degree."""
     lattices = qobranch.build_tower(branch.spec)
+    # 0 means no limit, as on Pythons older than 3.10.7, which lack the call.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    entries = [lattices.degree_n]
+    for l in (lattices.M, lattices.N):
+        entries += [l.denom, *chain.from_iterable(l.scaled_basis)]
+    top = max(map(abs, entries))
+    # A bit length of at most 3*limit puts top below 8**limit < 10**limit.
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise DomainError(
+            "LIMIT_EXCEEDED",
+            f"degree or a lattice entry has more than {limit} digits, more "
+            f"than Python writes (sys.get_int_max_str_digits())",
+            branch=branch.spec.label,
+        )
     faces = conegeom.face_table(lattices.N)
     points = sum(f.index for f in faces if not f.regular)
     if max_points is not None and points > max_points:
@@ -219,10 +239,12 @@ def analyze_branch(
     """Relative Nash data of one branch.
 
     ``max_points`` caps the candidate points: sum(index) over the singular
-    faces, the exact number of parallelepiped points enumerated, checked
-    before enumeration.  Raises B_MISSING_SING when the normalization is
-    singular but no singular-locus faces were supplied, since B must contain
-    the singular locus for the face picture to be meaningful.
+    faces, the points of their half-open edge boxes, checked before
+    enumeration.  It bounds the walk of the open boxes, which holds fewer
+    points (see :func:`conegeom.minimal_singular_points`).  Raises
+    B_MISSING_SING when the normalization is singular but no singular-locus
+    faces were supplied, since B must contain the singular locus for the
+    face picture to be meaningful.
     """
     return _analyze(branch, *_prepare(branch, max_points))
 

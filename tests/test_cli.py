@@ -407,6 +407,7 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     for module, name in [
         (qobranch, "build_tower"),
         (conegeom, "face_parallelepiped"),
+        (conegeom, "_box_walk"),
         (conegeom, "minimal_singular_points"),
         (conegeom, "minimal_elements"),
         (conegeom, "divisor_on_ray"),
@@ -439,18 +440,24 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
     assert len(branches) == len(lattices) > 1
     expected = Counter()
     for b, n in zip(branches, lattices):
-        expected["face_parallelepiped", n] += len(b["singular_faces_of_sigma"])
+        singular = b["singular_faces_of_sigma"]
+        # One walk of the open box per singular face; S_min's last dominance
+        # pass runs only when a face of three or more coordinates is singular.
+        expected["_box_walk"] += len(singular)
+        expected["minimal_elements"] += any(len(f) > 2 for f in singular)
         expected["face_sections", n] += 1
         expected["sections", n] += 2**dim - 1
         expected["_BoxScanner", n] += 1
     for key, count in expected.items():
         assert calls[key] == count, key
     assert calls["build_tower"] == calls["minimal_singular_points"] == len(branches)
-    # Once for S_min, once for the antichain check on E and S_min.
-    assert calls["minimal_elements"] == 2 * len(branches)
     assert calls["_BoxScanner"] == len(branches)
-    # Every reported divisor is primitive by construction: none is solved for.
-    for name in ("section", "primitive_on_ray", "snf", "contains", "index", "divisor_on_ray"):
+    # Every reported divisor is primitive by construction: none is solved
+    # for.  The half-open box is only the tests' reference.
+    for name in (
+        "section", "primitive_on_ray", "snf", "contains", "index", "divisor_on_ray",
+        "face_parallelepiped",
+    ):
         assert calls[name] == 0, name
 
 
@@ -536,6 +543,37 @@ def _sheets(labels, contacts):
 def test_error_precedence(tmp_path, capsys, labels, contacts, code, line):
     path = _write(tmp_path, _sheets(labels, contacts))
     assert run_cli(capsys, "analyze", path) == (code, "", f"qonash: error: {line}\n")
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found if p * p <= k):
+            found.append(k)
+        k += 1
+    return found
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_degree_too_long_to_write(tmp_path, fmt):
+    # d = 1 with the exponents j + 1/p_j, p_j the j-th prime: the degree is
+    # the product of 1 400 primes, about 10**4987, more digits than Python
+    # converts by default.  No candidate budget stops it, as d = 1 has no
+    # singular face.
+    exps = [[[j * p + 1, p]] for j, p in enumerate(primes(1400), start=1)]
+    path = _write(tmp_path, {"dim": 1, "branches": [{"label": "b", "char_exponents": exps}]})
+    done = subprocess.run(
+        [sys.executable, "-m", "qonash", "analyze", path, "--format", fmt],
+        capture_output=True, env=_src_env(),
+    )
+    limit = sys.get_int_max_str_digits()
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode() == (
+        f"qonash: error: [LIMIT_EXCEEDED] branch 'b': degree or a lattice entry has "
+        f"more than {limit} digits, more than Python writes "
+        f"(sys.get_int_max_str_digits())\n"
+    )
 
 
 def test_closed_stdout_exits_cleanly():

@@ -25,6 +25,7 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
+from qonash import conegeom
 from qonash.conegeom import (
     divisor_on_ray,
     face_parallelepiped,
@@ -251,7 +252,9 @@ class TestMinimalElementsByDefinition:
                 assert minimal_elements(pts) == by_definition(pts), pts
 
     def test_branches_match_sum_sweep(self):
-        for _, lattices_ in random_branches(200, seed=20250810):
+        # The 520 criterion-1 towers: S_min from the open boxes and staircases
+        # against one pass over every half-open box point.
+        for _, lattices_ in random_branches(520, seed=20250810):
             n = lattices_.N
             faces = face_table(n)
             candidates = [
@@ -260,6 +263,58 @@ class TestMinimalElementsByDefinition:
             expected = sum_sweep(candidates)
             assert minimal_elements(candidates) == expected
             assert minimal_singular_points(n, faces) == expected
+
+
+class TestMinimalSingularPoints:
+    # minimal_singular_points walks only the open boxes and prunes each
+    # larger face by a 2-face staircase; the half-open boxes and one
+    # minimal_elements pass are its reference (and the 520 criterion-1
+    # towers are checked in test_branches_match_sum_sweep).
+    LADDER = (
+        (3, [[F(1, 30), F(1, 42), F(1, 70)]]),
+        (3, [[F(1, 60), F(1, 84), F(1, 140)]]),
+        (3, [[F(1, 90), F(1, 126), F(1, 210)]]),
+        (6, [[F(1, 2)] * 6, [F(3, 4)] * 4 + [F(5, 6)] * 2]),
+    )
+
+    @staticmethod
+    def check(n):
+        faces = face_table(n)
+        assert minimal_singular_points(n, faces) == minimal_elements(
+            [p for face in faces if not face.regular for p in face_parallelepiped(n, face)]
+        )
+
+    def test_random_towers(self):
+        for d in range(2, 7):
+            for _, lattices_ in random_branches(30, seed=810 + d, dims=(d,), max_index=60):
+                self.check(lattices_.N)
+
+    def test_ladder(self):
+        for d, exps in self.LADDER:
+            self.check(build_tower(BranchSpec(d, tuple(map(RatVec, exps)))).N)
+
+    def test_open_box_count(self):
+        # The half-open box of F is the disjoint union, over G in F, of the
+        # open box of G moved by sum c_i e_i over F - G (the origin for G
+        # empty), so index(F) = sum_G open(G); Moebius inversion gives open(F).
+        towers = random_branches(200, seed=20250810)
+        for d in range(2, 7):
+            towers += random_branches(6, seed=820 + d, dims=(d,), max_index=24)
+        for _, lattices_ in towers:
+            n = lattices_.N
+            faces = face_table(n)
+            index = {face.indices: face.index for face in faces}
+            index[()] = 1
+            for face in faces:
+                f = face.indices
+                count = sum(
+                    (-1) ** (len(f) - size) * index[g]
+                    for size in range(len(f) + 1)
+                    for g in itertools.combinations(f, size)
+                )
+                walked = conegeom._box_walk(n.dim, face, strict=True)
+                assert len(walked) == len(set(walked)) == count, f
+                assert count == 0 or not face.regular
 
 
 class TestUndominatedMemory:

@@ -515,18 +515,26 @@ def candidate_budget(branch):
     return sum(f.index for f in faces if not f.regular)
 
 
-def count_enumerated(monkeypatch):
-    """Record the length of every face_parallelepiped result."""
-    counts = []
-    real = conegeom.face_parallelepiped
+def count_walked(monkeypatch):
+    """Record every box walk: its face, the size of each level and what it
+    returns."""
+    walks = []
+    walk, level = conegeom._box_walk, conegeom._walk_level
 
-    def counted(*args):
-        points = real(*args)
-        counts.append(len(points))
+    def walked(dim, face, *args, **kwargs):
+        walks.append((face, [], None))
+        points = walk(dim, face, *args, **kwargs)
+        walks[-1] = walks[-1][:2] + (points,)
         return points
 
-    monkeypatch.setattr(conegeom, "face_parallelepiped", counted)
-    return counts
+    def leveled(*args):
+        points = level(*args)
+        walks[-1][1].append(len(points))
+        return points
+
+    monkeypatch.setattr(conegeom, "_box_walk", walked)
+    monkeypatch.setattr(conegeom, "_walk_level", leveled)
+    return walks
 
 
 def cross_branch(spec):
@@ -544,7 +552,7 @@ class TestCandidateBudget:
     )
 
     def test_over_budget_refused_before_enumeration(self, monkeypatch):
-        counts = count_enumerated(monkeypatch)
+        walks = count_walked(monkeypatch)
         quartic = BranchInput(
             spec=BranchSpec(2, (vec(F(1, 4), F(1, 4)),), "quartic"),
             sing_faces=((1, 2),),
@@ -563,7 +571,7 @@ class TestCandidateBudget:
         with pytest.raises(DomainError) as err:
             analyze_variety([self.WIDE, quartic], max_points=3)
         assert (err.value.code, err.value.branch) == ("LIMIT_EXCEEDED", "wide")
-        assert counts == []
+        assert walks == []
 
     def test_budget_boundary(self):
         branches = [self.WIDE, cone_branch()] + [
@@ -595,13 +603,46 @@ class TestCandidateBudget:
         assert err.value.branch is None
 
     def test_enumeration_is_the_budget(self, monkeypatch):
-        counts = count_enumerated(monkeypatch)
+        # One walk of the open box per singular face.  No level holds more
+        # than the face's index, and each walk returns exactly its open box,
+        # less, on a face of three or more coordinates, the points above the
+        # staircase of its last two: the S_min points of that 2-face.
+        walks = count_walked(monkeypatch)
+        pruned = 0
         for d in range(2, 7):
             for spec, _ in random_branches(6, seed=610 + d, dims=(d,), max_index=12):
-                del counts[:]
+                del walks[:]
                 report = analyze_branch(cross_branch(spec))
-                assert counts == [f.index for f in report.faces if not f.regular]
-                assert sum(counts) == candidate_budget(cross_branch(spec))
+                n = report.lattices.N
+                singular = [f for f in report.faces if not f.regular]
+                # open_box walks too, after the analysis's own walks.
+                walked = walks[:]
+                assert [face for face, _, _ in walked] == singular
+                for face, levels, points in walked:
+                    assert 1 <= len(levels) <= len(face.indices)
+                    assert max(levels) <= face.index
+                    last_two = face.indices[-2:]
+                    stair = [x.point for x in report.s_min if x.vector.support() == last_two]
+                    box = open_box(n, face)
+                    expected = [
+                        p
+                        for p in box
+                        if len(face.indices) == 2 or not any(leq_sigma(s, p) for s in stair)
+                    ]
+                    assert sorted(points) == expected, face.indices
+                    pruned += len(box) - len(points)
+                total = sum(len(points) for _, _, points in walked)
+                assert total <= candidate_budget(cross_branch(spec)) - len(singular)
+        assert pruned > 0
+
+
+def open_box(n, face):
+    """The points of a face's half-open box with no coordinate at reach."""
+    return [
+        p
+        for p in conegeom.face_parallelepiped(n, face)
+        if all(p[i - 1] < c for i, c in zip(face.indices, face.reach))
+    ]
 
 
 def permute(v, order):
@@ -704,13 +745,35 @@ def test_split_builds_no_ratvec(monkeypatch):
     assert built == 0 and points > 0
 
 
-def test_split_refuses_dominated_pair(monkeypatch):
-    # Two comparable points in S_min and no barycenter to flag them: only the
-    # antichain assert stands between them and the report.
-    dominated = [(2, 2), (4, 4)]
-    monkeypatch.setattr(conegeom, "minimal_singular_points", lambda n, faces: dominated)
-    with pytest.raises(AssertionError, match="essential divisors must form an antichain"):
-        nashmap._split(Z2, conegeom.face_table(Z2), RelevantFaces(faces=()))
+def test_split_antichain_matches_point_check():
+    # _split words diagnostics iff one regular relevant face lies inside
+    # another; the point-level check, E and S_min not an antichain, must say
+    # the same on random face lists, componentized and not.
+    rng = random.Random(71)
+    fired = checked = 0
+    for d in range(1, 8):
+        for _, lattices_ in random_branches(12, seed=710 + d, dims=(d,), max_index=12):
+            n = lattices_.N
+            faces = conegeom.face_table(n)
+            for _ in range(8):
+                raw = [
+                    tuple(sorted(rng.sample(range(1, d + 1), rng.randint(1, d))))
+                    for _ in range(rng.randint(0, 5))
+                ]
+                if rng.random() < 0.5:
+                    relevant = componentize(raw)
+                else:
+                    relevant = RelevantFaces(faces=tuple(dict.fromkeys(raw)))
+                e, s_min, diagnostics = nashmap._split(n, faces, relevant)
+                points = [x.point for x in e + s_min]
+                assert len(set(points)) == len(points)
+                antichain = len(conegeom.minimal_elements(points)) == len(points)
+                assert bool(diagnostics) == (not antichain), relevant
+                if diagnostics:
+                    assert diagnostics == lemma_min_diagnostics(e, s_min)
+                fired += bool(diagnostics)
+                checked += 1
+    assert 0 < fired < checked
 
 
 class TestContainingFace:
