@@ -366,10 +366,10 @@ def _oracle_check(result: VarietyReport) -> None:
 
     for report in result.branches:
         n = report.lattices.N
-        # The edges lead the face table.  The oracle scans only the box of
-        # its own axis reaches, read off its adjugate, and refuses the bound
-        # if one lies beyond the largest reach the main path found.
-        bound = max(f.reach[0] for f in report.faces[: n.dim])
+        # The oracle scans only the box of its own axis reaches, read off its
+        # adjugate, and refuses the bound if one lies beyond the largest
+        # reach of an edge the main path found.
+        bound = max(f.reach[0] for f in report.faces if len(f.indices) == 1)
         brute, singular = oracle.brute_branch(n, bound)
         if brute != [d.point for d in report.s_min]:
             main, brute = [d.vector for d in report.s_min], list(map(RatVec, brute))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import gcd, prod
-from operator import add, and_, eq, le
+from operator import add, and_, le
 
 from . import intlat
 from .errors import DomainError
@@ -207,24 +207,10 @@ def minimal_elements(pts) -> list:
     p that is at or below p on every axis past the first is below p.  So
     point j owns bit j, each distinct value on each of those axes maps to one
     mask, the OR of the bits of the points at or below it, and p is minimal
-    iff the AND of its masks has no bit above its own.  With one axis past
-    the first, p is minimal iff it is below every later point on that axis,
-    so a running minimum from the end replaces the masks and their n^2/2 bits.
+    iff the AND of its masks has no bit above its own.
     """
     pts = sorted(set(pts), reverse=True)
-    if len(pts) < 2:
-        return pts
-    if len(pts[0]) == 2:
-        kept = []
-        for p in reversed(pts):
-            if not kept or p[1] < kept[-1][1]:
-                kept.append(p)
-        return kept
     axes = list(zip(*pts))[1:]
-    least = pts[-1]
-    # The least point lies below all others iff it is least on every axis.
-    if all(map(eq, map(min, axes), least[1:])):
-        return [least]
     ands = repeat((1 << len(pts)) - 1)
     for axis in axes:
         mask = {}
@@ -296,8 +282,8 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
     points whose second coordinate falls below every earlier one.  This
     staircase prunes the walk of each larger face (see :func:`_box_walk`),
     and one :func:`minimal_elements` pass over the staircases and the
-    larger faces' survivors finishes S_min.  It is skipped when no face of
-    three or more coordinates is singular.
+    larger faces' survivors finishes S_min.  It is skipped when no point of
+    a face of three or more coordinates survives.
     """
     _require_sublattice(n)
     singular = [face for face in faces if not face.regular]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 from . import conegeom, qobranch
 from .conegeom import ORIGIN_BARYCENTER, ORIGIN_TORIC_MINIMAL, Divisor, Face, leq_sigma
@@ -203,19 +202,22 @@ def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[i
 def _prepare(branch: BranchInput, max_points: int | None):
     """Tower and face table of a branch, refused with LIMIT_EXCEEDED before
     any enumeration if its candidate points, sum(index) over the singular
-    faces, exceed ``max_points``, or if the report could not write its
-    integers: the degree or a lattice entry has more digits than
-    ``sys.get_int_max_str_digits()`` allows.  Every integer the report
-    writes, but for the input's own exponents, is at most the degree."""
+    faces, exceed ``max_points``, or if its degree D has more digits than
+    ``sys.get_int_max_str_digits()`` allows.
+
+    D bounds every integer the report writes but the input's exponents and
+    the counts.  D is the order of M/Z^d, so M.denom, that group's exponent,
+    and each step index divide it.  The scaled bases of M and of N = dual(M)
+    lie in Z^d and contain M.denom*Z^d, so their Hermite pivots divide
+    M.denom and their other entries lie below the pivots.  The axis reaches
+    are pivots of N's axis sections, and S_min and E lie within them.
+    """
     lattices = qobranch.build_tower(branch.spec)
     # 0 means no limit, as on Pythons older than 3.10.7, which lack the call.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    entries = [lattices.degree_n]
-    for l in (lattices.M, lattices.N):
-        entries += [l.denom, *chain.from_iterable(l.scaled_basis)]
-    top = max(map(abs, entries))
-    # A bit length of at most 3*limit puts top below 8**limit < 10**limit.
-    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+    degree = lattices.degree_n
+    # A bit length of at most 3*limit puts the degree below 8**limit < 10**limit.
+    if limit and degree.bit_length() > 3 * limit and degree >= 10**limit:
         raise DomainError(
             "LIMIT_EXCEEDED",
             f"degree or a lattice entry has more than {limit} digits, more "

@@ -59,6 +59,13 @@ def test_json_reports_match_golden(capsys, case):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_text_reports_match_golden(capsys, case):
+    code, out, _ = run_cli(capsys, "analyze", str(CORPUS / f"{case}.json"))
+    assert code == 0
+    assert out == (CORPUS / "golden" / f"{case}.report.txt").read_text()
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_json_report_roundtrips(capsys, case):
     code, out, _ = run_cli(
         capsys, "analyze", str(CORPUS / f"{case}.json"), "--format", "json"
@@ -400,10 +407,48 @@ def test_max_index_counts_candidate_points(tmp_path, capsys):
 
 
 def test_each_quantity_computed_once(capsys, monkeypatch):
-    dim, inputs = parse_variety(json.loads((CORPUS / "reducible.json").read_text()))
+    check_each_quantity_computed_once(capsys, monkeypatch, CORPUS / "reducible.json")
+
+
+def test_each_quantity_computed_once_with_larger_faces(tmp_path, capsys, monkeypatch):
+    # d = 3, where faces of three coordinates are singular.  In "kept" the
+    # walk of {1,2,3} keeps points past the staircase prune of {2,3}, so
+    # S_min's last dominance pass runs; in "pruned" the prune drops every
+    # point of that walk, and in "ridge" the open box of {1,2,3} is empty
+    # (c_3 = 1), so it does not; "plane" is smooth.
+    def entry(label, exponent, sing_faces):
+        exps = [[[x.numerator, x.denominator] for x in map(F, exponent)]]
+        return {"label": label, "char_exponents": exps, "sing_faces": sing_faces}
+
+    edges = [[1, 2], [1, 3], [2, 3]]
+    doc = {
+        "schema_version": 1,
+        "dim": 3,
+        "branches": [
+            entry("kept", ["1/6", "1/10", "1/15"], edges),
+            entry("pruned", ["1/5", "1/5", "4/5"], edges),
+            entry("ridge", ["1/2", "1/2", "0"], [[1, 2]]),
+            {"label": "plane", "char_exponents": [], "sing_faces": []},
+        ],
+        "contacts": [],
+    }
+    path = tmp_path / "larger.json"
+    path.write_text(json.dumps(doc))
+    calls = check_each_quantity_computed_once(capsys, monkeypatch, path)
+    kept = qobranch.build_tower(BranchSpec(3, (RatVec([F(1, 6), F(1, 10), F(1, 15)]),))).N
+    assert calls["_box_walk"] == 4 + 4 + 2
+    assert calls["minimal_elements"] == calls["minimal_elements", kept] == 1
+
+
+def check_each_quantity_computed_once(capsys, monkeypatch, path):
+    """Run ``analyze --oracle-check`` on the document at ``path`` and check
+    that each quantity is computed exactly once; returns the call counts."""
+    dim, inputs = parse_variety(json.loads(path.read_text()))
     lattices = [qobranch.build_tower(b.spec).N for b in inputs]
-    # Calls counted by name, and by the lattice N for the per-face layers.
+    # Calls counted by name, and by the lattice N for the per-face layers;
+    # the walks and dominance passes by the N whose S_min they serve.
     calls = Counter()
+    branch = [None]
     for module, name in [
         (qobranch, "build_tower"),
         (conegeom, "face_parallelepiped"),
@@ -422,29 +467,35 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "minimal_singular_points":
+                branch[0] = args[0]
             if _name in ("face_parallelepiped", "face_sections", "_BoxScanner"):
                 calls[_name, args[0]] += 1
+            if _name in ("_box_walk", "minimal_elements"):
+                calls[_name, branch[0]] += 1
             out = _fn(*args, **kwargs)
             if _name == "face_sections":
                 # One section for each face, all from this single call.
                 calls["sections", args[0]] += len(out)
+            if _name == "_box_walk" and len(args[1].indices) > 2 and out:
+                calls["kept", branch[0]] = 1  # a point past the staircase prune
             return out
 
         monkeypatch.setattr(module, name, counted)
-    code, out, _ = run_cli(
-        capsys, "analyze", str(CORPUS / "reducible.json"), "--format", "json",
-        "--oracle-check",
-    )
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json", "--oracle-check")
     assert code == 0
     branches = json.loads(out)["branches"]
     assert len(branches) == len(lattices) > 1
     expected = Counter()
     for b, n in zip(branches, lattices):
         singular = b["singular_faces_of_sigma"]
-        # One walk of the open box per singular face; S_min's last dominance
-        # pass runs only when a face of three or more coordinates is singular.
-        expected["_box_walk"] += len(singular)
-        expected["minimal_elements"] += any(len(f) > 2 for f in singular)
+        # One walk of the open box per singular face.  S_min's last dominance
+        # pass runs once iff the walk of a face of three or more coordinates
+        # keeps a point past the staircase prune.
+        for key in ("_box_walk", ("_box_walk", n)):
+            expected[key] += len(singular)
+        for key in ("minimal_elements", ("minimal_elements", n)):
+            expected[key] += calls["kept", n]
         expected["face_sections", n] += 1
         expected["sections", n] += 2**dim - 1
         expected["_BoxScanner", n] += 1
@@ -459,6 +510,7 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
         "face_parallelepiped",
     ):
         assert calls[name] == 0, name
+    return calls
 
 
 def test_oracle_check_bounded_by_axis_reach(tmp_path, capsys):

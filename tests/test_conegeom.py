@@ -320,16 +320,18 @@ class TestMinimalSingularPoints:
 class TestUndominatedMemory:
     @staticmethod
     def peak(n):
-        # A 2-D antichain: every point is kept and each second coordinate is
-        # distinct, the case where per-value prefix masks hold n^2/2 bits.
-        pts = [(i, n - i) for i in range(n)]
+        # The d = 2 branch (1/n, 1/n): its one singular 2-face's open box is
+        # an antichain of n - 1 points, each second coordinate distinct, the
+        # case where per-value prefix masks would hold n^2/2 bits.
+        lattice = build_tower(BranchSpec(2, (vec(F(1, n), F(1, n)),))).N
+        faces = face_table(lattice)
         tracemalloc.start()
         try:
-            kept = minimal_elements(pts)
+            kept = minimal_singular_points(lattice, faces)
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(kept) == n
+        assert len(kept) == n - 1
         return top
 
     def test_two_coordinate_peak_is_linear(self):

@@ -636,6 +636,21 @@ class TestCandidateBudget:
         assert pruned > 0
 
 
+def test_report_integers_at_most_degree():
+    # _prepare refuses a branch by its degree alone, as no entry of M or N,
+    # denominator, step index or axis reach the report writes exceeds it.
+    towers = random_branches(520, seed=20250810)
+    for d in range(2, 7):
+        towers += random_branches(30, seed=830 + d, dims=(d,), max_index=60)
+    for _, lattices in towers:
+        degree = lattices.degree_n
+        values = [*lattices.step_indices]
+        for l in (lattices.M, lattices.N):
+            values += [l.denom, *itertools.chain.from_iterable(l.scaled_basis)]
+        values += [f.reach[0] for f in conegeom.face_table(lattices.N) if len(f.indices) == 1]
+        assert all(0 <= v <= degree for v in values), lattices
+
+
 def open_box(n, face):
     """The points of a face's half-open box with no coordinate at reach."""
     return [
