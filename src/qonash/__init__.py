@@ -38,7 +38,6 @@ from .nashmap import (
     BranchReport,
     Contact,
     Diagnostic,
-    RelevantFaces,
     VarietyReport,
     analyze_branch,
     analyze_variety,
@@ -62,7 +61,6 @@ __all__ = [
     "Face",
     "Lattice",
     "RatVec",
-    "RelevantFaces",
     "SchemaError",
     "VarietyReport",
     "analyze_branch",

@@ -177,11 +177,11 @@ def _branch_json(report: BranchReport) -> dict:
         "lattice_N": _lattice_json(report.lattices.N),
         "relevant_faces": [
             {
-                "indices": list(idx),
+                "indices": list(face.indices),
                 "regular": face.regular,
                 "primitive_generators": [_vec_json(p) for p in face.primgens],
             }
-            for idx, face in ((idx, report.face(idx)) for idx in report.relevant.faces)
+            for face in report.relevant
         ],
         "singular_faces_of_sigma": [list(i) for i in report.singular_faces_of_sigma],
         "s_min": s_min,
@@ -248,12 +248,11 @@ def _branch_pieces(report: BranchReport) -> list[str]:
     nl, k = "\n    ", "\n      "  # the branch object, its keys
     f1, f2, f3 = k + "  ", k + "    ", k + "      "  # the items of a key's list
     faces = []
-    for idx in report.relevant.faces:
-        face = report.face(idx)
+    for face in report.relevant:
         gens = _list([_vec(p, f3) for p in face.primgens], f2)
         regular = "true" if face.regular else "false"
         faces.append(
-            f'{{{f2}"indices": {_ints(idx, f2)},{f2}"primitive_generators": {gens},'
+            f'{{{f2}"indices": {_ints(face.indices, f2)},{f2}"primitive_generators": {gens},'
             f'{f2}"regular": {regular}{f1}}}'
         )
     notes = [
@@ -328,13 +327,12 @@ def render_text(result: VarietyReport, dim: int) -> str:
                 or "(none)"
             )
         )
-        if report.relevant.faces:
+        if report.relevant:
             lines.append("  relevant faces:")
-            for idx in report.relevant.faces:
-                face = report.face(idx)
+            for face in report.relevant:
                 tag = "regular" if face.regular else "singular"
                 gens = ", ".join(str(p) for p in face.primgens)
-                lines.append(f"    {_fmt_face(idx)}: {tag}, edge generators {gens}")
+                lines.append(f"    {_fmt_face(face.indices)}: {tag}, edge generators {gens}")
         else:
             lines.append("  relevant faces: (none)")
         s_min, e = ("; ".join(map(_fmt_divisor, d)) or "(empty)" for d in (report.s_min, report.E))
@@ -370,7 +368,10 @@ def _oracle_check(result: VarietyReport) -> None:
         # adjugate, and refuses the bound if one lies beyond the largest
         # reach of an edge the main path found.
         bound = max(f.reach[0] for f in report.faces if len(f.indices) == 1)
-        brute, singular = oracle.brute_branch(n, bound)
+        try:
+            brute, singular = oracle.brute_branch(n, bound)
+        except DomainError as exc:  # a refused scan names its branch
+            raise DomainError(exc.code, exc.message, branch=report.label) from None
         if brute != [d.point for d in report.s_min]:
             main, brute = [d.vector for d in report.s_min], list(map(RatVec, brute))
             raise DomainError(
@@ -453,6 +454,8 @@ def run(argv=None) -> int:
 
     try:
         if args.file == "-":
+            if sys.stdin is None:  # fd 0 was closed before Python started
+                raise OSError(errno.EBADF, "standard input is closed")
             raw = sys.stdin.buffer.read()
         else:
             with open(args.file, "rb") as handle:

@@ -31,13 +31,6 @@ class Contact:
 
 
 @dataclass(frozen=True)
-class RelevantFaces:
-    """Inclusion-minimal faces whose orbit closures make up the target set B."""
-
-    faces: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class BranchInput:
     spec: BranchSpec
     sing_faces: tuple[tuple[int, ...], ...] = ()
@@ -56,7 +49,7 @@ class BranchReport:
     label: str
     char_exponents: tuple[RatVec, ...]
     lattices: BranchLattices
-    relevant: RelevantFaces
+    relevant: tuple[Face, ...]  # B's components: faces of `faces`, in its order
     faces: tuple[Face, ...]
     s_min: tuple[Divisor, ...]
     E: tuple[Divisor, ...]
@@ -70,9 +63,6 @@ class BranchReport:
     @property
     def singular_faces_of_sigma(self) -> tuple[tuple[int, ...], ...]:
         return tuple(f.indices for f in self.faces if not f.regular)
-
-    def face(self, indices: tuple[int, ...]) -> Face:
-        return next(f for f in self.faces if f.indices == indices)
 
 
 @dataclass(frozen=True)
@@ -99,9 +89,10 @@ def contact_faces(m: RatVec) -> list[tuple[int]]:
     return [(k,) for k in m.support()]
 
 
-def componentize(raw) -> RelevantFaces:
-    """Keep the inclusion-minimal faces; a face containing another lies in
-    the other's orbit closure and is not a component."""
+def componentize(raw) -> tuple[tuple[int, ...], ...]:
+    """Keep the inclusion-minimal faces, by size and then indices; a face
+    containing another lies in the other's orbit closure and is not a
+    component."""
     faces = {tuple(sorted(set(i))) for i in raw}
     minimal = [
         i
@@ -109,7 +100,7 @@ def componentize(raw) -> RelevantFaces:
         if not any(j != i and set(j) <= set(i) for j in faces)
     ]
     minimal.sort(key=lambda i: (len(i), i))
-    return RelevantFaces(faces=tuple(minimal))
+    return tuple(minimal)
 
 
 def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
@@ -136,22 +127,24 @@ def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
 
 
 def essential_divisors(
-    n: Lattice, relevant: RelevantFaces
+    n: Lattice, relevant
 ) -> tuple[list[Divisor], list[Divisor], list[Diagnostic]]:
-    """Split the essential divisors over the relevant faces into E and V.
+    """Split the essential divisors over the relevant faces, given as index
+    tuples, into E and V; a tuple that names no face of N's table is ignored.
 
     E holds the barycenters of the regular relevant faces; V holds the
     minimal singular-face lattice points not strictly dominated by a
     barycenter: all of S_min.  Their union is the full set of essential
     divisors relative to B, and equals the image of the Nash components.
     """
-    return _split(n, conegeom.face_table(n), relevant)
+    faces = conegeom.face_table(n)
+    return _split(n, faces, [f for f in faces if f.indices in relevant])
 
 
-def _split(n: Lattice, faces, relevant: RelevantFaces):
-    """E, S_min (which is V) and diagnostics of N given its face table; the
-    antichain is proved, not checked point by point, and each Divisor is
-    built once."""
+def _split(n: Lattice, faces, relevant):
+    """E, S_min (which is V) and diagnostics of N given its face table and
+    the relevant faces among them; the antichain is proved, not checked
+    point by point, and each Divisor is built once."""
     # Every point is primitive in N.  Were p in S_min equal to q*p' with p'
     # in N and q >= 2, p' would lie in the same singular face strictly below
     # p.  A barycenter sum_F c_i e_i has coefficients (1, ..., 1) in the
@@ -160,7 +153,7 @@ def _split(n: Lattice, faces, relevant: RelevantFaces):
         Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL)
         for p in conegeom.minimal_singular_points(n, faces)
     ]
-    regular = [f for f in faces if f.regular and f.indices in relevant.faces]
+    regular = [f for f in relevant if f.regular]
     barycenters = sorted(conegeom.barycenter_point(n, f) for f in regular)
     e_divisors = [Divisor(p, p, 1, ORIGIN_BARYCENTER) for p in barycenters]
     # E and S_min form an antichain unless one regular relevant face lies
@@ -273,7 +266,8 @@ def _analyze(
             raw.extend(contact_faces(contact.exponent))
         except DomainError as exc:
             raise DomainError(exc.code, exc.message, branch=label) from None
-    relevant = componentize(raw)
+    components = componentize(raw)
+    relevant = tuple(f for f in faces if f.indices in components)
 
     sigma_singular = any(not f.regular for f in faces)
     if sigma_singular and not sing_faces:
@@ -285,7 +279,7 @@ def _analyze(
         )
 
     e_divisors, s_min, diagnostics = _split(n, faces, relevant)
-    if not relevant.faces and not sigma_singular:
+    if not relevant and not sigma_singular:
         diagnostics = diagnostics + [
             Diagnostic(
                 "EMPTY_B",

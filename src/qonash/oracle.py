@@ -113,10 +113,10 @@ def _axes(offset: int, shape) -> list[np.ndarray]:
     return np.ogrid[(slice(offset, offset + shape[0]), *map(slice, shape[1:]))]
 
 
-def _support(offset: int, shape) -> np.ndarray:
-    """Bitmask of the nonzero coordinates of each cell of a slab of [0, ...]^d."""
-    bit = np.min_scalar_type((1 << len(shape)) - 1).type
-    return sum((x > 0) * bit(1 << a) for a, x in enumerate(_axes(offset, shape)))
+def _support(axes) -> np.ndarray:
+    """Bitmask of the nonzero coordinates of each cell, given a slab's :func:`_axes`."""
+    bit = np.min_scalar_type((1 << len(axes)) - 1).type
+    return sum((x > 0) * bit(1 << a) for a, x in enumerate(axes))
 
 
 @functools.lru_cache(maxsize=16)
@@ -124,7 +124,8 @@ def _face_counts(n: Lattice) -> tuple[int, ...]:
     """Members of the reach box by support bitmask: the cells of support F
     are the edge box of F, so each count is the index of face F."""
     grid = _BoxScanner(n).grid()
-    counts = sum(np.bincount(_support(o, m.shape)[m], minlength=1 << n.dim) for o, m in grid)
+    supports = (_support(_axes(o, m.shape))[m] for o, m in grid)
+    counts = sum(np.bincount(s, minlength=1 << n.dim) for s in supports)
     return tuple(counts.tolist())
 
 
@@ -170,9 +171,10 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
     last = np.zeros([c + 1 for c in reach[1:]], dtype=bool)
     found = []
     for offset, mask in slabs:
-        inner = [x % c > 0 for x, c in zip(_axes(offset, mask.shape), reach)]
+        axes = _axes(offset, mask.shape)
+        inner = [x % c > 0 for x, c in zip(axes, reach)]
         hits = mask & functools.reduce(np.logical_or, inner)
-        singular[_support(offset, mask.shape)[hits]] = True
+        singular[_support(axes)[hits]] = True
         below = np.concatenate([last[None], hits])
         for axis in range(d):
             np.logical_or.accumulate(below, axis=axis, out=below)

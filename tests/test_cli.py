@@ -109,6 +109,11 @@ def test_render_json_matches_json_dumps():
         result.branches[0], diagnostics=tuple(lemma_min_diagnostics([fake], minimal))
     )
     reports.append((dataclasses.replace(result, branches=(inconsistent,)), dim))
+    # No computed report holds a divisor whose primitive part is not itself.
+    doubled = dataclasses.replace(
+        result.branches[0], E=(Divisor((4, 0), (2, 0), 2, "barycenter"),)
+    )
+    reports.append((dataclasses.replace(result, branches=(doubled,)), dim))
     codes = set()
     for result, dim in reports:
         payload = report_to_dict(result, dim)
@@ -533,6 +538,24 @@ def test_oracle_check_bounded_by_axis_reach(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_oracle_refusal_names_branch(tmp_path, capsys):
+    # The oracle's reach box of 'big' is over its cap; the refusal, raised
+    # before any cell is scanned, says which branch it was.
+    doc = {
+        "dim": 2,
+        "branches": [
+            {"label": label, "char_exponents": [[[1, q], [1, q]]], "sing_faces": [[1, 2]]}
+            for label, q in (("small", 2), ("big", 20000))
+        ],
+    }
+    code, out, err = run_cli(capsys, "analyze", _write(tmp_path, doc), "--oracle-check")
+    assert (code, out) == (1, "")
+    assert err == (
+        "qonash: error: [LIMIT_EXCEEDED] branch 'big': box of 400040001 points "
+        "exceeds the oracle cap\n"
+    )
+
+
 def test_asymmetric_contact_exit(tmp_path, capsys):
     doc = json.loads((CORPUS / "reducible.json").read_text())
     doc["contacts"] = doc["contacts"][:1]
@@ -654,6 +677,19 @@ def test_stdout_closed_before_start():
     assert done.returncode == 2
     assert done.stderr == (
         b"qonash: error: cannot write output: [Errno 9] standard output is closed\n"
+    )
+
+
+def test_stdin_closed_before_start():
+    # With fd 0 closed (`<&-` in a shell) Python sets sys.stdin to None.
+    done = subprocess.run(
+        [sys.executable, "-m", "qonash", "analyze", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+        preexec_fn=lambda: os.close(0),
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (
+        b"qonash: error: cannot read input: [Errno 9] standard input is closed\n"
     )
 
 

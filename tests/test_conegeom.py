@@ -33,7 +33,7 @@ from qonash.conegeom import (
     minimal_singular_points,
 )
 from qonash.intlat import face_sections, section
-from qonash.oracle import _BoxScanner, _support
+from qonash.oracle import _axes, _BoxScanner, _support
 from towers import random_branches
 
 
@@ -507,7 +507,7 @@ class TestMinimalDivisorsOnTowers:
             for offset, mask in _BoxScanner(n).grid():
                 points = np.argwhere(mask)
                 points[:, 0] += offset
-                supports = _support(offset, mask.shape)[mask].tolist()
+                supports = _support(_axes(offset, mask.shape))[mask].tolist()
                 for s, p in zip(supports, points.tolist()):
                     by_support.setdefault(s, []).append(tuple(p))
             for face in face_table(n):

@@ -14,7 +14,6 @@ from qonash import (
     Divisor,
     DomainError,
     RatVec,
-    RelevantFaces,
     analyze_branch,
     analyze_variety,
     build_tower,
@@ -72,16 +71,16 @@ class TestContactFaces:
 
 class TestComponentize:
     def test_drops_superset(self):
-        assert componentize([(1,), (1, 2)]).faces == ((1,),)
+        assert componentize([(1,), (1, 2)]) == ((1,),)
 
     def test_keeps_incomparable(self):
-        assert componentize([(1,), (2, 3)]).faces == ((1,), (2, 3))
+        assert componentize([(1,), (2, 3)]) == ((1,), (2, 3))
 
     def test_empty(self):
-        assert componentize([]).faces == ()
+        assert componentize([]) == ()
 
     def test_deduplicates_and_sorts(self):
-        assert componentize([(2, 1), (1, 2), (3,)]).faces == ((3,), (1, 2))
+        assert componentize([(2, 1), (1, 2), (3,)]) == ((3,), (1, 2))
 
 
 class TestEssentialDivisors:
@@ -112,7 +111,7 @@ class TestEssentialDivisors:
     def test_uncomponentized_input_trips_diagnostic(self):
         # {1} inside {1,2}: both barycenters land in E and one dominates the
         # other, which honest (componentized) input can never produce.
-        e, v, diags = essential_divisors(Z2, RelevantFaces(faces=((1,), (1, 2))))
+        e, v, diags = essential_divisors(Z2, ((1,), (1, 2)))
         assert "LEMMA_MIN_VIOLATION" in [d.code for d in diags]
 
 
@@ -129,7 +128,7 @@ class TestAnalyzeBranch:
         report = analyze_branch(
             cone_branch(contacts=(Contact(vec(F(1, 2), F(1, 2)), "plane"),))
         )
-        assert report.relevant.faces == ((1,), (2,))
+        assert tuple(f.indices for f in report.relevant) == ((1,), (2,))
         assert vectors(report.E) == [vec(0, 2), vec(2, 0)]
         assert vectors(report.V) == [vec(1, 1)]
         assert report.nash_count == 3
@@ -141,7 +140,7 @@ class TestAnalyzeBranch:
                 contacts=(Contact(vec(1, 1), "cone"),),
             )
         )
-        assert report.relevant.faces == ((1,), (2,))
+        assert tuple(f.indices for f in report.relevant) == ((1,), (2,))
         assert vectors(report.E) == [vec(0, 1), vec(1, 0)]
         assert report.V == () and report.nash_count == 2
 
@@ -210,9 +209,28 @@ class TestAnalyzeBranch:
         assert report.nash_count == 3
         assert report.singular_faces_of_sigma == ((1, 2), (1, 3), (2, 3), (1, 2, 3))
 
+    def test_relevant_faces_are_table_faces(self):
+        # B's components are carried as the face table's own objects, in
+        # table order, and name exactly the faces componentize keeps.
+        rng = random.Random(29)
+        for d in range(2, 6):
+            pairs = list(itertools.combinations(range(1, d + 1), 2))
+            for spec, _ in random_branches(6, seed=290 + d, dims=(d,), max_index=24):
+                sing = tuple(rng.sample(pairs, rng.randint(1, min(3, len(pairs)))))
+                extra = tuple(
+                    tuple(sorted(rng.sample(range(1, d + 1), rng.randint(1, d))))
+                    for _ in range(rng.randint(0, 3))
+                )
+                report = analyze_branch(BranchInput(spec, sing, extra))
+                indices = tuple(f.indices for f in report.relevant)
+                assert indices == componentize(sing + extra)
+                ids = [id(f) for f in report.faces]
+                position = [ids.index(id(f)) for f in report.relevant]
+                assert position == sorted(position)
+
     def test_extra_faces_enlarge_b(self):
         report = analyze_branch(cone_branch(extra_faces=((1,),)))
-        assert report.relevant.faces == ((1,),)
+        assert tuple(f.indices for f in report.relevant) == ((1,),)
         assert vectors(report.E) == [vec(2, 0)]
         assert vectors(report.V) == [vec(1, 1)]
 
@@ -416,13 +434,11 @@ class TestRandomizedInvariants:
                 sorted(rng.sample(range(1, n.dim + 1), rng.randint(1, n.dim)))
             )
             comparable = any(
-                set(extra) <= set(f) or set(f) <= set(extra) for f in base.faces
+                set(extra) <= set(f) or set(f) <= set(extra) for f in base
             )
             if comparable:
                 continue
-            enlarged = RelevantFaces(
-                faces=tuple(sorted(base.faces + (extra,), key=lambda f: (len(f), f)))
-            )
+            enlarged = tuple(sorted(base + (extra,), key=lambda f: (len(f), f)))
             e1, v1, _ = essential_divisors(n, base)
             e2, v2, _ = essential_divisors(n, enlarged)
             assert set(vectors(e1)) <= set(vectors(e2))
@@ -445,11 +461,11 @@ class TestRandomizedInvariants:
                 if rng.random() < 0.5:
                     relevant = componentize(raw)
                 else:
-                    relevant = RelevantFaces(faces=tuple(dict.fromkeys(raw)))
+                    relevant = tuple(dict.fromkeys(raw))
                 e, v, diags = essential_divisors(n, relevant)
                 fired += bool(diags)
                 bary = []
-                for idx in relevant.faces:
+                for idx in relevant:
                     face = face_data(n, idx)
                     if face.regular:
                         total = RatVec.zero(d)
@@ -482,9 +498,7 @@ class TestRandomizedInvariants:
             n = lattices_.N
             d = n.dim
             if t % 2:
-                relevant = RelevantFaces(
-                    faces=tuple(f.indices for f in conegeom.face_table(n))
-                )
+                relevant = tuple(f.indices for f in conegeom.face_table(n))
             else:
                 relevant = componentize(
                     tuple(sorted(rng.sample(range(1, d + 1), rng.randint(1, d))))
@@ -718,9 +732,9 @@ class TestMetamorphic:
                 assert sum(f.index for f in base.faces if not f.regular) == sum(
                     f.index for f in moved.faces if not f.regular
                 )
-                assert {permute_face(f, order) for f in base.relevant.faces} == set(
-                    moved.relevant.faces
-                )
+                assert {permute_face(f.indices, order) for f in base.relevant} == {
+                    f.indices for f in moved.relevant
+                }
 
     @pytest.mark.parametrize("case", ["reducible", "smooth"])
     def test_branch_order(self, case):
@@ -749,8 +763,8 @@ def test_split_builds_no_ratvec(monkeypatch):
     cases = []
     for spec, lattices in random_branches(60, seed=20250810):
         n = lattices.N
-        cross = componentize([(k,) for k in range(1, spec.dim + 1)])
-        cases.append((n, conegeom.face_table(n), cross))
+        faces = conegeom.face_table(n)
+        cases.append((n, faces, [f for f in faces if len(f.indices) == 1]))
     monkeypatch.setattr(RatVec, "__init__", counted)
     points = 0
     for n, faces, cross in cases:
@@ -776,9 +790,10 @@ def test_split_antichain_matches_point_check():
                     for _ in range(rng.randint(0, 5))
                 ]
                 if rng.random() < 0.5:
-                    relevant = componentize(raw)
+                    keep = componentize(raw)
                 else:
-                    relevant = RelevantFaces(faces=tuple(dict.fromkeys(raw)))
+                    keep = tuple(dict.fromkeys(raw))
+                relevant = [f for f in faces if f.indices in keep]
                 e, s_min, diagnostics = nashmap._split(n, faces, relevant)
                 points = [x.point for x in e + s_min]
                 assert len(set(points)) == len(points)
@@ -800,7 +815,7 @@ class TestContainingFace:
             cross = tuple((k,) for k in range(1, d + 1))
             for spec, _ in random_branches(6, seed=530 + d, dims=(d,), max_index=24):
                 base = analyze_branch(BranchInput(spec=spec, sing_faces=cross))
-                inner = rng.choice(base.relevant.faces)
+                inner = rng.choice(base.relevant).indices
                 more = rng.sample(range(1, d + 1), rng.randint(0, d))
                 outer = tuple(sorted(set(inner) | set(more)))
                 grown = analyze_branch(
