@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import gcd, prod
+from math import prod
 from operator import add, and_, le
 
 from . import intlat
@@ -48,7 +48,11 @@ class Face:
 @dataclass(frozen=True, order=True)
 class Divisor:
     """A divisorial label: a point of N inside Z^d, its primitive part and the
-    multiplicity, all integral; ``vector`` and ``primitive`` are RatVec views."""
+    multiplicity, all integral; ``vector`` and ``primitive`` are RatVec views.
+    Each reported point is primitive in N, so its multiplicity is 1: were p in
+    S_min q*p' with p' in N and q >= 2, p' would lie in the same face interior
+    strictly below p; the barycenter sum_F c_i e_i of a regular face F is
+    (1, ..., 1) in the basis c_i e_i of N on span F, a saturated sublattice."""
 
     point: tuple[int, ...]
     primitive_point: tuple[int, ...]
@@ -103,9 +107,10 @@ def _classify(n: Lattice, sections) -> list[Face]:
 
 def face_data(n: Lattice, indices) -> Face:
     """Edge generators, index, regularity and section of a quadrant face."""
-    idx = tuple(sorted(set(indices)))
-    if any(not isinstance(i, int) or not 1 <= i <= n.dim for i in idx):
+    idx = tuple(indices)  # checked before the set, where True would merge with 1
+    if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n.dim for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
+    idx = tuple(sorted(set(idx)))
     # Its axes' singletons, then the face; a singleton face is listed once.
     faces = dict.fromkeys([(i,) for i in idx] + [idx])
     return _classify(n, [(f, intlat.section(n, f)) for f in faces])[-1]
@@ -244,20 +249,10 @@ def _require_sublattice(n: Lattice) -> None:
         )
 
 
-def divisor_on_ray(n: Lattice, m: tuple[int, ...], origin: str) -> Divisor:
-    """Split the point m of N as multiplicity times a primitive point; N must
-    lie in Z^d, as the dual of every lattice containing Z^d does."""
-    _require_sublattice(n)
-    coeffs = n.scaled_coefficients(m)
-    assert coeffs is not None, f"{m} is not a lattice vector"
-    q = gcd(*coeffs)
-    return Divisor(tuple(m), tuple(x // q for x in m), q, origin)
-
-
 def minimal_toric_divisors(n: Lattice) -> list[Divisor]:
     """Divisors labelled by the minimal lattice points of the singular faces."""
     points = minimal_singular_points(n, face_table(n))
-    return [divisor_on_ray(n, m, ORIGIN_TORIC_MINIMAL) for m in points]
+    return [Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL) for p in points]
 
 
 def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[int, ...]]:
@@ -311,10 +306,12 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
 
 def barycenter(n: Lattice, indices) -> Divisor:
     """Sum of the primitive edge generators of a regular face."""
+    _require_sublattice(n)
     face = face_data(n, indices)
     if not face.indices:
         raise DomainError("BAD_FACE", "the zero face has no barycenter")
-    return divisor_on_ray(n, barycenter_point(n, face), ORIGIN_BARYCENTER)
+    p = barycenter_point(n, face)
+    return Divisor(p, p, 1, ORIGIN_BARYCENTER)
 
 
 def barycenter_point(n: Lattice, face: Face) -> tuple[int, ...]:

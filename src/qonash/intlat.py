@@ -431,7 +431,7 @@ def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
 def primitive_on_ray(l: Lattice, k: int) -> RatVec:
     """Smallest positive multiple of e_k lying in the lattice (1-based k):
     the pivot of the axis's section, over denom."""
-    if not 1 <= k <= l.dim:
+    if isinstance(k, bool) or not 1 <= k <= l.dim:
         raise DomainError("DIMENSION_MISMATCH", f"axis {k} outside 1..{l.dim}")
     (row,) = section(l, (k,))
     return RatVec.unit(l.dim, k).scale(Fraction(row[k - 1], l.denom))

@@ -130,25 +130,23 @@ def essential_divisors(
     n: Lattice, relevant
 ) -> tuple[list[Divisor], list[Divisor], list[Diagnostic]]:
     """Split the essential divisors over the relevant faces, given as index
-    tuples, into E and V; a tuple that names no face of N's table is ignored.
+    sequences in any order, into E and V; an empty face, or an index that is
+    a bool or outside 1..d, is refused with BAD_FACE.
 
     E holds the barycenters of the regular relevant faces; V holds the
     minimal singular-face lattice points not strictly dominated by a
     barycenter: all of S_min.  Their union is the full set of essential
     divisors relative to B, and equals the image of the Nash components.
     """
+    chosen = set(_check_face_list(n.dim, relevant, kind="relevant", label=""))
     faces = conegeom.face_table(n)
-    return _split(n, faces, [f for f in faces if f.indices in relevant])
+    return _split(n, faces, [f for f in faces if f.indices in chosen])
 
 
 def _split(n: Lattice, faces, relevant):
     """E, S_min (which is V) and diagnostics of N given its face table and
     the relevant faces among them; the antichain is proved, not checked
-    point by point, and each Divisor is built once."""
-    # Every point is primitive in N.  Were p in S_min equal to q*p' with p'
-    # in N and q >= 2, p' would lie in the same singular face strictly below
-    # p.  A barycenter sum_F c_i e_i has coefficients (1, ..., 1) in the
-    # basis c_i e_i of N on span F (F regular), a saturated sublattice of N.
+    point by point, and each Divisor is built once, primitive (see Divisor)."""
     s_min = [
         Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL)
         for p in conegeom.minimal_singular_points(n, faces)

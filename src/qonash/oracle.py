@@ -137,7 +137,7 @@ def brute_face_index(n: Lattice, indices) -> int:
     from one scan of the lattice, kept for the next faces asked about.
     """
     idx = tuple(sorted(set(indices)))
-    if not idx or any(not 1 <= i <= n.dim for i in idx):
+    if not idx or any(isinstance(i, bool) or not 1 <= i <= n.dim for i in indices):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     return _face_counts(n)[sum(1 << (i - 1) for i in idx)]
 

@@ -48,6 +48,9 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
     already lies in the lattice built so far).
     """
     d = spec.dim
+    if isinstance(d, bool) or not 1 <= d <= intlat.MAX_DIM:
+        message = f"dimension {d} outside 1..{intlat.MAX_DIM}"
+        raise DomainError("DIMENSION_MISMATCH", message, branch=spec.label)
     exps = spec.char_exponents
     for j, lam in enumerate(exps, start=1):
         if lam.dim != d:

@@ -460,7 +460,6 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
         (conegeom, "_box_walk"),
         (conegeom, "minimal_singular_points"),
         (conegeom, "minimal_elements"),
-        (conegeom, "divisor_on_ray"),
         (intlat, "face_sections"),
         (intlat, "section"),
         (intlat, "primitive_on_ray"),
@@ -511,8 +510,7 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
     # Every reported divisor is primitive by construction: none is solved
     # for.  The half-open box is only the tests' reference.
     for name in (
-        "section", "primitive_on_ray", "snf", "contains", "index", "divisor_on_ray",
-        "face_parallelepiped",
+        "section", "primitive_on_ray", "snf", "contains", "index", "face_parallelepiped",
     ):
         assert calls[name] == 0, name
     return calls

@@ -22,18 +22,19 @@ from qonash import (
     minimal_toric_divisors,
     monomial_valuation,
     parallelepiped_points,
+    primitive_on_ray,
     singular_faces,
     standard_lattice,
 )
 from qonash import conegeom
 from qonash.conegeom import (
-    divisor_on_ray,
+    Divisor,
     face_parallelepiped,
     face_table,
     minimal_singular_points,
 )
 from qonash.intlat import face_sections, section
-from qonash.oracle import _axes, _BoxScanner, _support
+from qonash.oracle import _axes, _BoxScanner, _support, brute_face_index
 from towers import random_branches
 
 
@@ -178,6 +179,28 @@ class TestFaceRefusals:
             fn(N_EVEN, ())
         assert err.value.code == "BAD_FACE"
         assert err.value.message == f"the zero face has no {what}"
+
+    @pytest.mark.parametrize(
+        "call, code",
+        [
+            pytest.param(lambda n: face_data(n, (True,)), "BAD_FACE", id="face_data"),
+            pytest.param(lambda n: barycenter(n, (True,)), "BAD_FACE", id="barycenter"),
+            pytest.param(
+                lambda n: parallelepiped_points(n, (True, 2)), "BAD_FACE", id="parallelepiped"
+            ),
+            pytest.param(
+                lambda n: primitive_on_ray(n, True), "DIMENSION_MISMATCH", id="primitive_on_ray"
+            ),
+            pytest.param(
+                lambda n: brute_face_index(n, (True,)), "BAD_FACE", id="brute_face_index"
+            ),
+        ],
+    )
+    def test_bool_index_refused(self, call, code):
+        # True == 1 to int arithmetic and in a set, but is no coordinate.
+        with pytest.raises(DomainError) as err:
+            call(Z2)
+        assert err.value.code == code
 
     def test_zero_face_data(self):
         # The zero face is a face of the quadrant: no edges, index 1.
@@ -375,14 +398,6 @@ class TestBarycenter:
             barycenter(N_EVEN, (1, 2))
         assert err.value.code == "SINGULAR_FACE"
 
-    def test_multiplicity_decomposition(self):
-        # (2,2) = 2 * (1,1) in the even lattice; the splitting helper must
-        # find the primitive part even though face outputs are primitive.
-        d = divisor_on_ray(N_EVEN, (2, 2), "toric-minimal")
-        assert (d.primitive, d.multiplicity) == (vec(1, 1), 2)
-        d = divisor_on_ray(N_EVEN, (3, 1), "toric-minimal")
-        assert (d.primitive, d.multiplicity) == (vec(3, 1), 1)
-
 
 class TestMonomialValuation:
     def test_min_over_support(self):
@@ -563,7 +578,7 @@ class TestIntegralDivisor:
     HALF = lat((1, 0), (0, F(1, 2)))
 
     def test_fields_are_integer_points(self):
-        d = divisor_on_ray(N_EVEN, (2, 2), "toric-minimal")
+        d = Divisor((2, 2), (1, 1), 2, "toric-minimal")
         assert (d.point, d.primitive_point, d.multiplicity) == ((2, 2), (1, 1), 2)
         assert all(type(x) is int for x in d.point + d.primitive_point)
         assert (d.vector, d.primitive) == (vec(2, 2), vec(1, 1))
@@ -571,7 +586,7 @@ class TestIntegralDivisor:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda n: divisor_on_ray(n, (2, 0), "toric-minimal"),
+            lambda n: minimal_toric_divisors(n),
             lambda n: barycenter(n, (1,)),
         ],
     )

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from qonash import (
     RatVec,
     analyze_branch,
     analyze_variety,
+    barycenter,
     build_tower,
     componentize,
     contact_faces,
@@ -114,6 +116,22 @@ class TestEssentialDivisors:
         e, v, diags = essential_divisors(Z2, ((1,), (1, 2)))
         assert "LEMMA_MIN_VIOLATION" in [d.code for d in diags]
 
+    @pytest.mark.parametrize(
+        "given, point", [([[1]], (1, 0)), (((2, 1),), (1, 1)), ([(2, 1, 2)], (1, 1))]
+    )
+    def test_face_in_any_order_or_as_list(self, given, point):
+        # A face counts however its indices are listed.
+        e, v, diags = essential_divisors(Z2, given)
+        assert [d.point for d in e] == [point]
+        assert v == [] and diags == []
+
+    @pytest.mark.parametrize("bad", [(3,), (), (True,), (0, 1)])
+    def test_malformed_face_refused(self, bad):
+        with pytest.raises(DomainError) as err:
+            essential_divisors(Z2, ((1,), bad))
+        assert err.value.code == "BAD_FACE" and err.value.branch is None
+        assert err.value.message == f"relevant face {bad} not within 1..2"
+
 
 def cone_branch(**kwargs):
     return BranchInput(
@@ -188,6 +206,15 @@ class TestAnalyzeBranch:
         extra = BranchInput(cone_branch().spec, ((1, 2),), extra_faces=((False,),))
         with pytest.raises(DomainError, match=r"extra face \(False,\) not within 1\.\.2"):
             analyze_branch(extra)
+
+    @pytest.mark.parametrize("dim", [0, 17, True])
+    def test_dimension_out_of_range_names_branch(self, dim):
+        with pytest.raises(DomainError) as err:
+            analyze_branch(BranchInput(BranchSpec(dim, (), "x")))
+        assert err.value.branch == "x"
+        assert str(err.value) == (
+            f"[DIMENSION_MISMATCH] branch 'x': dimension {dim} outside 1..16"
+        )
 
     def test_full_set_sing_face_legal_for_point_singularity(self):
         report = analyze_branch(cone_branch())
@@ -484,11 +511,13 @@ class TestRandomizedInvariants:
         assert fired > 0
 
     def test_divisors_are_primitive(self):
-        # E and S_min are built as primitive points without solving for
-        # their coefficients; divisor_on_ray, which does, must agree.  The
-        # criterion-1 towers, then random towers in d = 2..8, take turns
-        # between a componentized random face list and the uncomponentized
-        # list of every face, which puts every regular face's barycenter in E.
+        # E and S_min, and the bare entry points minimal_toric_divisors and
+        # barycenter, build their points as primitive without solving for
+        # them; here each point's coefficients in N's basis are solved for
+        # and must have gcd 1.  The criterion-1 towers, then random towers
+        # in d = 2..8, take turns between a componentized random face list
+        # and the uncomponentized list of every face, which puts every
+        # regular face's barycenter in E.
         rng = random.Random(35)
         towers = random_branches(520, seed=20250810, dims=(2, 3, 4))
         for d in range(2, 9):
@@ -505,11 +534,19 @@ class TestRandomizedInvariants:
                     for _ in range(rng.randint(0, 4))
                 )
             e, v, _ = essential_divisors(n, relevant)
-            for div in e + v:
-                assert div == conegeom.divisor_on_ray(n, div.point, div.origin)
-                checked[div.origin, d] += 1
-        for d in range(2, 9):
-            assert checked["barycenter", d] and checked["toric-minimal", d], d
+            bare = minimal_toric_divisors(n) + [
+                barycenter(n, f.indices) for f in conegeom.face_table(n) if f.regular
+            ]
+            for source, divs in (("split", e + v), ("bare", bare)):
+                for div in divs:
+                    coeffs = n.scaled_coefficients(div.point)
+                    assert coeffs is not None and gcd(*coeffs) == 1, div
+                    assert (div.primitive_point, div.multiplicity) == (div.point, 1)
+                    checked[source, div.origin, d] += 1
+        for d, source, origin in itertools.product(
+            range(2, 9), ("split", "bare"), ("barycenter", "toric-minimal")
+        ):
+            assert checked[source, origin, d], (d, source, origin)
 
     def test_determinism(self):
         branches = [
