@@ -8,7 +8,6 @@ a CLI (:mod:`qonash.cli`).
 """
 
 from .conegeom import (
-    Divisor,
     Face,
     barycenter,
     face_data,
@@ -56,7 +55,6 @@ __all__ = [
     "BranchSpec",
     "Contact",
     "Diagnostic",
-    "Divisor",
     "DomainError",
     "Face",
     "Lattice",

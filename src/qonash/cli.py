@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
-from . import conegeom
 from .errors import DomainError, SchemaError
 from .intlat import MAX_DIM, Lattice, RatVec
 from .nashmap import (
@@ -32,6 +31,16 @@ from .nashmap import (
 from .qobranch import BranchSpec
 
 SCHEMA_VERSION = 1
+
+# Each essential divisor is carried as its integer point p, and the report
+# writes it with "primitive" equal to "vector", "multiplicity" 1 and the
+# origin of the list that holds it.  Each p is primitive in N: were p in
+# S_min q*p' with p' in N and q >= 2, p' would lie in the same singular face
+# interior strictly below p; the barycenter sum_F c_i e_i of a regular face
+# F is (1, ..., 1) in the basis c_i e_i of N on span F, a saturated
+# sublattice of N.
+ORIGIN_TORIC_MINIMAL = "toric-minimal"  # s_min and V
+ORIGIN_BARYCENTER = "barycenter"  # E
 
 
 # ---------------------------------------------------------------- input file
@@ -153,13 +162,9 @@ def _vec_json(v) -> list[list[int]]:
     return [[c.numerator, c.denominator] for c in v]
 
 
-def _divisor_json(d: conegeom.Divisor) -> dict:
-    return {
-        "vector": _vec_json(d.point),
-        "primitive": _vec_json(d.primitive_point),
-        "multiplicity": d.multiplicity,
-        "origin": d.origin,
-    }
+def _divisor_json(p, origin: str) -> dict:
+    vector = _vec_json(p)
+    return {"vector": vector, "primitive": vector, "multiplicity": 1, "origin": origin}
 
 
 def _lattice_json(l: Lattice) -> dict:
@@ -167,7 +172,7 @@ def _lattice_json(l: Lattice) -> dict:
 
 
 def _branch_json(report: BranchReport) -> dict:
-    s_min = [_divisor_json(d) for d in report.s_min]
+    s_min = [_divisor_json(p, ORIGIN_TORIC_MINIMAL) for p in report.s_min]
     return {
         "label": report.label,
         "char_exponents": [_vec_json(v) for v in report.char_exponents],
@@ -185,7 +190,7 @@ def _branch_json(report: BranchReport) -> dict:
         ],
         "singular_faces_of_sigma": [list(i) for i in report.singular_faces_of_sigma],
         "s_min": s_min,
-        "E": [_divisor_json(d) for d in report.E],
+        "E": [_divisor_json(p, ORIGIN_BARYCENTER) for p in report.E],
         "V": s_min,  # V is S_min
         "nash_count": report.nash_count,
         "diagnostics": [
@@ -224,17 +229,11 @@ def _vec(v, nl: str) -> str:
     return _list([f"[{n2}{c.numerator},{n2}{c.denominator}{n1}]" for c in v], nl)
 
 
-def _divisors(divisors, nl: str) -> str:
+def _divisors(points, origin: str, nl: str) -> str:
     n1, n2 = nl + "  ", nl + "    "
-    out = []
-    for d in divisors:
-        vector = _vec(d.point, n2)
-        primitive = vector if d.primitive_point == d.point else _vec(d.primitive_point, n2)
-        out.append(
-            f'{{{n2}"multiplicity": {d.multiplicity},{n2}"origin": {_escape(d.origin)},'
-            f'{n2}"primitive": {primitive},{n2}"vector": {vector}{n1}}}'
-        )
-    return _list(out, nl)
+    head = f'{{{n2}"multiplicity": 1,{n2}"origin": {_escape(origin)},{n2}"primitive": '
+    vectors = (_vec(p, n2) for p in points)
+    return _list([f'{head}{v},{n2}"vector": {v}{n1}}}' for v in vectors], nl)
 
 
 def _lattice(l: Lattice, nl: str) -> str:
@@ -261,10 +260,10 @@ def _branch_pieces(report: BranchReport) -> list[str]:
     ]
     exps = _list([_vec(v, f1) for v in report.char_exponents], k)
     sing = _list([_ints(i, f1) for i in report.singular_faces_of_sigma], k)
-    s_min = _divisors(report.s_min, k)
+    s_min = _divisors(report.s_min, ORIGIN_TORIC_MINIMAL, k)
     lattices = report.lattices
     return [
-        f'{nl}{{{k}"E": {_divisors(report.E, k)},{k}"V": ',
+        f'{nl}{{{k}"E": {_divisors(report.E, ORIGIN_BARYCENTER, k)},{k}"V": ',
         s_min,  # V is S_min
         f',{k}"char_exponents": {exps},{k}"degree": {lattices.degree_n},'
         f'{k}"diagnostics": {_list(notes, k)},{k}"label": {_escape(report.label)},'
@@ -301,9 +300,9 @@ def _fmt_face(idx) -> str:
     return "{" + ",".join(str(i) for i in idx) + "}"
 
 
-def _fmt_divisor(d: conegeom.Divisor) -> str:
-    vector, primitive = (", ".join(map(str, p)) for p in (d.point, d.primitive_point))
-    return f"({vector}) = {d.multiplicity}*({primitive})"
+def _fmt_divisor(p) -> str:
+    vector = ", ".join(map(str, p))
+    return f"({vector}) = 1*({vector})"
 
 
 def render_text(result: VarietyReport, dim: int) -> str:
@@ -372,8 +371,8 @@ def _oracle_check(result: VarietyReport) -> None:
             brute, singular = oracle.brute_branch(n, bound)
         except DomainError as exc:  # a refused scan names its branch
             raise DomainError(exc.code, exc.message, branch=report.label) from None
-        if brute != [d.point for d in report.s_min]:
-            main, brute = [d.vector for d in report.s_min], list(map(RatVec, brute))
+        if brute != list(report.s_min):
+            main, brute = list(map(RatVec, report.s_min)), list(map(RatVec, brute))
             raise DomainError(
                 "ORACLE_MISMATCH",
                 f"minimal singular-face points differ: main {main}, brute {brute}",

@@ -23,10 +23,6 @@ from . import intlat
 from .errors import DomainError
 from .intlat import Lattice, RatVec
 
-ORIGIN_TORIC_MINIMAL = "toric-minimal"
-ORIGIN_BARYCENTER = "barycenter"
-
-
 @dataclass(frozen=True)
 class Face:
     """A face of the quadrant: coordinate subset, edge generators and their
@@ -43,29 +39,6 @@ class Face:
     @property
     def regular(self) -> bool:
         return self.index == 1
-
-
-@dataclass(frozen=True, order=True)
-class Divisor:
-    """A divisorial label: a point of N inside Z^d, its primitive part and the
-    multiplicity, all integral; ``vector`` and ``primitive`` are RatVec views.
-    Each reported point is primitive in N, so its multiplicity is 1: were p in
-    S_min q*p' with p' in N and q >= 2, p' would lie in the same face interior
-    strictly below p; the barycenter sum_F c_i e_i of a regular face F is
-    (1, ..., 1) in the basis c_i e_i of N on span F, a saturated sublattice."""
-
-    point: tuple[int, ...]
-    primitive_point: tuple[int, ...]
-    multiplicity: int
-    origin: str
-
-    @property
-    def vector(self) -> RatVec:
-        return RatVec(self.point)
-
-    @property
-    def primitive(self) -> RatVec:
-        return RatVec(self.primitive_point)
 
 
 def leq_sigma(u, v) -> bool:
@@ -108,7 +81,7 @@ def _classify(n: Lattice, sections) -> list[Face]:
 def face_data(n: Lattice, indices) -> Face:
     """Edge generators, index, regularity and section of a quadrant face."""
     idx = tuple(indices)  # checked before the set, where True would merge with 1
-    if any(isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n.dim for i in idx):
+    if not all(intlat.is_index(i, n.dim) for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     idx = tuple(sorted(set(idx)))
     # Its axes' singletons, then the face; a singleton face is listed once.
@@ -249,10 +222,10 @@ def _require_sublattice(n: Lattice) -> None:
         )
 
 
-def minimal_toric_divisors(n: Lattice) -> list[Divisor]:
-    """Divisors labelled by the minimal lattice points of the singular faces."""
-    points = minimal_singular_points(n, face_table(n))
-    return [Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL) for p in points]
+def minimal_toric_divisors(n: Lattice) -> list[tuple[int, ...]]:
+    """The divisors labelled by the minimal lattice points of the singular
+    faces: S_min of N, as sorted integer points."""
+    return minimal_singular_points(n, face_table(n))
 
 
 def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[int, ...]]:
@@ -304,14 +277,14 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
     return minimal_elements(found + larger)
 
 
-def barycenter(n: Lattice, indices) -> Divisor:
-    """Sum of the primitive edge generators of a regular face."""
+def barycenter(n: Lattice, indices) -> tuple[int, ...]:
+    """Sum of the primitive edge generators of a regular face, as an integer
+    point."""
     _require_sublattice(n)
     face = face_data(n, indices)
     if not face.indices:
         raise DomainError("BAD_FACE", "the zero face has no barycenter")
-    p = barycenter_point(n, face)
-    return Divisor(p, p, 1, ORIGIN_BARYCENTER)
+    return barycenter_point(n, face)
 
 
 def barycenter_point(n: Lattice, face: Face) -> tuple[int, ...]:

@@ -23,6 +23,12 @@ MAX_DIM = 16
 RatLike = int | str | Fraction
 
 
+def is_index(value, top: int) -> bool:
+    """Whether value is an int in 1..top.  A bool is an int to isinstance,
+    and True would merge with 1 in a set, but it is no index."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= top
+
+
 def _as_fraction(value: RatLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact lattice data")
@@ -53,7 +59,7 @@ class RatVec:
     @classmethod
     def unit(cls, dim: int, k: int) -> "RatVec":
         """Standard basis vector e_k, 1-based k."""
-        if not 1 <= k <= dim:
+        if not (is_index(dim, MAX_DIM) and is_index(k, dim)):
             raise DomainError("DIMENSION_MISMATCH", f"axis {k} outside 1..{dim}")
         return cls([1 if i == k - 1 else 0 for i in range(dim)])
 
@@ -288,7 +294,7 @@ class Lattice:
 
 def standard_lattice(dim: int) -> Lattice:
     """The integer lattice Z^d."""
-    if not 1 <= dim <= MAX_DIM:
+    if not is_index(dim, MAX_DIM):
         raise DomainError("DIMENSION_MISMATCH", f"dimension {dim} outside 1..{MAX_DIM}")
     rows = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
     return Lattice(dim, 1, rows)
@@ -431,7 +437,7 @@ def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
 def primitive_on_ray(l: Lattice, k: int) -> RatVec:
     """Smallest positive multiple of e_k lying in the lattice (1-based k):
     the pivot of the axis's section, over denom."""
-    if isinstance(k, bool) or not 1 <= k <= l.dim:
+    if not is_index(k, l.dim):
         raise DomainError("DIMENSION_MISMATCH", f"axis {k} outside 1..{l.dim}")
     (row,) = section(l, (k,))
     return RatVec.unit(l.dim, k).scale(Fraction(row[k - 1], l.denom))

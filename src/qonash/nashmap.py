@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import conegeom, qobranch
-from .conegeom import ORIGIN_BARYCENTER, ORIGIN_TORIC_MINIMAL, Divisor, Face, leq_sigma
+from .conegeom import Face, leq_sigma
 from .errors import DomainError
-from .intlat import Lattice, RatVec
+from .intlat import Lattice, RatVec, is_index
 from .qobranch import BranchLattices, BranchSpec
 
 
@@ -51,14 +51,17 @@ class BranchReport:
     lattices: BranchLattices
     relevant: tuple[Face, ...]  # B's components: faces of `faces`, in its order
     faces: tuple[Face, ...]
-    s_min: tuple[Divisor, ...]
-    E: tuple[Divisor, ...]
-    nash_count: int
+    s_min: tuple[tuple[int, ...], ...]  # each divisor as its integer point
+    E: tuple[tuple[int, ...], ...]
     diagnostics: tuple[Diagnostic, ...] = field(default=())
 
     @property
-    def V(self) -> tuple[Divisor, ...]:
+    def V(self) -> tuple[tuple[int, ...], ...]:
         return self.s_min  # no S_min point lies above a barycenter (see _split)
+
+    @property
+    def nash_count(self) -> int:
+        return len(self.E) + len(self.s_min)
 
     @property
     def singular_faces_of_sigma(self) -> tuple[tuple[int, ...], ...]:
@@ -68,7 +71,10 @@ class BranchReport:
 @dataclass(frozen=True)
 class VarietyReport:
     branches: tuple[BranchReport, ...]
-    total_nash: int
+
+    @property
+    def total_nash(self) -> int:
+        return sum(r.nash_count for r in self.branches)
 
     @property
     def total_essential(self) -> int:
@@ -103,15 +109,15 @@ def componentize(raw) -> tuple[tuple[int, ...], ...]:
     return tuple(minimal)
 
 
-def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
-    """Flag barycenters strictly dominated inside E union S_min.
+def lemma_min_diagnostics(e_points, s_min_points) -> list[Diagnostic]:
+    """Flag barycenters strictly dominated inside E union S_min, both given
+    as points.
 
     For consistent input (B contains the singular locus and the relevant
     faces are honest orbit-closure components) this can never fire; a hit
     means the supplied face data contradicts the lattice.
     """
-    e_points = [d.point for d in e_divisors]
-    pool = e_points + [d.point for d in s_min]
+    pool = [*e_points, *s_min_points]
     out = []
     for p in e_points:
         x = next((q for q in pool if q != p and leq_sigma(q, p)), None)
@@ -128,15 +134,16 @@ def lemma_min_diagnostics(e_divisors, s_min) -> list[Diagnostic]:
 
 def essential_divisors(
     n: Lattice, relevant
-) -> tuple[list[Divisor], list[Divisor], list[Diagnostic]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[Diagnostic]]:
     """Split the essential divisors over the relevant faces, given as index
     sequences in any order, into E and V; an empty face, or an index that is
     a bool or outside 1..d, is refused with BAD_FACE.
 
     E holds the barycenters of the regular relevant faces; V holds the
     minimal singular-face lattice points not strictly dominated by a
-    barycenter: all of S_min.  Their union is the full set of essential
-    divisors relative to B, and equals the image of the Nash components.
+    barycenter: all of S_min.  Each divisor is its integer point, and each
+    list is sorted.  Their union is the full set of essential divisors
+    relative to B, and equals the image of the Nash components.
     """
     chosen = set(_check_face_list(n.dim, relevant, kind="relevant", label=""))
     faces = conegeom.face_table(n)
@@ -145,15 +152,11 @@ def essential_divisors(
 
 def _split(n: Lattice, faces, relevant):
     """E, S_min (which is V) and diagnostics of N given its face table and
-    the relevant faces among them; the antichain is proved, not checked
-    point by point, and each Divisor is built once, primitive (see Divisor)."""
-    s_min = [
-        Divisor(p, p, 1, ORIGIN_TORIC_MINIMAL)
-        for p in conegeom.minimal_singular_points(n, faces)
-    ]
+    the relevant faces among them, E and S_min as sorted integer points;
+    the antichain is proved, not checked point by point."""
+    s_min = conegeom.minimal_singular_points(n, faces)
     regular = [f for f in relevant if f.regular]
-    barycenters = sorted(conegeom.barycenter_point(n, f) for f in regular)
-    e_divisors = [Divisor(p, p, 1, ORIGIN_BARYCENTER) for p in barycenters]
+    e_points = sorted(conegeom.barycenter_point(n, f) for f in regular)
     # E and S_min form an antichain unless one regular relevant face lies
     # inside another.  S_min is one by construction.  No p in S_min lies
     # below a barycenter b_F: its support, a singular face, would lie in F,
@@ -165,18 +168,15 @@ def _split(n: Lattice, faces, relevant):
     # inconsistent input.
     diagnostics = []
     if any(set(f.indices) < set(g.indices) for f in regular for g in regular):
-        diagnostics = lemma_min_diagnostics(e_divisors, s_min)
+        diagnostics = lemma_min_diagnostics(e_points, s_min)
         assert diagnostics, "essential divisors must form an antichain"
-    return e_divisors, s_min, diagnostics
+    return e_points, s_min, diagnostics
 
 
 def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[int, ...], ...]:
     out = []
     for raw in map(tuple, faces):
-        # A bool is an int to isinstance, and would merge with 1 in a set.
-        if not raw or not all(
-            isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= dim for i in raw
-        ):
+        if not raw or not all(is_index(i, dim) for i in raw):
             raise DomainError("BAD_FACE", f"{kind} face {raw} not within 1..{dim}", branch=label)
         idx = tuple(sorted(set(raw)))
         if kind == "singular-locus" and len(idx) > 2 and len(idx) != dim:
@@ -276,7 +276,7 @@ def _analyze(
             branch=label,
         )
 
-    e_divisors, s_min, diagnostics = _split(n, faces, relevant)
+    e_points, s_min, diagnostics = _split(n, faces, relevant)
     if not relevant and not sigma_singular:
         diagnostics = diagnostics + [
             Diagnostic(
@@ -291,8 +291,7 @@ def _analyze(
         relevant=relevant,
         faces=faces,
         s_min=tuple(s_min),
-        E=tuple(e_divisors),
-        nash_count=len(e_divisors) + len(s_min),
+        E=tuple(e_points),
         diagnostics=tuple(diagnostics),
     )
 
@@ -354,4 +353,4 @@ def analyze_variety(
     prepared = [_prepare(b, max_points) for b in branches]
     _check_contact_symmetry(branches)
     reports = tuple(_analyze(b, *p) for b, p in zip(branches, prepared))
-    return VarietyReport(branches=reports, total_nash=sum(r.nash_count for r in reports))
+    return VarietyReport(branches=reports)

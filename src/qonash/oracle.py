@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .intlat import Lattice, RatVec
+from .intlat import Lattice, RatVec, is_index
 
 # Hard ceiling on scanned grid points; the oracle is a checking tool, not a
 # production path, and anything bigger than this is a mistake.
@@ -136,10 +136,10 @@ def brute_face_index(n: Lattice, indices) -> int:
     is regular exactly when the count is 1.  The counts of every face come
     from one scan of the lattice, kept for the next faces asked about.
     """
-    idx = tuple(sorted(set(indices)))
-    if not idx or any(isinstance(i, bool) or not 1 <= i <= n.dim for i in indices):
+    idx = tuple(indices)  # checked before the set, where True would merge with 1
+    if not idx or not all(is_index(i, n.dim) for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
-    return _face_counts(n)[sum(1 << (i - 1) for i in idx)]
+    return _face_counts(n)[sum(1 << (i - 1) for i in set(idx))]
 
 
 def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:

@@ -48,7 +48,7 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
     already lies in the lattice built so far).
     """
     d = spec.dim
-    if isinstance(d, bool) or not 1 <= d <= intlat.MAX_DIM:
+    if not intlat.is_index(d, intlat.MAX_DIM):
         message = f"dimension {d} outside 1..{intlat.MAX_DIM}"
         raise DomainError("DIMENSION_MISMATCH", message, branch=spec.label)
     exps = spec.char_exponents

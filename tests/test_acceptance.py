@@ -28,7 +28,6 @@ from qonash import (
     BranchInput,
     BranchSpec,
     Contact,
-    Divisor,
     DomainError,
     RatVec,
     analyze_branch,
@@ -57,8 +56,8 @@ def vec(*coords):
     return RatVec(coords)
 
 
-def vectors(divisors):
-    return [d.vector for d in divisors]
+def vectors(points):
+    return [RatVec(p) for p in points]
 
 
 def _src_env():
@@ -130,7 +129,7 @@ def test_oracle_second_tier():
     for d in (3, 4, 5):
         for _ in range(15):
             exps, n, bound = _second_tier_tower(rng, d)
-            main = [div.point for div in minimal_toric_divisors(n)]
+            main = minimal_toric_divisors(n)
             singular = {face.indices for face in face_table(n) if not face.regular}
             assert brute_branch(n, bound) == (main, singular), exps
 
@@ -172,8 +171,7 @@ def test_criterion_2_worked_corpus():
 
     cusp = analyze_branch(_branch_from_corpus("plane_cusp", "cusp"))
     assert vectors(cusp.E) == [vec(2)]
-    assert cusp.E[0].primitive == vec(2) and cusp.E[0].multiplicity == 1
-    assert cusp.E[0].vector == primitive_on_ray(cusp.lattices.N, 1)
+    assert RatVec(cusp.E[0]) == primitive_on_ray(cusp.lattices.N, 1)
     assert cusp.nash_count == 1
 
     deg4 = analyze_branch(_branch_from_corpus("degree4", "deg4"))
@@ -238,9 +236,7 @@ def test_criterion_3_invariant_suite():
         )
 
     # the synthetic inconsistent input does fire the diagnostic
-    fake = Divisor(vec(3, 3), vec(1, 1), 3, "barycenter")
-    s_min = [Divisor(vec(1, 1), vec(1, 1), 1, "toric-minimal")]
-    assert [d.code for d in lemma_min_diagnostics([fake], s_min)] == [
+    assert [d.code for d in lemma_min_diagnostics([(3, 3)], [(1, 1)])] == [
         "LEMMA_MIN_VIOLATION"
     ]
 

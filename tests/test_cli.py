@@ -27,7 +27,6 @@ from qonash import (
     qobranch,
 )
 from qonash.cli import parse_variety, render_json, report_to_dict, run
-from qonash.conegeom import Divisor
 from qonash.nashmap import lemma_min_diagnostics
 from towers import random_branches
 
@@ -103,17 +102,10 @@ def test_render_json_matches_json_dumps():
         spec = BranchSpec(dim, (RatVec([F(1, 2)] * dim),), f"d{dim}")
         reports.append((analyze_variety([_cross_branch(spec)]), dim))
     result, dim = reports[0]
-    fake = Divisor((3, 3), (1, 1), 3, "barycenter")
-    minimal = [Divisor((1, 1), (1, 1), 1, "toric-minimal")]
     inconsistent = dataclasses.replace(
-        result.branches[0], diagnostics=tuple(lemma_min_diagnostics([fake], minimal))
+        result.branches[0], diagnostics=tuple(lemma_min_diagnostics([(3, 3)], [(1, 1)]))
     )
     reports.append((dataclasses.replace(result, branches=(inconsistent,)), dim))
-    # No computed report holds a divisor whose primitive part is not itself.
-    doubled = dataclasses.replace(
-        result.branches[0], E=(Divisor((4, 0), (2, 0), 2, "barycenter"),)
-    )
-    reports.append((dataclasses.replace(result, branches=(doubled,)), dim))
     codes = set()
     for result, dim in reports:
         payload = report_to_dict(result, dim)

@@ -9,12 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qonash import (
+    BranchInput,
     BranchSpec,
     DomainError,
     RatVec,
+    analyze_branch,
     barycenter,
     build_tower,
     contains,
+    essential_divisors,
     face_data,
     lattice_from_generators,
     leq_sigma,
@@ -28,7 +31,6 @@ from qonash import (
 )
 from qonash import conegeom
 from qonash.conegeom import (
-    Divisor,
     face_parallelepiped,
     face_table,
     minimal_singular_points,
@@ -194,10 +196,22 @@ class TestFaceRefusals:
             pytest.param(
                 lambda n: brute_face_index(n, (True,)), "BAD_FACE", id="brute_face_index"
             ),
+            pytest.param(lambda n: face_data(n, (1.0,)), "BAD_FACE", id="face_data_float"),
+            pytest.param(
+                lambda n: brute_face_index(n, (1.0,)), "BAD_FACE", id="brute_face_index_float"
+            ),
+            pytest.param(
+                lambda n: standard_lattice(True), "DIMENSION_MISMATCH", id="standard_lattice"
+            ),
+            pytest.param(
+                lambda n: RatVec.unit(n.dim, True), "DIMENSION_MISMATCH", id="unit"
+            ),
+            pytest.param(lambda n: RatVec.unit(True, 1), "DIMENSION_MISMATCH", id="unit_dim"),
         ],
     )
     def test_bool_index_refused(self, call, code):
-        # True == 1 to int arithmetic and in a set, but is no coordinate.
+        # True == 1 to int arithmetic and in a set, but is no coordinate;
+        # neither is a float, which face_data refuses too.
         with pytest.raises(DomainError) as err:
             call(Z2)
         assert err.value.code == code
@@ -366,13 +380,10 @@ class TestMinimalToricDivisors:
         assert minimal_toric_divisors(Z2) == []
 
     def test_even_lattice(self):
-        (d,) = minimal_toric_divisors(N_EVEN)
-        assert (d.vector, d.primitive, d.multiplicity) == (vec(1, 1), vec(1, 1), 1)
-        assert d.origin == "toric-minimal"
+        assert minimal_toric_divisors(N_EVEN) == [(1, 1)]
 
     def test_mod4(self):
-        got = [d.vector for d in minimal_toric_divisors(N_MOD4)]
-        assert got == [vec(1, 3), vec(2, 2), vec(3, 1)]
+        assert minimal_toric_divisors(N_MOD4) == [(1, 3), (2, 2), (3, 1)]
 
     def test_requires_integral_lattice(self):
         with pytest.raises(DomainError):
@@ -381,17 +392,13 @@ class TestMinimalToricDivisors:
 
 class TestBarycenter:
     def test_single_edge(self):
-        d = barycenter(lat((1, 0), (0, 2)), (1,))
-        assert (d.vector, d.primitive, d.multiplicity) == (vec(1, 0), vec(1, 0), 1)
-        assert d.origin == "barycenter"
+        assert barycenter(lat((1, 0), (0, 2)), (1,)) == (1, 0)
 
     def test_even_lattice_edge(self):
-        d = barycenter(N_EVEN, (1,))
-        assert (d.vector, d.primitive, d.multiplicity) == (vec(2, 0), vec(2, 0), 1)
+        assert barycenter(N_EVEN, (1,)) == (2, 0)
 
     def test_full_face_of_standard(self):
-        d = barycenter(Z2, (1, 2))
-        assert (d.vector, d.multiplicity) == (vec(1, 1), 1)
+        assert barycenter(Z2, (1, 2)) == (1, 1)
 
     def test_singular_face_rejected(self):
         with pytest.raises(DomainError) as err:
@@ -536,12 +543,9 @@ class TestMinimalDivisorsOnTowers:
         for _, lattices_ in self.BRANCHES:
             n = lattices_.N
             singular = set(singular_faces(n))
-            for div in minimal_toric_divisors(n):
-                assert contains(n, div.vector)
-                support = div.vector.support()
-                assert support in singular
-                assert div.vector == div.primitive.scale(div.multiplicity)
-                assert contains(n, div.primitive)
+            for p in map(RatVec, minimal_toric_divisors(n)):
+                assert contains(n, p)
+                assert p.support() in singular
 
 
 class TestHighDimensionInvariants:
@@ -567,21 +571,27 @@ class TestHighDimensionInvariants:
     def test_candidates_dominate_s_min(self):
         for _, lattices_ in self.BRANCHES:
             n = lattices_.N
-            s_min = [tuple(int(c) for c in x.vector) for x in minimal_toric_divisors(n)]
+            s_min = minimal_toric_divisors(n)
             for idx in singular_faces(n):
                 for point in parallelepiped_points(n, idx):
                     assert any(leq_sigma(m, point) for m in s_min), (idx, point)
 
 
 class TestIntegralDivisor:
-    # N lies in Z^d, so a Divisor stores integers and derives its RatVecs.
+    # N lies in Z^d, so each divisor is carried as its point, a tuple of ints.
     HALF = lat((1, 0), (0, F(1, 2)))
 
-    def test_fields_are_integer_points(self):
-        d = Divisor((2, 2), (1, 1), 2, "toric-minimal")
-        assert (d.point, d.primitive_point, d.multiplicity) == ((2, 2), (1, 1), 2)
-        assert all(type(x) is int for x in d.point + d.primitive_point)
-        assert (d.vector, d.primitive) == (vec(2, 2), vec(1, 1))
+    def test_points_are_int_tuples(self):
+        cone = BranchSpec(2, (vec(F(1, 2), F(1, 2)),))
+        report = analyze_branch(
+            BranchInput(cone, sing_faces=((1, 2),), extra_faces=((1,), (2,)))
+        )
+        e, v, _ = essential_divisors(N_MOD4, ((1,), (2,)))
+        lists = [report.E, report.s_min, report.V, e, v, minimal_toric_divisors(N_MOD4)]
+        for points in lists + [[barycenter(N_MOD4, (1,))]]:
+            assert points
+            for p in points:
+                assert type(p) is tuple and all(type(x) is int for x in p), p
 
     @pytest.mark.parametrize(
         "make",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -12,7 +13,6 @@ from qonash import (
     BranchInput,
     BranchSpec,
     Contact,
-    Divisor,
     DomainError,
     RatVec,
     analyze_branch,
@@ -49,8 +49,8 @@ N_MOD4 = lat((4, 0), (3, 1))
 Z2 = standard_lattice(2)
 
 
-def vectors(divisors):
-    return [d.vector for d in divisors]
+def vectors(points):
+    return [RatVec(p) for p in points]
 
 
 class TestContactFaces:
@@ -105,9 +105,7 @@ class TestEssentialDivisors:
         assert diags == []
 
     def test_synthetic_lemma_min_violation(self):
-        fake_e = Divisor(vec(3, 3), vec(1, 1), 3, "barycenter")
-        s_min = [Divisor(vec(1, 1), vec(1, 1), 1, "toric-minimal")]
-        diags = lemma_min_diagnostics([fake_e], s_min)
+        diags = lemma_min_diagnostics([(3, 3)], [(1, 1)])
         assert [d.code for d in diags] == ["LEMMA_MIN_VIOLATION"]
 
     def test_uncomponentized_input_trips_diagnostic(self):
@@ -122,7 +120,7 @@ class TestEssentialDivisors:
     def test_face_in_any_order_or_as_list(self, given, point):
         # A face counts however its indices are listed.
         e, v, diags = essential_divisors(Z2, given)
-        assert [d.point for d in e] == [point]
+        assert e == [point]
         assert v == [] and diags == []
 
     @pytest.mark.parametrize("bad", [(3,), (), (True,), (0, 1)])
@@ -207,7 +205,7 @@ class TestAnalyzeBranch:
         with pytest.raises(DomainError, match=r"extra face \(False,\) not within 1\.\.2"):
             analyze_branch(extra)
 
-    @pytest.mark.parametrize("dim", [0, 17, True])
+    @pytest.mark.parametrize("dim", [0, 17, True, 2.0])
     def test_dimension_out_of_range_names_branch(self, dim):
         with pytest.raises(DomainError) as err:
             analyze_branch(BranchInput(BranchSpec(dim, (), "x")))
@@ -276,6 +274,14 @@ class TestAnalyzeVariety:
         report = analyze_variety(self.reducible())
         assert [b.nash_count for b in report.branches] == [3, 2]
         assert report.total_nash == report.total_essential == 5
+
+    def test_counts_follow_replaced_lists(self):
+        # The counts are derived from the lists, so a replaced E counts.
+        report = analyze_variety(self.reducible())
+        cone = dataclasses.replace(report.branches[0], E=((2, 0),))
+        moved = dataclasses.replace(report, branches=(cone, report.branches[1]))
+        assert cone.nash_count == 2
+        assert moved.total_nash == moved.total_essential == 4
 
     def test_single_branch(self):
         report = analyze_variety([cone_branch()])
@@ -448,9 +454,9 @@ class TestRandomizedInvariants:
             n = lattices_.N
             singular = set(singular_faces(n))
             _, v, _ = essential_divisors(n, random_relevant(rng, n.dim))
-            for div in v:
-                assert div.vector.support() in singular
-                assert contains(n, div.vector)
+            for p in vectors(v):
+                assert p.support() in singular
+                assert contains(n, p)
 
     def test_monotonicity_under_face_enlargement(self):
         rng = random.Random(33)
@@ -500,21 +506,20 @@ class TestRandomizedInvariants:
                             total = total + g
                         bary.append(total)
                 assert vectors(e) == sorted(bary)
-                assert [x.origin for x in e] == ["barycenter"] * len(e)
                 s_min = minimal_toric_divisors(n)
                 expected = [
                     x
                     for x in s_min
-                    if not any(b != x.vector and leq_sigma(b, x.vector) for b in bary)
+                    if not any(b != RatVec(x) and leq_sigma(b, x) for b in bary)
                 ]
                 assert v == expected
         assert fired > 0
 
     def test_divisors_are_primitive(self):
         # E and S_min, and the bare entry points minimal_toric_divisors and
-        # barycenter, build their points as primitive without solving for
-        # them; here each point's coefficients in N's basis are solved for
-        # and must have gcd 1.  The criterion-1 towers, then random towers
+        # barycenter, give points that the report writes as primitive without
+        # solving for them; here each point's coefficients in N's basis are
+        # solved for and must have gcd 1.  The criterion-1 towers, then random towers
         # in d = 2..8, take turns between a componentized random face list
         # and the uncomponentized list of every face, which puts every
         # regular face's barycenter in E.
@@ -534,15 +539,19 @@ class TestRandomizedInvariants:
                     for _ in range(rng.randint(0, 4))
                 )
             e, v, _ = essential_divisors(n, relevant)
-            bare = minimal_toric_divisors(n) + [
+            barycenters = [
                 barycenter(n, f.indices) for f in conegeom.face_table(n) if f.regular
             ]
-            for source, divs in (("split", e + v), ("bare", bare)):
-                for div in divs:
-                    coeffs = n.scaled_coefficients(div.point)
-                    assert coeffs is not None and gcd(*coeffs) == 1, div
-                    assert (div.primitive_point, div.multiplicity) == (div.point, 1)
-                    checked[source, div.origin, d] += 1
+            for source, origin, points in (
+                ("split", "barycenter", e),
+                ("split", "toric-minimal", v),
+                ("bare", "barycenter", barycenters),
+                ("bare", "toric-minimal", minimal_toric_divisors(n)),
+            ):
+                for p in points:
+                    coeffs = n.scaled_coefficients(p)
+                    assert coeffs is not None and gcd(*coeffs) == 1, p
+                    checked[source, origin, d] += 1
         for d, source, origin in itertools.product(
             range(2, 9), ("split", "bare"), ("barycenter", "toric-minimal")
         ):
@@ -673,7 +682,7 @@ class TestCandidateBudget:
                     assert 1 <= len(levels) <= len(face.indices)
                     assert max(levels) <= face.index
                     last_two = face.indices[-2:]
-                    stair = [x.point for x in report.s_min if x.vector.support() == last_two]
+                    stair = [x for x in report.s_min if RatVec(x).support() == last_two]
                     box = open_box(n, face)
                     expected = [
                         p
@@ -762,8 +771,8 @@ class TestMetamorphic:
                     )
                 )
                 for name in ("s_min", "E", "V"):
-                    before = {permute(x.vector, order) for x in getattr(base, name)}
-                    assert before == {tuple(x.vector) for x in getattr(moved, name)}, name
+                    before = {permute(x, order) for x in getattr(base, name)}
+                    assert before == set(getattr(moved, name)), name
                 assert base.nash_count == moved.nash_count
                 assert len(base.faces) == len(moved.faces)
                 assert sum(f.index for f in base.faces if not f.regular) == sum(
@@ -787,7 +796,7 @@ class TestMetamorphic:
 
 
 def test_split_builds_no_ratvec(monkeypatch):
-    # Divisors carry integer points; with no diagnostics to word, the split
+    # E and S_min are integer points; with no diagnostics to word, the split
     # constructs no RatVec at all.
     built = 0
     init = RatVec.__init__
@@ -805,8 +814,8 @@ def test_split_builds_no_ratvec(monkeypatch):
     monkeypatch.setattr(RatVec, "__init__", counted)
     points = 0
     for n, faces, cross in cases:
-        e_divisors, s_min, diagnostics = nashmap._split(n, faces, cross)
-        assert diagnostics == [] and len(e_divisors) == n.dim
+        e_points, s_min, diagnostics = nashmap._split(n, faces, cross)
+        assert diagnostics == [] and len(e_points) == n.dim
         points += len(s_min)
     assert built == 0 and points > 0
 
@@ -832,7 +841,7 @@ def test_split_antichain_matches_point_check():
                     keep = tuple(dict.fromkeys(raw))
                 relevant = [f for f in faces if f.indices in keep]
                 e, s_min, diagnostics = nashmap._split(n, faces, relevant)
-                points = [x.point for x in e + s_min]
+                points = e + s_min
                 assert len(set(points)) == len(points)
                 antichain = len(conegeom.minimal_elements(points)) == len(points)
                 assert bool(diagnostics) == (not antichain), relevant
