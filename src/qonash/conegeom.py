@@ -103,21 +103,13 @@ def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
 
     These are the x in N with x_i in (0, c_i] on the face coordinates (c_i
     the positive coordinate of the primitive edge generator) and x_j = 0 off
-    them, as sorted integer tuples denom*x; see :func:`face_parallelepiped`.
+    them, as sorted integer tuples denom*x: the :func:`_box_walk` of the
+    half-open box, which yields exactly the face's index of points.
     """
     face = face_data(n, indices)
     if not face.indices:
         raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
-    return face_parallelepiped(n, face)
-
-
-def face_parallelepiped(n: Lattice, face: Face) -> list:
-    """:func:`parallelepiped_points` of a nonempty face already classified:
-    the :func:`_box_walk` of its half-open box, sorted, which yields exactly
-    the face's index of points."""
-    points = _box_walk(n.dim, face, strict=False)
-    points.sort()
-    return points
+    return sorted(_box_walk(n.dim, face, strict=False))
 
 
 def _box_walk(dim: int, face: Face, strict: bool, stair=None) -> list:

@@ -30,8 +30,8 @@ def is_index(value, top: int) -> bool:
 
 
 def _as_fraction(value: RatLike) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point is not allowed in exact lattice data")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"exact rational expected, got {value!r}")
     return Fraction(value)
 
 
@@ -53,10 +53,6 @@ class RatVec:
             )
 
     @classmethod
-    def zero(cls, dim: int) -> "RatVec":
-        return cls([0] * dim)
-
-    @classmethod
     def unit(cls, dim: int, k: int) -> "RatVec":
         """Standard basis vector e_k, 1-based k."""
         if not (is_index(dim, MAX_DIM) and is_index(k, dim)):
@@ -73,26 +69,19 @@ class RatVec:
     def __iter__(self):
         return iter(self.coords)
 
-    def __getitem__(self, i):
-        return self.coords[i]
-
     def __lt__(self, other: "RatVec") -> bool:
         return self.coords < other.coords
-
-    def __add__(self, other: "RatVec") -> "RatVec":
-        self._check_dim(other)
-        return RatVec(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other: "RatVec") -> "RatVec":
-        self._check_dim(other)
-        return RatVec(a - b for a, b in zip(self.coords, other.coords))
 
     def scale(self, q: RatLike) -> "RatVec":
         q = _as_fraction(q)
         return RatVec(q * a for a in self.coords)
 
     def dot(self, other: "RatVec") -> Fraction:
-        self._check_dim(other)
+        if len(self.coords) != len(other.coords):
+            raise DomainError(
+                "DIMENSION_MISMATCH",
+                f"vector dimensions differ: {len(self.coords)} vs {len(other.coords)}",
+            )
         return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
 
     def is_zero(self) -> bool:
@@ -101,9 +90,6 @@ class RatVec:
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero coordinates."""
         return tuple(i + 1 for i, c in enumerate(self.coords) if c != 0)
@@ -111,13 +97,6 @@ class RatVec:
     def denominator(self) -> int:
         """Least positive D with D * self integral."""
         return lcm(*(c.denominator for c in self.coords))
-
-    def _check_dim(self, other: "RatVec") -> None:
-        if len(self.coords) != len(other.coords):
-            raise DomainError(
-                "DIMENSION_MISMATCH",
-                f"vector dimensions differ: {len(self.coords)} vs {len(other.coords)}",
-            )
 
     def __repr__(self) -> str:
         return f"RatVec({', '.join(str(c) for c in self.coords)})"
@@ -264,16 +243,6 @@ class Lattice:
         pivots = prod(self.scaled_basis[i][i] for i in range(self.dim))
         return Fraction(pivots, self.denom**self.dim)
 
-    def scaled_coords(self, v: RatVec) -> tuple[int, ...] | None:
-        """Numerator tuple of denom*v, or None if v falls off the 1/denom grid."""
-        out = []
-        for c in v.coords:
-            w = c * self.denom
-            if w.denominator != 1:
-                return None
-            out.append(w.numerator)
-        return tuple(out)
-
     def scaled_coefficients(self, m) -> tuple[int, ...] | None:
         """Integer y with y . scaled_basis = m, or None if there is none: the
         basis coefficients of x when m holds the numerators of denom*x, by
@@ -366,8 +335,10 @@ def contains(l: Lattice, v: RatVec) -> bool:
             "DIMENSION_MISMATCH",
             f"vector of dimension {v.dim} against lattice of dimension {l.dim}",
         )
-    m = l.scaled_coords(v)
-    return m is not None and l.scaled_coefficients(m) is not None
+    scaled = [c * l.denom for c in v.coords]
+    if any(w.denominator != 1 for w in scaled):
+        return False  # off the 1/denom grid
+    return l.scaled_coefficients([w.numerator for w in scaled]) is not None
 
 
 def index(sub: Lattice, sup: Lattice) -> int:

@@ -157,7 +157,7 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
     it stays in the same face interior.  The bound need only reach every c_k
     (the result is then independent of it); otherwise an error is raised.
     """
-    if bound < 1:
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
     scanner = _BoxScanner(n)
     for k, c in enumerate(scanner.reach):

@@ -31,13 +31,22 @@ class BranchSpec:
 
 @dataclass(frozen=True)
 class BranchLattices:
-    """The tower M_0 < M_1 < ... < M_g = M together with N = dual(M)."""
+    """The tower M_0 < M_1 < ... < M_g = M together with N = dual(M).  M and
+    the degree are derived, so a copy made by ``dataclasses.replace`` agrees
+    with its new fields."""
 
     tower: tuple[Lattice, ...]
-    M: Lattice
     N: Lattice
-    degree_n: int
     step_indices: tuple[int, ...] = field(default=())
+
+    @property
+    def M(self) -> Lattice:
+        return self.tower[-1]
+
+    @property
+    def degree_n(self) -> int:
+        """[M : Z^d], the product of the step indices."""
+        return prod(self.step_indices)
 
 
 def build_tower(spec: BranchSpec) -> BranchLattices:
@@ -99,13 +108,9 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
         )
         tower.append(nxt)
 
-    M = tower[-1]
-    N = intlat.dual_lattice(M)
     return BranchLattices(
         tower=tuple(tower),
-        M=M,
-        N=N,
-        degree_n=prod(step_indices),
+        N=intlat.dual_lattice(tower[-1]),
         step_indices=tuple(step_indices),
     )
 

@@ -448,7 +448,7 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
     branch = [None]
     for module, name in [
         (qobranch, "build_tower"),
-        (conegeom, "face_parallelepiped"),
+        (conegeom, "parallelepiped_points"),
         (conegeom, "_box_walk"),
         (conegeom, "minimal_singular_points"),
         (conegeom, "minimal_elements"),
@@ -465,7 +465,7 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
             calls[_name] += 1
             if _name == "minimal_singular_points":
                 branch[0] = args[0]
-            if _name in ("face_parallelepiped", "face_sections", "_BoxScanner"):
+            if _name in ("face_sections", "_BoxScanner"):
                 calls[_name, args[0]] += 1
             if _name in ("_box_walk", "minimal_elements"):
                 calls[_name, branch[0]] += 1
@@ -502,7 +502,7 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
     # Every reported divisor is primitive by construction: none is solved
     # for.  The half-open box is only the tests' reference.
     for name in (
-        "section", "primitive_on_ray", "snf", "contains", "index", "face_parallelepiped",
+        "section", "primitive_on_ray", "snf", "contains", "index", "parallelepiped_points",
     ):
         assert calls[name] == 0, name
     return calls

@@ -30,11 +30,7 @@ from qonash import (
     standard_lattice,
 )
 from qonash import conegeom
-from qonash.conegeom import (
-    face_parallelepiped,
-    face_table,
-    minimal_singular_points,
-)
+from qonash.conegeom import face_table, minimal_singular_points
 from qonash.intlat import face_sections, section
 from qonash.oracle import _axes, _BoxScanner, _support, brute_face_index
 from towers import random_branches
@@ -295,7 +291,7 @@ class TestMinimalElementsByDefinition:
             n = lattices_.N
             faces = face_table(n)
             candidates = [
-                p for face in faces if not face.regular for p in face_parallelepiped(n, face)
+                p for face in faces if not face.regular for p in parallelepiped_points(n, face.indices)
             ]
             expected = sum_sweep(candidates)
             assert minimal_elements(candidates) == expected
@@ -318,7 +314,7 @@ class TestMinimalSingularPoints:
     def check(n):
         faces = face_table(n)
         assert minimal_singular_points(n, faces) == minimal_elements(
-            [p for face in faces if not face.regular for p in face_parallelepiped(n, face)]
+            [p for face in faces if not face.regular for p in parallelepiped_points(n, face.indices)]
         )
 
     def test_random_towers(self):
@@ -473,10 +469,8 @@ class TestFaceProperties:
         pts = parallelepiped_points(n, idx)
         assert len(pts) == expected
         if expected == 1:
-            total = face_data(n, idx).primgens[0]
-            for p in face_data(n, idx).primgens[1:]:
-                total = total + p
-            assert pts == [n.scaled_coords(total)]
+            gens = face_data(n, idx).primgens
+            assert pts == [tuple(sum(col) * n.denom for col in zip(*gens))]
 
 
 class TestValuationProperties:
@@ -504,7 +498,7 @@ class TestValuationProperties:
         draw_vec = lambda: RatVec([data.draw(st.integers(0, 8)) for _ in range(d)])
         v, shift = draw_vec(), draw_vec()
         support = [draw_vec() for _ in range(data.draw(st.integers(1, 5)))]
-        shifted = [shift + u for u in support]
+        shifted = [RatVec(a + b for a, b in zip(shift, u)) for u in support]
         assert monomial_valuation(v, shifted) == v.dot(shift) + monomial_valuation(
             v, support
         )

@@ -292,7 +292,7 @@ class TestLatticeProperties:
         )
         assert contains(l, v) == brute
         if brute:
-            m = l.scaled_coords(v)
+            m = [(c * l.denom).numerator for c in v.coords]
             assert l.scaled_coefficients(m) == tuple(c.numerator for c in coords)
 
     @given(lattices(max_dim=4), st.integers(1, 4))
@@ -416,6 +416,8 @@ class TestRatVec:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RatVec([0.5, 1])
+        with pytest.raises(TypeError):
+            RatVec([True, 0])
 
     def test_dimension_cap(self):
         with pytest.raises(DomainError):

@@ -501,10 +501,7 @@ class TestRandomizedInvariants:
                 for idx in relevant:
                     face = face_data(n, idx)
                     if face.regular:
-                        total = RatVec.zero(d)
-                        for g in face.primgens:
-                            total = total + g
-                        bary.append(total)
+                        bary.append(RatVec(map(sum, zip(*face.primgens))))
                 assert vectors(e) == sorted(bary)
                 s_min = minimal_toric_divisors(n)
                 expected = [
@@ -715,7 +712,7 @@ def open_box(n, face):
     """The points of a face's half-open box with no coordinate at reach."""
     return [
         p
-        for p in conegeom.face_parallelepiped(n, face)
+        for p in conegeom.parallelepiped_points(n, face.indices)
         if all(p[i - 1] < c for i, c in zip(face.indices, face.reach))
     ]
 
@@ -723,6 +720,11 @@ def open_box(n, face):
 def permute(v, order):
     """The vector whose coordinate j is v's coordinate order[j]."""
     return tuple(v[i] for i in order)
+
+
+def insert_zero(v, k):
+    """v with a 0 coordinate inserted at 0-based position k."""
+    return (*v[:k], 0, *v[k:])
 
 
 def permute_face(idx, order):
@@ -761,7 +763,7 @@ class TestMetamorphic:
                 moved = analyze_branch(
                     BranchInput(
                         spec=BranchSpec(
-                            d, tuple(RatVec(permute(e, order)) for e in spec.char_exponents)
+                            d, tuple(RatVec(permute(e.coords, order)) for e in spec.char_exponents)
                         ),
                         sing_faces=tuple(permute_face(f, order) for f in sing),
                         extra_faces=tuple(permute_face(f, order) for f in extra),
@@ -781,6 +783,23 @@ class TestMetamorphic:
                 assert {permute_face(f.indices, order) for f in base.relevant} == {
                     f.indices for f in moved.relevant
                 }
+
+    def test_zero_coordinate(self):
+        # A 0 inserted at position k of every exponent gives N x Z, whose new
+        # axis is regular: the degree stays, and S_min is the old one with a
+        # 0 inserted at k.  From d = 7 this reaches d = 8, past the oracle.
+        cases = Counter()
+        for spec, lattices in random_branches(60, seed=428, dims=tuple(range(2, 8))):
+            d = spec.dim
+            s_min = minimal_toric_divisors(lattices.N)
+            for k in range(d + 1):
+                exps = tuple(RatVec(insert_zero(e.coords, k)) for e in spec.char_exponents)
+                wider = build_tower(BranchSpec(d + 1, exps))
+                assert wider.degree_n == lattices.degree_n
+                got = minimal_toric_divisors(wider.N)
+                assert got == [insert_zero(p, k) for p in s_min], (spec, k)
+                cases[d + 1] += 1
+        assert cases[8] > 0 and sum(cases.values()) > 200, cases
 
     @pytest.mark.parametrize("case", ["reducible", "smooth"])
     def test_branch_order(self, case):

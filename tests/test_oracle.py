@@ -97,9 +97,11 @@ class TestBruteSingularFaces:
                 assert (idx in singular) == (brute_face_index(n, idx) > 1)
 
     def test_bound_too_small(self):
-        with pytest.raises(DomainError) as err:
-            brute_branch(N_MOD4, 3)
-        assert err.value.code == "BOUND_TOO_SMALL"
+        # Below an axis reach, or not a positive int at all.
+        for n, bound in [(N_MOD4, 3), (standard_lattice(2), True), (standard_lattice(2), 2.5)]:
+            with pytest.raises(DomainError) as err:
+                brute_branch(n, bound)
+            assert err.value.code == "BOUND_TOO_SMALL"
 
 
 def _member(rows, x):
@@ -284,7 +286,6 @@ def test_oracle_shares_no_membership_code(monkeypatch):
     monkeypatch.setattr(intlat, "section", refuse)
     monkeypatch.setattr(intlat, "hnf", refuse)
     monkeypatch.setattr(conegeom, "parallelepiped_points", refuse)
-    monkeypatch.setattr(conegeom, "face_parallelepiped", refuse)
     assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
     assert brute_face_index(N_MOD4, (1, 2)) == 4
     assert brute_face_index(N_EVEN, (2,)) == 1

@@ -35,7 +35,7 @@ def random_branch(rng: random.Random, dims=(2, 3, 4), max_index=200):
         d = rng.choice(dims)
         g = rng.choice((0,) + (1,) * 11 + (2,) * 7 + ((3,) if d == 2 else (1,)))
         exps = []
-        prev = RatVec.zero(d)
+        prev = RatVec([0] * d)
         ok = True
         for _ in range(g):
             for _attempt in range(20):
