@@ -1,14 +1,15 @@
 """Brute-force reference implementations for cross-checking.
 
 These deliberately share no algorithmic code with the main path.  A lattice
-is scanned once, in its reach box prod [0, c_k], as a residue grid: x lies
-in N exactly when x . adj = 0 (mod det) in every column of an adjugate found
-here by fraction-free elimination, which also gives each axis reach c_k in
-closed form; the sum splits by axis, so residue tables per axis, broadcast
-and compared, mark every member.  That one scan gives a branch's singular
-faces and, by a prefix OR over the grid of hits, its minimal points, in
-slabs along the first axis so memory stays flat.  Slow is fine;
-independent is the point.
+is scanned once, in its reach box prod [0, c_k]: x lies in N exactly when
+x . a = 0 (mod det) for every column a of an adjugate found here by
+fraction-free elimination, which also gives each axis reach c_k in closed
+form.  Each column that tests something is one broadcast comparison: the
+first axis's negated residues against the later axes' residues summed over
+their box.  ``_BoxScanner.slabs`` yields the members in slabs along the
+first axis, so memory stays flat, and that one scan gives a branch's
+singular faces and, by a prefix OR over the hits, its minimal points.
+Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .intlat import Lattice, RatVec, is_index
 
-# Hard ceiling on scanned grid points; the oracle is a checking tool, not a
+# Hard ceiling on scanned box cells; the oracle is a checking tool, not a
 # production path, and anything bigger than this is a mistake.
 MAX_SCAN = 10**8
 _CHUNK = 1 << 20
@@ -60,61 +61,45 @@ class _BoxScanner:
         # t * e_k is a member exactly when t * adj[k] = 0 (mod det) in every
         # column, so the least such t > 0, the axis reach c_k, divides det.
         self.reach = [det // math.gcd(det, *row) for row in adj]
-        # Columns of adj that vanish mod det test nothing.
-        cols = [[x % det for x in c] for c in zip(*adj)]
-        cols = self.cols = [c for c in cols if any(c)]
-        # radix[j, k] packs column j into int64 key k below 2**62, in base det.
-        width = max(1, 62 // det.bit_length())
-        self.radix = np.zeros((len(cols), -(-len(cols) // width) or 1), np.int64)
-        for j in range(len(cols)):
-            self.radix[j, j // width] = det ** (j % width)
+        # The columns of adj mod det; those that vanish test nothing.
+        columns = ([x % det for x in c] for c in zip(*adj))
+        self.columns = [c for c in columns if any(c)]
 
-    def grid(self):
-        """Membership of the reach box prod [0, c_k], capped at once.
+    def slabs(self):
+        """Membership of the reach box prod [0, c_k], capped before any array.
 
-        Slabs of about ``_CHUNK`` cells (at least one row) come as
-        ``(offset, mask)``; ``mask[r, ...]`` is row ``offset + r``.  The edge
-        lattice lies in N, so det divides prod c_k: every box under the cap
-        has det < MAX_SCAN < 2**31, and products of two residues fit int64.
+        Slabs of about ``_CHUNK`` cells (at least one row) along the first
+        axis come as ``(axes, mask)``: ``axes`` are the slab's coordinates,
+        one int64 array per axis shaped to broadcast, and ``mask`` marks its
+        members.  The edge lattice lies in N, so det divides prod c_k: every
+        box under the cap has det < MAX_SCAN < 2**31, and products of two
+        residues fit int64.
         """
         shape = [c + 1 for c in self.reach]
         total = math.prod(shape)
         if total > MAX_SCAN:
             msg = f"box of {total} points exceeds the oracle cap"
             raise DomainError("LIMIT_EXCEEDED", msg)
-        det = self.det
-        per_axis = np.array(self.cols, dtype=np.int64).reshape(-1, self.dim).T
-
-        def residues(lo, count, axis):  # v * adj[axis] mod det, a row per v from lo
-            return np.arange(lo, lo + count, dtype=np.int64)[:, None] * per_axis[axis] % det
-
-        # A cell is a member when the residues of its later axes, summed and
-        # packed into keys, equal the negated residues of its first axis.
-        tables = [residues(0, size, k) for k, size in enumerate(shape[1:], 1)]
-        tail = np.zeros((self.radix.shape[1], *shape[1:]), dtype=np.int64)
-        for j, radix in enumerate(self.radix):
-            column = 0
-            for table in reversed(tables):
-                column = np.add.outer(table[:, j], column)
-            tail += np.multiply.outer(radix, column % det)
+        det, d = self.det, self.dim
+        later = [
+            np.arange(size, dtype=np.int64).reshape([-1 if i == k else 1 for i in range(d)])
+            for k, size in enumerate(shape[1:], 1)
+        ]
+        # A cell passes column a when x_1 * a_1 = -(x_2 * a_2 + ...) mod
+        # det; the right side, summed over the later axes, is one table.
+        tails = [sum(x * a % det for x, a in zip(later, col[1:])) % det for col in self.columns]
         step = max(1, _CHUNK * shape[0] // total)
-        spread = (slice(None), slice(None)) + (None,) * len(tables)
-
-        def slab(offset):
-            rows = residues(offset, min(step, shape[0] - offset), 0)
-            head = (-rows % det @ self.radix).T[spread]
-            return offset, functools.reduce(np.logical_and, map(np.equal, head, tail))
-
-        return map(slab, range(0, shape[0], step))
-
-
-def _axes(offset: int, shape) -> list[np.ndarray]:
-    """Open-grid coordinates of a slab of [0, ...]^d whose first row is offset."""
-    return np.ogrid[(slice(offset, offset + shape[0]), *map(slice, shape[1:]))]
+        for lo in range(0, shape[0], step):
+            first = np.arange(lo, min(lo + step, shape[0]), dtype=np.int64)
+            first = first.reshape(-1, *[1] * (d - 1))
+            mask = np.ones((len(first), *shape[1:]), dtype=bool)
+            for col, tail in zip(self.columns, tails):
+                mask &= -first * col[0] % det == tail
+            yield [first, *later], mask
 
 
 def _support(axes) -> np.ndarray:
-    """Bitmask of the nonzero coordinates of each cell, given a slab's :func:`_axes`."""
+    """Bitmask of the nonzero coordinates of each cell, given a slab's axes."""
     bit = np.min_scalar_type((1 << len(axes)) - 1).type
     return sum((x > 0) * bit(1 << a) for a, x in enumerate(axes))
 
@@ -123,14 +108,14 @@ def _support(axes) -> np.ndarray:
 def _face_counts(n: Lattice) -> tuple[int, ...]:
     """Members of the reach box by support bitmask: the cells of support F
     are the edge box of F, so each count is the index of face F."""
-    grid = _BoxScanner(n).grid()
-    supports = (_support(_axes(o, m.shape))[m] for o, m in grid)
+    slabs = _BoxScanner(n).slabs()
+    supports = (_support(axes)[mask] for axes, mask in slabs)
     counts = sum(np.bincount(s, minlength=1 << n.dim) for s in supports)
     return tuple(counts.tolist())
 
 
 def brute_face_index(n: Lattice, indices) -> int:
-    """Count lattice points in the half-open edge box of a face, by its grid.
+    """Count lattice points in the half-open edge box of a face, by box scan.
 
     Equals the lattice index underlying the face's regularity flag: the face
     is regular exactly when the count is 1.  The counts of every face come
@@ -164,18 +149,17 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
         if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"
             raise DomainError("BOUND_TOO_SMALL", msg)
-    slabs = scanner.grid()
     d, reach = n.dim, scanner.reach
     singular = np.zeros(1 << d, dtype=bool)
-    # below[1:] marks the cells with a hit at or below them; below[0] carries.
-    last = np.zeros([c + 1 for c in reach[1:]], dtype=bool)
+    # below[1:] marks the cells with a hit at or below them; below[0] carries
+    # the last row of the slab before, none at first.
+    last = False
     found = []
-    for offset, mask in slabs:
-        axes = _axes(offset, mask.shape)
+    for axes, mask in scanner.slabs():
         inner = [x % c > 0 for x, c in zip(axes, reach)]
         hits = mask & functools.reduce(np.logical_or, inner)
         singular[_support(axes)[hits]] = True
-        below = np.concatenate([last[None], hits])
+        below = np.concatenate([np.broadcast_to(last, hits[:1].shape), hits])
         for axis in range(d):
             np.logical_or.accumulate(below, axis=axis, out=below)
         free = hits & ~below[:-1]
@@ -183,7 +167,7 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
             lead = (slice(None),) * axis
             free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
         points = np.argwhere(free)
-        points[:, 0] += offset
+        points[:, 0] += axes[0].flat[0]
         found.append(points)
         last = below[-1]
     faces = {tuple(i + 1 for i in range(d) if s >> i & 1) for s in np.flatnonzero(singular)}

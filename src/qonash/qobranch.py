@@ -9,6 +9,7 @@ geometry downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm, prod
 from operator import le
 
@@ -31,17 +32,20 @@ class BranchSpec:
 
 @dataclass(frozen=True)
 class BranchLattices:
-    """The tower M_0 < M_1 < ... < M_g = M together with N = dual(M).  M and
-    the degree are derived, so a copy made by ``dataclasses.replace`` agrees
-    with its new fields."""
+    """The tower M_0 < M_1 < ... < M_g = M together with N = dual(M).  M, N
+    and the degree are derived, so a copy made by ``dataclasses.replace``
+    agrees with its new fields."""
 
     tower: tuple[Lattice, ...]
-    N: Lattice
     step_indices: tuple[int, ...] = field(default=())
 
     @property
     def M(self) -> Lattice:
         return self.tower[-1]
+
+    @cached_property
+    def N(self) -> Lattice:
+        return intlat.dual_lattice(self.M)
 
     @property
     def degree_n(self) -> int:
@@ -108,11 +112,7 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
         )
         tower.append(nxt)
 
-    return BranchLattices(
-        tower=tuple(tower),
-        N=intlat.dual_lattice(tower[-1]),
-        step_indices=tuple(step_indices),
-    )
+    return BranchLattices(tower=tuple(tower), step_indices=tuple(step_indices))
 
 
 def _pivots(l: Lattice) -> int:

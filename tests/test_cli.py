@@ -452,6 +452,7 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
         (conegeom, "_box_walk"),
         (conegeom, "minimal_singular_points"),
         (conegeom, "minimal_elements"),
+        (intlat, "dual_lattice"),
         (intlat, "face_sections"),
         (intlat, "section"),
         (intlat, "primitive_on_ray"),
@@ -498,7 +499,7 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
     for key, count in expected.items():
         assert calls[key] == count, key
     assert calls["build_tower"] == calls["minimal_singular_points"] == len(branches)
-    assert calls["_BoxScanner"] == len(branches)
+    assert calls["_BoxScanner"] == calls["dual_lattice"] == len(branches)
     # Every reported divisor is primitive by construction: none is solved
     # for.  The half-open box is only the tests' reference.
     for name in (

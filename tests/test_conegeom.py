@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,10 +31,10 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
-from qonash import conegeom
+from qonash import conegeom, oracle
 from qonash.conegeom import face_table, minimal_singular_points
 from qonash.intlat import face_sections, section
-from qonash.oracle import _axes, _BoxScanner, _support, brute_face_index
+from qonash.oracle import _adjugate, _BoxScanner, _support, brute_face_index
 from towers import random_branches
 
 
@@ -520,10 +522,10 @@ class TestMinimalDivisorsOnTowers:
         # points of the box prod [1, c_j] on the columns of face F.
         for n in [lattices_.N for _, lattices_ in self.BRANCHES] + [self.D6]:
             by_support = {}
-            for offset, mask in _BoxScanner(n).grid():
+            for axes, mask in _BoxScanner(n).slabs():
                 points = np.argwhere(mask)
-                points[:, 0] += offset
-                supports = _support(_axes(offset, mask.shape))[mask].tolist()
+                points[:, 0] += axes[0].flat[0]
+                supports = _support(axes)[mask].tolist()
                 for s, p in zip(supports, points.tolist()):
                     by_support.setdefault(s, []).append(tuple(p))
             for face in face_table(n):
@@ -598,3 +600,74 @@ class TestIntegralDivisor:
         with pytest.raises(DomainError) as err:
             make(self.HALF)
         assert err.value.code == "NOT_SUBLATTICE"
+
+
+def hirzebruch_jung_length(m, q):
+    """Length r of m/q = b_1 - 1/(b_2 - ... - 1/b_r), every b_i >= 2."""
+    r = 0
+    while q:
+        b = -(-m // q)
+        m, q = q, b * q - m
+        r += 1
+    return r
+
+
+class TestHirzebruchJungCounts:
+    # A singular 2-face {i, j} is the cone of the cyclic quotient of type
+    # (m, q), and the points of S_min with support exactly {i, j} are the
+    # interior members of its Hilbert basis: r of them, the length of the
+    # Hirzebruch-Jung continued fraction of m/q (Oda 1988, section 1.6).
+    @staticmethod
+    def cyclic_type(n, i, j):
+        """(m, q) of the 2-face {i, j}, read off the oracle's adjugate: m is
+        [Z c_i e_i + Z c_j e_j + (a, t) : Z c_i e_i + Z c_j e_j] for the
+        member (a, t) of the face's box with the least t > 0."""
+        adj, det = _adjugate([list(row) for row in n.scaled_basis])
+        det = abs(det)
+        reach = [det // math.gcd(det, *row) for row in adj]
+        ci, cj = reach[i - 1], reach[j - 1]
+
+        def member(a, t):
+            return all((a * x + t * y) % det == 0 for x, y in zip(adj[i - 1], adj[j - 1]))
+
+        t, a = next((t, a) for t in range(1, cj + 1) for a in range(ci) if member(a, t))
+        m, rest = divmod(cj, t)
+        q, frac = divmod(a * m, ci)
+        assert rest == frac == 0 and 0 < q < m and math.gcd(m, q) == 1
+        return m, q
+
+    @staticmethod
+    def counts(n):
+        """Points of S_min by their support."""
+        return Counter(tuple(k for k, x in enumerate(p, 1) if x) for p in minimal_toric_divisors(n))
+
+    def test_generator_towers(self):
+        checked = set()
+        for _, lattices_ in random_branches(600, seed=4949, dims=(2, 3, 4, 5)):
+            n = lattices_.N
+            counts = self.counts(n)
+            for face in face_table(n):
+                if len(face.indices) == 2 and not face.regular:
+                    m, q = self.cyclic_type(n, *face.indices)
+                    assert counts[face.indices] == hirzebruch_jung_length(m, q), face
+                    checked.add(n.dim)
+        assert checked == {2, 3, 4, 5}
+
+    def test_large_primes(self):
+        # One step (a/p, b/p): N = {x : a x_1 + b x_2 = 0 mod p} has type
+        # (p, -a/b mod p), read from axis 1 (from axis 2 it is the inverse
+        # mod p, whose fraction is the same one reversed).  Its box
+        # (p + 1)^2 is far past the oracle's cap.
+        rng = random.Random(49999)
+        primes = [p for p in range(49_000, 50_000) if all(p % k for k in range(2, 224))]
+        for p in [49_999] + rng.sample(primes, 7):
+            a, b = rng.randrange(1, p), rng.randrange(1, p)
+            n = build_tower(BranchSpec(2, (vec(F(a, p), F(b, p)),))).N
+            assert (p + 1) ** 2 > oracle.MAX_SCAN
+            q = -a * pow(b, -1, p) % p
+            assert self.counts(n) == {(1, 2): hirzebruch_jung_length(p, q)}, (p, a, b)
+
+    def test_lengths(self):
+        # 2/1 = [2], 4/3 = [2, 2, 2], 5/2 = [3, 2], 7/3 = [3, 2, 2].
+        cases = [(2, 1), (4, 3), (5, 2), (7, 3)]
+        assert [hirzebruch_jung_length(m, q) for m, q in cases] == [1, 3, 2, 3]

@@ -180,32 +180,39 @@ def test_small_slabs_match_per_point_reference(n, monkeypatch):
 
 
 def test_residues_packed_into_several_keys():
-    # det = 2**15 has 16 bits, so an int64 key holds three residue columns
-    # and the four columns of this lattice need two keys.
+    # det = 2**15: every one of the four adjugate columns tests something,
+    # so a member must pass four comparisons, one per column.
     n = lat((16, 0, 0, 0), (0, 16, 0, 0), (0, 0, 16, 0), (0, 0, 0, 16), (8, 8, 0, 8))
-    assert _BoxScanner(n).radix.shape == (4, 2)
+    assert len(_BoxScanner(n).columns) == 4
     bound, s_min, singular = _reference_branch(n)
     assert brute_branch(n, bound) == (s_min, singular)
 
 
 def test_memory_flat_in_box_size(monkeypatch):
-    # N = {x : x_1 + x_2 = 0 mod m} reaches m on both axes, so its box has
-    # (m + 1)**2 cells: 257**2 and 513**2 in slabs of 4096.  The peak of the
-    # larger scan stays within twice the smaller's (without slabs it is
-    # about four times).  S_min, {(i, m - i)}, grows with m alone, so it is
-    # built outside the trace and returned as tuples.
+    # Two lattices that reach 2m on both axes, so each box has
+    # (2m + 1)**2 cells: 257**2 and 513**2 in slabs of 4096.  The peak of
+    # the larger scan stays within twice the smaller's (without slabs it is
+    # about four times).  S_min grows with m alone, so it is built outside
+    # the trace and returned as tuples.
+    families = [
+        # N = {x : x_1 + x_2 = 0 mod 2m}: one tested column.
+        lambda m: (lat((2 * m, 0), (2 * m - 1, 1)), [(i, 2 * m - i) for i in range(1, 2 * m)]),
+        # det 4m and two tested columns, one per mask comparison.
+        lambda m: (lat((2 * m, 0), (m - 2, 2), (m, m)), [(i, m - i) for i in range(2, m, 4)]),
+    ]
     monkeypatch.setattr(oracle, "_CHUNK", 4096)
     brute_branch(N_MOD4, 4)
-    peaks = []
-    for m in (256, 512):
-        n, s_min = lat((m, 0), (m - 1, 1)), [(i, m - i) for i in range(1, m)]
-        tracemalloc.start()
-        try:
-            assert brute_branch(n, m)[0] == s_min
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], peaks
+    for family in families:
+        peaks = []
+        for m in (128, 256):
+            n, s_min = family(m)
+            tracemalloc.start()
+            try:
+                assert brute_branch(n, 2 * m)[0] == s_min
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_bound_error_precedes_cap(monkeypatch):
@@ -267,10 +274,10 @@ def test_huge_det_refused():
 
 
 def test_one_scan_per_branch(monkeypatch):
-    # Singular faces and minimal points come from the same pass over the grid.
+    # Singular faces and minimal points come from the same pass over the box.
     scans = []
-    real = _BoxScanner.grid
-    monkeypatch.setattr(_BoxScanner, "grid", lambda self: scans.append(self) or real(self))
+    real = _BoxScanner.slabs
+    monkeypatch.setattr(_BoxScanner, "slabs", lambda self: scans.append(self) or real(self))
     for n in (N_MOD4, TOWERS.D6, standard_lattice(3)):
         scans.clear()
         brute_branch(n, max(_BoxScanner(n).reach))

@@ -57,6 +57,15 @@ class TestBuildTower:
         assert first.degree_n == 2
         assert first.M == lat.tower[1] != lat.M
 
+    def test_replace_rederives_n(self):
+        # N follows the tower too: the one-step copy has the dual of its own
+        # M, not the dual of the two-step tower it was copied from.
+        lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
+        assert lat.N == lattice_from_generators([RatVec([4, 0]), RatVec([3, 1])])
+        first = dataclasses.replace(lat, tower=lat.tower[:2], step_indices=(2,))
+        assert first.N == dual_lattice(first.M)
+        assert first.N == lattice_from_generators([RatVec([2, 0]), RatVec([1, 1])])
+
     def test_not_characteristic(self):
         with pytest.raises(DomainError) as err:
             build_tower(spec((F(1, 2), F(1, 2)), (1, 1)))
@@ -121,7 +130,7 @@ class TestTowerProperties:
 
 def test_one_hnf_per_tower_step(monkeypatch):
     # One Hermite form per exponent (M_{j-1}'s basis with lambda_j) and one
-    # for the dual; Z^d itself needs none.
+    # for the dual, taken when N is first read; Z^d itself needs none.
     specs = [s for s, _ in random_branches(40, seed=6262)]
     assert any(len(s.char_exponents) > 1 for s in specs)
     calls = []
@@ -133,7 +142,8 @@ def test_one_hnf_per_tower_step(monkeypatch):
     monkeypatch.setattr(intlat, "_hnf_core", counted)
     for s in specs:
         calls.clear()
-        build_tower(s)
+        lattices = build_tower(s)
+        assert lattices.N is lattices.N
         assert len(calls) == len(s.char_exponents) + 1
 
 
