@@ -157,59 +157,6 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
 # ------------------------------------------------------------------- output
 
 
-def _vec_json(v) -> list[list[int]]:
-    """A RatVec or an integer point as [numerator, denominator] pairs."""
-    return [[c.numerator, c.denominator] for c in v]
-
-
-def _divisor_json(p, origin: str) -> dict:
-    vector = _vec_json(p)
-    return {"vector": vector, "primitive": vector, "multiplicity": 1, "origin": origin}
-
-
-def _lattice_json(l: Lattice) -> dict:
-    return {"denom": l.denom, "scaled_basis": [list(row) for row in l.scaled_basis]}
-
-
-def _branch_json(report: BranchReport) -> dict:
-    s_min = [_divisor_json(p, ORIGIN_TORIC_MINIMAL) for p in report.s_min]
-    return {
-        "label": report.label,
-        "char_exponents": [_vec_json(v) for v in report.char_exponents],
-        "degree": report.lattices.degree_n,
-        "tower_step_indices": list(report.lattices.step_indices),
-        "lattice_M": _lattice_json(report.lattices.M),
-        "lattice_N": _lattice_json(report.lattices.N),
-        "relevant_faces": [
-            {
-                "indices": list(face.indices),
-                "regular": face.regular,
-                "primitive_generators": [_vec_json(p) for p in face.primgens],
-            }
-            for face in report.relevant
-        ],
-        "singular_faces_of_sigma": [list(i) for i in report.singular_faces_of_sigma],
-        "s_min": s_min,
-        "E": [_divisor_json(p, ORIGIN_BARYCENTER) for p in report.E],
-        "V": s_min,  # V is S_min
-        "nash_count": report.nash_count,
-        "diagnostics": [
-            {"code": d.code, "message": d.message} for d in report.diagnostics
-        ],
-    }
-
-
-def report_to_dict(result: VarietyReport, dim: int) -> dict:
-    """The report as a dict, the view :func:`render_json` writes."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dim": dim,
-        "branches": [_branch_json(report) for report in result.branches],
-        "total_nash": result.total_nash,
-        "total_essential": result.total_essential,
-    }
-
-
 def _list(items: list[str], nl: str) -> str:
     """Written items as a JSON list opened at ``nl`` (a newline and that
     depth's indent), one item a line one level deeper."""
@@ -277,10 +224,11 @@ def _branch_pieces(report: BranchReport) -> list[str]:
 
 
 def render_json(result: VarietyReport, dim: int) -> list[str]:
-    """The canonical report as string pieces, to be written in order: joined,
-    byte for byte ``json.dumps(report_to_dict(result, dim), indent=2,
-    sort_keys=True) + "\\n"``.  A branch's S_min block is built once and is
-    the same string object as its V block."""
+    """The canonical report as string pieces, to be written in order.  Joined
+    they are a string ``s`` with ``json.dumps(json.loads(s), indent=2,
+    sort_keys=True) + "\\n" == s``: keys sorted, two-space indent, ASCII
+    escapes.  A branch's S_min block is built once and is the same string
+    object as its V block."""
     pieces = ['{\n  "branches": [']
     for i, report in enumerate(result.branches):
         if i:
@@ -294,6 +242,11 @@ def render_json(result: VarietyReport, dim: int) -> list[str]:
         f'\n  "total_nash": {result.total_nash}\n}}\n'
     )
     return pieces
+
+
+def report_to_dict(result: VarietyReport, dim: int) -> dict:
+    """The report as a dict: the bytes of :func:`render_json`, read back."""
+    return json.loads("".join(render_json(result, dim)))
 
 
 def _fmt_face(idx) -> str:

@@ -204,17 +204,16 @@ def _prepare(branch: BranchInput, max_points: int | None):
     are pivots of N's axis sections, and S_min and E lie within them.
     """
     lattices = qobranch.build_tower(branch.spec)
-    # 0 means no limit, as on Pythons older than 3.10.7, which lack the call.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    degree = lattices.degree_n
-    # A bit length of at most 3*limit puts the degree below 8**limit < 10**limit.
-    if limit and degree.bit_length() > 3 * limit and degree >= 10**limit:
+    try:
+        str(lattices.degree_n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
         raise DomainError(
             "LIMIT_EXCEEDED",
             f"degree or a lattice entry has more than {limit} digits, more "
             f"than Python writes (sys.get_int_max_str_digits())",
             branch=branch.spec.label,
-        )
+        ) from None
     faces = conegeom.face_table(lattices.N)
     points = sum(f.index for f in faces if not f.regular)
     if max_points is not None and points > max_points:

@@ -5,10 +5,11 @@ is scanned once, in its reach box prod [0, c_k]: x lies in N exactly when
 x . a = 0 (mod det) for every column a of an adjugate found here by
 fraction-free elimination, which also gives each axis reach c_k in closed
 form.  Each column that tests something is one broadcast comparison: the
-first axis's negated residues against the later axes' residues summed over
-their box.  ``_BoxScanner.slabs`` yields the members in slabs along the
-first axis, so memory stays flat, and that one scan gives a branch's
-singular faces and, by a prefix OR over the hits, its minimal points.
+longest axis's negated residues against the other axes' residues summed
+over their box.  ``_BoxScanner.slabs`` yields the members in slabs along
+the longest axis, so memory stays flat whatever the box's shape, and that
+one scan gives a branch's singular faces and, by a prefix OR over the hits,
+its minimal points.
 Slow is fine; independent is the point.
 """
 
@@ -61,21 +62,24 @@ class _BoxScanner:
         # t * e_k is a member exactly when t * adj[k] = 0 (mod det) in every
         # column, so the least such t > 0, the axis reach c_k, divides det.
         self.reach = [det // math.gcd(det, *row) for row in adj]
-        # The columns of adj mod det; those that vanish test nothing.
-        columns = ([x % det for x in c] for c in zip(*adj))
+        # The scan axes, by decreasing reach (ties in index order): slabs cut
+        # the longest, so each column's table of the others is smallest.
+        self.order = sorted(range(self.dim), key=lambda k: -self.reach[k])
+        # The columns of adj mod det in scan order; those that vanish test nothing.
+        columns = ([x % det for x in c] for c in zip(*(adj[k] for k in self.order)))
         self.columns = [c for c in columns if any(c)]
 
     def slabs(self):
         """Membership of the reach box prod [0, c_k], capped before any array.
 
-        Slabs of about ``_CHUNK`` cells (at least one row) along the first
+        Slabs of about ``_CHUNK`` cells (at least one row) along the longest
         axis come as ``(axes, mask)``: ``axes`` are the slab's coordinates,
-        one int64 array per axis shaped to broadcast, and ``mask`` marks its
-        members.  The edge lattice lies in N, so det divides prod c_k: every
-        box under the cap has det < MAX_SCAN < 2**31, and products of two
-        residues fit int64.
+        one int64 array per axis in scan order (``self.order``) shaped to
+        broadcast, and ``mask`` marks its members.  The edge lattice lies in
+        N, so det divides prod c_k: every box under the cap has det <
+        MAX_SCAN < 2**31, and products of two residues fit int64.
         """
-        shape = [c + 1 for c in self.reach]
+        shape = [self.reach[k] + 1 for k in self.order]
         total = math.prod(shape)
         if total > MAX_SCAN:
             msg = f"box of {total} points exceeds the oracle cap"
@@ -98,18 +102,19 @@ class _BoxScanner:
             yield [first, *later], mask
 
 
-def _support(axes) -> np.ndarray:
-    """Bitmask of the nonzero coordinates of each cell, given a slab's axes."""
+def _support(axes, order) -> np.ndarray:
+    """Bitmask of the nonzero coordinates of each cell, given a slab's axes
+    and the coordinate ``order[i]`` of its scan axis i."""
     bit = np.min_scalar_type((1 << len(axes)) - 1).type
-    return sum((x > 0) * bit(1 << a) for a, x in enumerate(axes))
+    return sum((x > 0) * bit(1 << k) for k, x in zip(order, axes))
 
 
 @functools.lru_cache(maxsize=16)
 def _face_counts(n: Lattice) -> tuple[int, ...]:
     """Members of the reach box by support bitmask: the cells of support F
     are the edge box of F, so each count is the index of face F."""
-    slabs = _BoxScanner(n).slabs()
-    supports = (_support(axes)[mask] for axes, mask in slabs)
+    scanner = _BoxScanner(n)
+    supports = (_support(axes, scanner.order)[mask] for axes, mask in scanner.slabs())
     counts = sum(np.bincount(s, minlength=1 << n.dim) for s in supports)
     return tuple(counts.tolist())
 
@@ -149,7 +154,8 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
         if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"
             raise DomainError("BOUND_TOO_SMALL", msg)
-    d, reach = n.dim, scanner.reach
+    d, order = n.dim, scanner.order
+    reach = [scanner.reach[k] for k in order]
     singular = np.zeros(1 << d, dtype=bool)
     # below[1:] marks the cells with a hit at or below them; below[0] carries
     # the last row of the slab before, none at first.
@@ -158,7 +164,7 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
     for axes, mask in scanner.slabs():
         inner = [x % c > 0 for x, c in zip(axes, reach)]
         hits = mask & functools.reduce(np.logical_or, inner)
-        singular[_support(axes)[hits]] = True
+        singular[_support(axes, order)[hits]] = True
         below = np.concatenate([np.broadcast_to(last, hits[:1].shape), hits])
         for axis in range(d):
             np.logical_or.accumulate(below, axis=axis, out=below)
@@ -171,7 +177,9 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
         found.append(points)
         last = below[-1]
     faces = {tuple(i + 1 for i in range(d) if s >> i & 1) for s in np.flatnonzero(singular)}
-    return list(map(tuple, np.concatenate(found).tolist())), faces
+    # Back from scan order to coordinates, in the lexicographic order of S_min.
+    back = [order.index(k) for k in range(d)]
+    return sorted(map(tuple, np.concatenate(found)[:, back].tolist())), faces
 
 
 def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:

@@ -92,28 +92,23 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
     for j, lam in enumerate(exps, start=1):
         prev = tower[-1]
         # prev contains Z^d, so one HNF of its scaled basis and lam's
-        # numerators over their common denominator gives the step; in
-        # canonical form nxt == prev exactly when lam already lies in prev.
+        # numerators over their common denominator gives the step.  nxt
+        # contains prev, so [nxt : prev] is the covolume ratio, an integer,
+        # and it is 1 exactly when lam already lies in prev.
         denom = lcm(prev.denom, lam.denominator())
         rows = [[x * (denom // prev.denom) for x in r] for r in prev.scaled_basis]
         rows.append([c.numerator * (denom // c.denominator) for c in lam])
         nxt = intlat.lattice_from_scaled(denom, rows)
-        if nxt == prev:
+        step = prev.det / nxt.det
+        if step == 1:
             raise DomainError(
                 "NOT_CHARACTERISTIC",
                 f"exponent {j} = {lam} already lies in the lattice generated "
                 f"by the earlier ones",
                 branch=spec.label,
             )
-        # [nxt : prev] is the covolume ratio det prev / det nxt, with
-        # det = (product of the scaled pivots) / denom^d.
-        step_indices.append(
-            _pivots(prev) * nxt.denom**d // (_pivots(nxt) * prev.denom**d)
-        )
+        step_indices.append(step.numerator)
         tower.append(nxt)
 
     return BranchLattices(tower=tuple(tower), step_indices=tuple(step_indices))
 
-
-def _pivots(l: Lattice) -> int:
-    return prod(l.scaled_basis[i][i] for i in range(l.dim))

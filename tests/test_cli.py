@@ -26,7 +26,15 @@ from qonash import (
     oracle,
     qobranch,
 )
-from qonash.cli import parse_variety, render_json, report_to_dict, run
+from qonash.cli import (
+    ORIGIN_BARYCENTER,
+    ORIGIN_TORIC_MINIMAL,
+    SCHEMA_VERSION,
+    parse_variety,
+    render_json,
+    report_to_dict,
+    run,
+)
 from qonash.nashmap import lemma_min_diagnostics
 from towers import random_branches
 
@@ -73,9 +81,70 @@ def test_json_report_roundtrips(capsys, case):
     assert _dumps(json.loads(out)) == out
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_dict_view_matches_golden(case):
+    dim, inputs = parse_variety(json.loads((CORPUS / f"{case}.json").read_text()))
+    golden = (CORPUS / "golden" / f"{case}.report.json").read_text()
+    assert report_to_dict(analyze_variety(inputs), dim) == json.loads(golden)
+
+
 def _dumps(payload):
     """The reference bytes of the report writer."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _vec_json(v) -> list[list[int]]:
+    """A RatVec or an integer point as [numerator, denominator] pairs."""
+    return [[c.numerator, c.denominator] for c in v]
+
+
+def _divisor_json(p, origin: str) -> dict:
+    vector = _vec_json(p)
+    return {"vector": vector, "primitive": vector, "multiplicity": 1, "origin": origin}
+
+
+def _lattice_json(l) -> dict:
+    return {"denom": l.denom, "scaled_basis": [list(row) for row in l.scaled_basis]}
+
+
+def _branch_json(report) -> dict:
+    s_min = [_divisor_json(p, ORIGIN_TORIC_MINIMAL) for p in report.s_min]
+    return {
+        "label": report.label,
+        "char_exponents": [_vec_json(v) for v in report.char_exponents],
+        "degree": report.lattices.degree_n,
+        "tower_step_indices": list(report.lattices.step_indices),
+        "lattice_M": _lattice_json(report.lattices.M),
+        "lattice_N": _lattice_json(report.lattices.N),
+        "relevant_faces": [
+            {
+                "indices": list(face.indices),
+                "regular": face.regular,
+                "primitive_generators": [_vec_json(p) for p in face.primgens],
+            }
+            for face in report.relevant
+        ],
+        "singular_faces_of_sigma": [list(i) for i in report.singular_faces_of_sigma],
+        "s_min": s_min,
+        "E": [_divisor_json(p, ORIGIN_BARYCENTER) for p in report.E],
+        "V": s_min,  # V is S_min
+        "nash_count": report.nash_count,
+        "diagnostics": [
+            {"code": d.code, "message": d.message} for d in report.diagnostics
+        ],
+    }
+
+
+def reference_dict(result, dim: int) -> dict:
+    """The report as nested dicts, built field by field apart from
+    render_json: ``_dumps`` of it is the reference for render_json's bytes."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dim": dim,
+        "branches": [_branch_json(report) for report in result.branches],
+        "total_nash": result.total_nash,
+        "total_essential": result.total_essential,
+    }
 
 
 def _cross_branch(spec):
@@ -108,8 +177,9 @@ def test_render_json_matches_json_dumps():
     reports.append((dataclasses.replace(result, branches=(inconsistent,)), dim))
     codes = set()
     for result, dim in reports:
-        payload = report_to_dict(result, dim)
+        payload = reference_dict(result, dim)
         assert "".join(render_json(result, dim)) == _dumps(payload)
+        assert report_to_dict(result, dim) == payload
         codes.update(d["code"] for b in payload["branches"] for d in b["diagnostics"])
     assert codes == {"EMPTY_B", "LEMMA_MIN_VIOLATION"}
 
@@ -158,7 +228,9 @@ def test_render_json_escapes_labels(labels):
     branches = [BranchInput(BranchSpec(2, (cone,), labels[0]), sing_faces=((1, 2),))]
     branches += [BranchInput(BranchSpec(2, (), label)) for label in labels[1:]]
     result = analyze_variety(branches)
-    assert "".join(render_json(result, 2)) == _dumps(report_to_dict(result, 2))
+    payload = reference_dict(result, 2)
+    assert "".join(render_json(result, 2)) == _dumps(payload)
+    assert report_to_dict(result, 2) == payload
 
 
 def test_text_and_json_share_facts(capsys):

@@ -522,11 +522,13 @@ class TestMinimalDivisorsOnTowers:
         # points of the box prod [1, c_j] on the columns of face F.
         for n in [lattices_.N for _, lattices_ in self.BRANCHES] + [self.D6]:
             by_support = {}
-            for axes, mask in _BoxScanner(n).slabs():
+            scanner = _BoxScanner(n)
+            back = [scanner.order.index(k) for k in range(n.dim)]
+            for axes, mask in scanner.slabs():
                 points = np.argwhere(mask)
                 points[:, 0] += axes[0].flat[0]
-                supports = _support(axes)[mask].tolist()
-                for s, p in zip(supports, points.tolist()):
+                supports = _support(axes, scanner.order)[mask].tolist()
+                for s, p in zip(supports, points[:, back].tolist()):
                     by_support.setdefault(s, []).append(tuple(p))
             for face in face_table(n):
                 idx = face.indices

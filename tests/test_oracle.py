@@ -215,6 +215,25 @@ def test_memory_flat_in_box_size(monkeypatch):
         assert peaks[1] < 2 * peaks[0], peaks
 
 
+def test_memory_flat_in_thin_box(monkeypatch):
+    # reach [2, q]: slabs cut the long second axis, so the peak does not
+    # grow with q (along the first axis each slab's table of the second is
+    # q + 1 cells, about four times the peak at four times q).
+    monkeypatch.setattr(oracle, "_CHUNK", 4096)
+    brute_branch(N_MOD4, 4)
+    peaks = []
+    for q in (20_000, 80_000):
+        n = lat((2, 0), (1, q // 2))
+        assert _BoxScanner(n).reach == [2, q]
+        tracemalloc.start()
+        try:
+            assert brute_branch(n, q) == ([(1, q // 2)], {(1, 2)})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
 def test_bound_error_precedes_cap(monkeypatch):
     # The axis reaches of N_MOD4 are 4: bound 3 misses them although its
     # 16-cell box is over the cap too.
