@@ -312,7 +312,10 @@ def render_text(result: VarietyReport, dim: int) -> str:
 
 def _oracle_check(result: VarietyReport) -> None:
     # Imported here so that numpy loads only when the check is asked for.
-    from . import oracle
+    try:
+        from . import oracle
+    except ImportError as exc:
+        raise DomainError("ORACLE_UNAVAILABLE", f"--oracle-check needs numpy: {exc}")
 
     for report in result.branches:
         n = report.lattices.N

@@ -223,12 +223,15 @@ class Lattice:
     is the lower-triangular HNF basis of the integer lattice D*L, so equal
     lattices have identical fields.  Not constructed directly; use
     :func:`lattice_from_generators`, :func:`standard_lattice`, or the lattice
-    operations below.
+    operations below.  Its dimension is the number of basis rows.
     """
 
-    dim: int
     denom: int
     scaled_basis: tuple[tuple[int, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.scaled_basis)
 
     @property
     def basis(self) -> tuple[RatVec, ...]:
@@ -266,7 +269,7 @@ def standard_lattice(dim: int) -> Lattice:
     if not is_index(dim, MAX_DIM):
         raise DomainError("DIMENSION_MISMATCH", f"dimension {dim} outside 1..{MAX_DIM}")
     rows = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    return Lattice(dim, 1, rows)
+    return Lattice(1, rows)
 
 
 def lattice_from_generators(gens) -> Lattice:
@@ -299,7 +302,7 @@ def lattice_from_scaled(denom: int, int_rows: list[list[int]]) -> Lattice:
     if len(basis) < dim:
         raise DomainError("NOT_FULL_RANK", f"generators span rank {len(basis)} < {dim}")
     g = gcd(denom, *(x for row in basis for x in row))
-    return Lattice(dim, denom // g, tuple(tuple(x // g for x in r) for r in basis))
+    return Lattice(denom // g, tuple(tuple(x // g for x in r) for r in basis))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:

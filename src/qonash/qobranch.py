@@ -8,7 +8,7 @@ geometry downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
 from operator import le
@@ -32,12 +32,11 @@ class BranchSpec:
 
 @dataclass(frozen=True)
 class BranchLattices:
-    """The tower M_0 < M_1 < ... < M_g = M together with N = dual(M).  M, N
-    and the degree are derived, so a copy made by ``dataclasses.replace``
-    agrees with its new fields."""
+    """The tower M_0 < M_1 < ... < M_g = M, starting at Z^d.  M, N = dual(M),
+    the step indices and the degree are derived from it, so a copy made by
+    ``dataclasses.replace`` with a new tower has its own."""
 
     tower: tuple[Lattice, ...]
-    step_indices: tuple[int, ...] = field(default=())
 
     @property
     def M(self) -> Lattice:
@@ -46,6 +45,16 @@ class BranchLattices:
     @cached_property
     def N(self) -> Lattice:
         return intlat.dual_lattice(self.M)
+
+    @cached_property
+    def step_indices(self) -> tuple[int, ...]:
+        """[M_j : M_{j-1}] for j = 1..g.  M_j contains Z^d, so [M_j : Z^d] is
+        denom^d over the product of its scaled basis's pivots."""
+        over_z = [
+            l.denom ** l.dim // prod(r[i] for i, r in enumerate(l.scaled_basis))
+            for l in self.tower
+        ]
+        return tuple(b // a for a, b in zip(over_z, over_z[1:]))
 
     @property
     def degree_n(self) -> int:
@@ -88,27 +97,23 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
             )
 
     tower = [intlat.standard_lattice(d)]
-    step_indices = []
     for j, lam in enumerate(exps, start=1):
         prev = tower[-1]
         # prev contains Z^d, so one HNF of its scaled basis and lam's
-        # numerators over their common denominator gives the step.  nxt
-        # contains prev, so [nxt : prev] is the covolume ratio, an integer,
-        # and it is 1 exactly when lam already lies in prev.
+        # numerators over their common denominator gives the step.  The
+        # lattice's fields are canonical, so the step leaves it unchanged
+        # exactly when lam already lies in prev.
         denom = lcm(prev.denom, lam.denominator())
         rows = [[x * (denom // prev.denom) for x in r] for r in prev.scaled_basis]
         rows.append([c.numerator * (denom // c.denominator) for c in lam])
         nxt = intlat.lattice_from_scaled(denom, rows)
-        step = prev.det / nxt.det
-        if step == 1:
+        if nxt == prev:
             raise DomainError(
                 "NOT_CHARACTERISTIC",
                 f"exponent {j} = {lam} already lies in the lattice generated "
                 f"by the earlier ones",
                 branch=spec.label,
             )
-        step_indices.append(step.numerator)
         tower.append(nxt)
 
-    return BranchLattices(tower=tuple(tower), step_indices=tuple(step_indices))
-
+    return BranchLattices(tuple(tower))

@@ -16,7 +16,6 @@ degree 201..1 000) against the same brute force, sized to its scan cap.
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -47,24 +46,10 @@ from qonash import (
 from qonash.conegeom import face_table
 from qonash.nashmap import componentize, lemma_min_diagnostics
 from qonash.oracle import brute_branch, brute_face_index, brute_minimal_S
+from helpers import src_env, vec, vectors
 from towers import random_branch, random_branches
 
 CORPUS = Path(__file__).parent / "corpus"
-
-
-def vec(*coords):
-    return RatVec(coords)
-
-
-def vectors(points):
-    return [RatVec(p) for p in points]
-
-
-def _src_env():
-    """The environment with src/ first on PYTHONPATH, for `python -m qonash`."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def _passed(name):
@@ -310,7 +295,7 @@ def test_criterion_5_cli_determinism():
                 "analyze", str(CORPUS / f"{case}.json"), "--format", "json",
             ]
             blob += subprocess.run(
-                cmd, capture_output=True, check=True, env=_src_env()
+                cmd, capture_output=True, check=True, env=src_env()
             ).stdout
         outputs.append(blob)
     assert outputs[0] == outputs[1]

@@ -36,17 +36,11 @@ from qonash.cli import (
     run,
 )
 from qonash.nashmap import lemma_min_diagnostics
+from helpers import cross_branch, src_env
 from towers import random_branches
 
 CORPUS = Path(__file__).parent / "corpus"
 CASES = ["whitney", "a1_cone", "plane_cusp", "degree4", "reducible", "smooth"]
-
-
-def _src_env():
-    """The environment with src/ first on PYTHONPATH, for `python -m qonash`."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(capsys, *argv):
@@ -147,11 +141,6 @@ def reference_dict(result, dim: int) -> dict:
     }
 
 
-def _cross_branch(spec):
-    """A branch whose B is the full coordinate cross."""
-    return BranchInput(spec, sing_faces=tuple((k,) for k in range(1, spec.dim + 1)))
-
-
 def _diagonal(denom, label="b"):
     """A d = 2 branch with denom - 1 points in S_min, all but one candidate."""
     spec = BranchSpec(2, (RatVec([F(1, denom)] * 2),), label)
@@ -166,10 +155,10 @@ def test_render_json_matches_json_dumps():
     reports.append((analyze_variety([]), 3))  # "branches": []
     reports.append((_diagonal(2000), 2))
     for spec, _ in random_branches(520, seed=20250810):  # the criterion-1 towers
-        reports.append((analyze_variety([_cross_branch(spec)]), spec.dim))
+        reports.append((analyze_variety([cross_branch(spec)]), spec.dim))
     for dim in (1, 8):
         spec = BranchSpec(dim, (RatVec([F(1, 2)] * dim),), f"d{dim}")
-        reports.append((analyze_variety([_cross_branch(spec)]), dim))
+        reports.append((analyze_variety([cross_branch(spec)]), dim))
     result, dim = reports[0]
     inconsistent = dataclasses.replace(
         result.branches[0], diagnostics=tuple(lemma_min_diagnostics([(3, 3)], [(1, 1)]))
@@ -703,7 +692,7 @@ def test_degree_too_long_to_write(tmp_path, fmt):
     path = _write(tmp_path, {"dim": 1, "branches": [{"label": "b", "char_exponents": exps}]})
     done = subprocess.run(
         [sys.executable, "-m", "qonash", "analyze", path, "--format", fmt],
-        capture_output=True, env=_src_env(),
+        capture_output=True, env=src_env(),
     )
     limit = sys.get_int_max_str_digits()
     assert (done.returncode, done.stdout) == (1, b"")
@@ -722,7 +711,7 @@ def test_closed_stdout_exits_cleanly():
         done = subprocess.run(
             [sys.executable, "-m", "qonash", "analyze", str(CORPUS / "whitney.json"),
              "--format", "json"],
-            stdout=write, stderr=subprocess.PIPE, env=_src_env(),
+            stdout=write, stderr=subprocess.PIPE, env=src_env(),
         )
     finally:
         os.close(write)
@@ -735,7 +724,7 @@ def test_stdout_closed_before_start():
     done = subprocess.run(
         [sys.executable, "-m", "qonash", "analyze", str(CORPUS / "whitney.json"),
          "--format", "json"],
-        stderr=subprocess.PIPE, env=_src_env(), preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE, env=src_env(), preexec_fn=lambda: os.close(1),
     )
     assert done.returncode == 2
     assert done.stderr == (
@@ -747,7 +736,7 @@ def test_stdin_closed_before_start():
     # With fd 0 closed (`<&-` in a shell) Python sets sys.stdin to None.
     done = subprocess.run(
         [sys.executable, "-m", "qonash", "analyze", "-"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
         preexec_fn=lambda: os.close(0),
     )
     assert (done.returncode, done.stdout) == (2, b"")
@@ -769,7 +758,7 @@ def test_lost_stderr_keeps_report_and_status(lost):
     def analyze(*argv, stdin=None):
         return subprocess.run(
             [sys.executable, "-m", "qonash", "analyze", *argv],
-            input=stdin, stdout=subprocess.PIPE, env=_src_env(),
+            input=stdin, stdout=subprocess.PIPE, env=src_env(),
             preexec_fn=LOST_STDERR[lost],
         )
 
@@ -825,9 +814,26 @@ def test_import_loads_no_oracle():
         "print(sorted({'numpy', 'qonash.oracle'} & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, check=True, env=_src_env()
+        [sys.executable, "-c", code], capture_output=True, check=True, env=src_env()
     )
     assert done.stdout == b"[]\n"
+
+
+def test_oracle_check_without_numpy():
+    # numpy blocked before qonash loads: the check ends in a stable code.
+    # In-process, `from . import oracle` would find the loaded submodule.
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "sys.argv[1:] = ['analyze', sys.argv[1], '--oracle-check']; "
+        "import qonash.cli; qonash.cli.main()"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(CORPUS / "a1_cone.json")],
+        capture_output=True, env=src_env(),
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"qonash: error: [ORACLE_UNAVAILABLE] ")
+    assert b"numpy" in done.stderr and b"Traceback" not in done.stderr
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):
@@ -854,8 +860,8 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 def test_subprocess_determinism_single_case():
     cmd = [sys.executable, "-m", "qonash", "analyze",
            str(CORPUS / "reducible.json"), "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
-    second = subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
+    first = subprocess.run(cmd, capture_output=True, check=True, env=src_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=src_env())
     assert first.stdout == second.stdout
 
 

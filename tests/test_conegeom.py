@@ -35,15 +35,8 @@ from qonash import conegeom, oracle
 from qonash.conegeom import face_table, minimal_singular_points
 from qonash.intlat import face_sections, section
 from qonash.oracle import _adjugate, _BoxScanner, _support, brute_face_index
+from helpers import lat, vec
 from towers import random_branches
-
-
-def vec(*coords):
-    return RatVec(coords)
-
-
-def lat(*rows):
-    return lattice_from_generators([RatVec(r) for r in rows])
 
 
 N_EVEN = lat((2, 0), (1, 1))
@@ -602,6 +595,57 @@ class TestIntegralDivisor:
         with pytest.raises(DomainError) as err:
             make(self.HALF)
         assert err.value.code == "NOT_SUBLATTICE"
+
+
+class TestFaceIndexFromExponents:
+    # The points of N on a face F are the dual of pi_F(M), the projection
+    # of M = Z^d + sum Z lambda_j to the coordinates F, so index(F) =
+    # prod c_i / [pi_F(M) : Z^F] over i in F, c_i the lcm of coordinate i's
+    # denominators.  With D the lcm of the c_i, [pi_F(M) : Z^F] is D^|F|
+    # over G_F, the gcd of the |F| x |F| minors of the rows D e_i and
+    # D pi_F(lambda_j).  The minors come from the oracle's Bareiss
+    # elimination, which shares no code with the Hermite sections, and
+    # nothing here scans a box, so any degree is in reach.
+    @staticmethod
+    def expected_index(exps, idx):
+        c = [math.lcm(1, *(lam.coords[i - 1].denominator for lam in exps)) for i in idx]
+        big = math.lcm(*c)
+        rows = [[big * (i == j) for j in idx] for i in idx]
+        rows += [[int(big * lam.coords[i - 1]) for i in idx] for lam in exps]
+        g = 0
+        for minor in itertools.combinations(rows, len(idx)):
+            try:
+                g = math.gcd(g, _adjugate(list(minor))[1])
+            except StopIteration:  # singular: the minor is 0
+                pass
+        return math.prod(c) * g // big ** len(idx)
+
+    def check(self, spec, n):
+        """Check every face of N's table; returns how many are singular."""
+        table = face_table(n)
+        for face in table:
+            assert face.index == self.expected_index(spec.char_exponents, face.indices), face
+        return sum(not face.regular for face in table)
+
+    def test_generator_towers(self):
+        for d in range(2, 7):
+            singular = 0
+            for spec, lattices_ in random_branches(80, seed=3100 + d, dims=(d,), max_index=60):
+                singular += self.check(spec, lattices_.N)
+            assert singular, d  # not vacuous in any dimension
+
+    @pytest.mark.parametrize(
+        "exps",
+        [
+            [(F(1, 480), F(1, 672), F(1, 1120))],
+            [(F(1, 90), F(1, 126), F(1, 210), F(1, 330))],
+            [(F(1, 30),) * 8, (F(1, 15), F(1, 10), F(1, 6), F(1, 5), F(1, 3), F(1, 2), F(7, 12), 1)],
+        ],
+        ids=["d3", "d4", "d8-two-steps"],
+    )
+    def test_past_the_oracle_cap(self, exps):
+        spec = BranchSpec(len(exps[0]), tuple(RatVec(e) for e in exps))
+        assert self.check(spec, build_tower(spec).N)
 
 
 def hirzebruch_jung_length(m, q):

@@ -22,14 +22,7 @@ from qonash import (
     standard_lattice,
 )
 from qonash.intlat import integer_kernel, section
-
-
-def vec(*coords):
-    return RatVec(coords)
-
-
-def lat(*rows):
-    return lattice_from_generators([RatVec(r) for r in rows])
+from helpers import lat, vec
 
 
 # lattices that recur throughout: duals of the worked exponent towers

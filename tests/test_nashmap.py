@@ -24,7 +24,6 @@ from qonash import (
     contains,
     essential_divisors,
     face_data,
-    lattice_from_generators,
     leq_sigma,
     minimal_toric_divisors,
     singular_faces,
@@ -33,24 +32,13 @@ from qonash import (
 from qonash import conegeom, nashmap
 from qonash.cli import parse_variety
 from qonash.nashmap import lemma_min_diagnostics
+from helpers import cross_branch, lat, vec, vectors
 from towers import random_branches
-
-
-def vec(*coords):
-    return RatVec(coords)
-
-
-def lat(*rows):
-    return lattice_from_generators([RatVec(r) for r in rows])
 
 
 N_EVEN = lat((2, 0), (1, 1))
 N_MOD4 = lat((4, 0), (3, 1))
 Z2 = standard_lattice(2)
-
-
-def vectors(points):
-    return [RatVec(p) for p in points]
 
 
 class TestContactFaces:
@@ -592,12 +580,6 @@ def count_walked(monkeypatch):
     monkeypatch.setattr(conegeom, "_box_walk", walked)
     monkeypatch.setattr(conegeom, "_walk_level", leveled)
     return walks
-
-
-def cross_branch(spec):
-    """The branch with B the full coordinate cross, which holds any
-    singular locus."""
-    return BranchInput(spec=spec, sing_faces=tuple((k,) for k in range(1, spec.dim + 1)))
 
 
 class TestCandidateBudget:

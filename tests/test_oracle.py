@@ -8,23 +8,14 @@ import pytest
 
 from qonash import (
     DomainError,
-    RatVec,
     conegeom,
     intlat,
-    lattice_from_generators,
     oracle,
     standard_lattice,
 )
 from qonash.oracle import _BoxScanner, brute_branch, brute_face_index, brute_minimal_S
+from helpers import lat, vec
 from test_conegeom import TestMinimalDivisorsOnTowers as TOWERS
-
-
-def vec(*coords):
-    return RatVec(coords)
-
-
-def lat(*rows):
-    return lattice_from_generators([RatVec(r) for r in rows])
 
 
 N_EVEN = lat((2, 0), (1, 1))

@@ -49,11 +49,11 @@ class TestBuildTower:
         assert not contains(lat.N, RatVec([1, 0]))
 
     def test_replace_rederives_m_and_degree(self):
-        # M and the degree follow the tower and the step indices, so a copy
-        # with new fields carries no stale value.
+        # M and the degree follow the tower, so a copy with new fields
+        # carries no stale value.
         lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
         assert lat.step_indices == (2, 2)
-        first = dataclasses.replace(lat, tower=lat.tower[:2], step_indices=(2,))
+        first = dataclasses.replace(lat, tower=lat.tower[:2])
         assert first.degree_n == 2
         assert first.M == lat.tower[1] != lat.M
 
@@ -62,9 +62,20 @@ class TestBuildTower:
         # M, not the dual of the two-step tower it was copied from.
         lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
         assert lat.N == lattice_from_generators([RatVec([4, 0]), RatVec([3, 1])])
-        first = dataclasses.replace(lat, tower=lat.tower[:2], step_indices=(2,))
+        first = dataclasses.replace(lat, tower=lat.tower[:2])
         assert first.N == dual_lattice(first.M)
         assert first.N == lattice_from_generators([RatVec([2, 0]), RatVec([1, 1])])
+
+    def test_replace_rederives_step_indices(self):
+        # The tower is the only field: a copy with a shorter tower has the
+        # steps and the degree of that tower, [M_1 : Z^2] = 2.
+        lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
+        first = dataclasses.replace(lat, tower=lat.tower[:2])
+        assert first.step_indices == (2,)
+        assert first.degree_n == 2 == index(standard_lattice(2), first.M)
+        assert dataclasses.replace(lat, tower=lat.tower[:1]).step_indices == ()
+        assert [f.name for f in dataclasses.fields(lat)] == ["tower"]
+        assert [f.name for f in dataclasses.fields(lat.M)] == ["denom", "scaled_basis"]
 
     def test_not_characteristic(self):
         with pytest.raises(DomainError) as err:
