@@ -13,7 +13,7 @@ cares about.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import prod
@@ -23,18 +23,14 @@ from . import intlat
 from .errors import DomainError
 from .intlat import Lattice, RatVec
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "indices primgens reach index section")):
     """A face of the quadrant: coordinate subset, edge generators and their
     reaches c_i (denom times the generator's coordinate), the index of the
-    edge sublattice in the face's lattice points, and the Hermite basis of
-    denom times those points (see :func:`intlat.section`)."""
+    edge sublattice in the face's lattice points (shadowing ``tuple.index``),
+    and the Hermite basis of denom times those points (see
+    :func:`intlat.section`)."""
 
-    indices: tuple[int, ...]
-    primgens: tuple[RatVec, ...]
-    reach: tuple[int, ...]
-    index: int
-    section: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def regular(self) -> bool:

@@ -10,7 +10,6 @@ solver: it decides membership and reads the adjugate that gives the dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -35,22 +34,29 @@ def _as_fraction(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(slots=True, unsafe_hash=True, repr=False)
 class RatVec:
     """Vector of exact rationals in ambient d-space, a value: callers must not
     mutate it.  Nothing enforces this (the class is not frozen, which keeps
     construction cheap), and a vector changed after hashing is lost from its
-    set."""
+    set.  It equals only another RatVec with the same coordinates."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        self.coords = tuple(map(_as_fraction, self.coords))
+    def __init__(self, coords):
+        self.coords = tuple(map(_as_fraction, coords))
         if not 1 <= len(self.coords) <= MAX_DIM:
             raise DomainError(
                 "DIMENSION_MISMATCH",
                 f"vector dimension {len(self.coords)} outside 1..{MAX_DIM}",
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @classmethod
     def unit(cls, dim: int, k: int) -> "RatVec":
@@ -215,7 +221,6 @@ def snf(mat) -> tuple[int, ...]:
     return tuple(d)
 
 
-@dataclass(slots=True, unsafe_hash=True, repr=False)
 class Lattice:
     """Full-rank rational lattice in d-space, canonically represented.
 
@@ -226,8 +231,18 @@ class Lattice:
     operations below.  Its dimension is the number of basis rows.
     """
 
-    denom: int
-    scaled_basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("denom", "scaled_basis")
+
+    def __init__(self, denom: int, scaled_basis: tuple[tuple[int, ...], ...]):
+        self.denom, self.scaled_basis = denom, scaled_basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.denom == other.denom and self.scaled_basis == other.scaled_basis
+
+    def __hash__(self) -> int:
+        return hash((self.denom, self.scaled_basis))
 
     @property
     def dim(self) -> int:

@@ -12,48 +12,40 @@ its branches' relative problems, so counts simply add up.
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from . import conegeom, qobranch
 from .conegeom import Face, leq_sigma
 from .errors import DomainError
 from .intlat import Lattice, RatVec, is_index
-from .qobranch import BranchLattices, BranchSpec
+from .qobranch import BranchLattices
 
 
-@dataclass(frozen=True)
-class Contact:
-    """Exponent of the monomial cutting out the meeting with another branch."""
+class Contact(namedtuple("Contact", "exponent partner", defaults=(None,))):
+    """Exponent of the monomial cutting out the meeting with branch ``partner``."""
 
-    exponent: RatVec
-    partner: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BranchInput:
-    spec: BranchSpec
-    sing_faces: tuple[tuple[int, ...], ...] = ()
-    extra_faces: tuple[tuple[int, ...], ...] = ()
-    contacts: tuple[Contact, ...] = ()
+class BranchInput(namedtuple("BranchInput", "spec sing_faces extra_faces contacts",
+                             defaults=((), (), ()))):
+    """A BranchSpec, its singular-locus and extra faces as index tuples, and
+    its Contacts."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "code message")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    label: str
-    char_exponents: tuple[RatVec, ...]
-    lattices: BranchLattices
-    relevant: tuple[Face, ...]  # B's components: faces of `faces`, in its order
-    faces: tuple[Face, ...]
-    s_min: tuple[tuple[int, ...], ...]  # each divisor as its integer point
-    E: tuple[tuple[int, ...], ...]
-    diagnostics: tuple[Diagnostic, ...] = field(default=())
+class BranchReport(namedtuple("BranchReport", "label char_exponents lattices relevant faces "
+                              "s_min E diagnostics", defaults=((),))):
+    """One branch's result.  ``relevant`` holds B's components, faces of
+    ``faces`` in its order; ``s_min`` and ``E`` hold each divisor as its
+    integer point."""
+
+    __slots__ = ()
 
     @property
     def V(self) -> tuple[tuple[int, ...], ...]:
@@ -68,9 +60,8 @@ class BranchReport:
         return tuple(f.indices for f in self.faces if not f.regular)
 
 
-@dataclass(frozen=True)
-class VarietyReport:
-    branches: tuple[BranchReport, ...]
+class VarietyReport(namedtuple("VarietyReport", "branches")):
+    __slots__ = ()
 
     @property
     def total_nash(self) -> int:

@@ -8,35 +8,33 @@ geometry downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import lcm, prod
 from operator import le
 
 from . import intlat
 from .errors import DomainError
-from .intlat import Lattice, RatVec
+from .intlat import Lattice
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    """Input description of one branch: dimension and exponent chain."""
+class BranchSpec(namedtuple("BranchSpec", "dim char_exponents label", defaults=("",))):
+    """Input description of one branch: dimension, exponent chain (RatVecs), label."""
 
-    dim: int
-    char_exponents: tuple[RatVec, ...]
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "char_exponents", tuple(self.char_exponents))
+    def __new__(cls, dim: int, char_exponents, label: str = ""):
+        return super().__new__(cls, dim, tuple(char_exponents), label)
+
+    # _replace builds through _make, so route it through __new__ too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class BranchLattices:
-    """The tower M_0 < M_1 < ... < M_g = M, starting at Z^d.  M, N = dual(M),
-    the step indices and the degree are derived from it, so a copy made by
-    ``dataclasses.replace`` with a new tower has its own."""
-
-    tower: tuple[Lattice, ...]
+class BranchLattices(namedtuple("BranchLattices", "tower")):
+    """The tower M_0 < M_1 < ... < M_g = M of Lattice, starting at Z^d.  M,
+    N = dual(M), the step indices and the degree are derived from it, so a
+    copy made by ``_replace`` with a new tower has its own.  No ``__slots__``:
+    N and the step indices are cached in the instance ``__dict__``."""
 
     @property
     def M(self) -> Lattice:

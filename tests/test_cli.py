@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -160,10 +159,10 @@ def test_render_json_matches_json_dumps():
         spec = BranchSpec(dim, (RatVec([F(1, 2)] * dim),), f"d{dim}")
         reports.append((analyze_variety([cross_branch(spec)]), dim))
     result, dim = reports[0]
-    inconsistent = dataclasses.replace(
-        result.branches[0], diagnostics=tuple(lemma_min_diagnostics([(3, 3)], [(1, 1)]))
+    inconsistent = result.branches[0]._replace(
+        diagnostics=tuple(lemma_min_diagnostics([(3, 3)], [(1, 1)]))
     )
-    reports.append((dataclasses.replace(result, branches=(inconsistent,)), dim))
+    reports.append((result._replace(branches=(inconsistent,)), dim))
     codes = set()
     for result, dim in reports:
         payload = reference_dict(result, dim)
@@ -809,9 +808,11 @@ def test_regularity_mismatch_fails_run(capsys, monkeypatch):
 
 
 def test_import_loads_no_oracle():
+    # Nor dataclasses and the inspect it imports, which would double the
+    # CLI's import time.
     code = (
         "import qonash.cli, sys; "
-        "print(sorted({'numpy', 'qonash.oracle'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'qonash.oracle', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, check=True, env=src_env()

@@ -33,10 +33,10 @@ from qonash import (
 )
 from qonash import conegeom, oracle
 from qonash.conegeom import face_table, minimal_singular_points
-from qonash.intlat import face_sections, section
+from qonash.intlat import face_sections, lattice_from_scaled, section
 from qonash.oracle import _adjugate, _BoxScanner, _support, brute_face_index
 from helpers import lat, vec
-from towers import random_branches
+from towers import random_branch, random_branches
 
 
 N_EVEN = lat((2, 0), (1, 1))
@@ -646,6 +646,40 @@ class TestFaceIndexFromExponents:
     def test_past_the_oracle_cap(self, exps):
         spec = BranchSpec(len(exps[0]), tuple(RatVec(e) for e in exps))
         assert self.check(spec, build_tower(spec).N)
+
+
+class TestProducts:
+    # For N = N' x N'' a face F' + F'' has index index(F') index(F''), and
+    # S_min(N) is S_min(N') x 0 + 0 x S_min(N''): a point (x', x'') on a
+    # mixed singular face, F' singular, lies strictly above (x', 0) in S.
+    # The mixed faces' boxes are products of the factors' boxes, past the
+    # oracle's reach; this drives face_sections across the blocks and the
+    # walk over faces of four or more coordinates.
+    @staticmethod
+    def product(a, b):
+        denom = math.lcm(a.denom, b.denom)
+        da, db = a.dim, b.dim
+        rows = [[x * (denom // a.denom) for x in r] + [0] * db for r in a.scaled_basis]
+        rows += [[0] * da + [x * (denom // b.denom) for x in r] for r in b.scaled_basis]
+        return lattice_from_scaled(denom, rows)
+
+    def test_random_products(self):
+        rng = random.Random(20251019)
+        mixed_singular = 0
+        for _ in range(30):
+            a, b = (random_branch(rng, dims=(2, 3, 4, 5), max_index=40)[1].N for _ in "ab")
+            n, da = self.product(a, b), a.dim
+            table = face_table(n)
+            ia, ib = ({(): 1} | {f.indices: f.index for f in face_table(l)} for l in (a, b))
+            for face in table:
+                left = tuple(i for i in face.indices if i <= da)
+                right = tuple(i - da for i in face.indices if i > da)
+                assert face.index == ia[left] * ib[right], face.indices
+                mixed_singular += bool(left and right and not face.regular)
+            expected = [p + (0,) * b.dim for p in minimal_singular_points(a, face_table(a))]
+            expected += [(0,) * da + p for p in minimal_singular_points(b, face_table(b))]
+            assert minimal_singular_points(n, table) == sorted(expected)
+        assert mixed_singular  # the mixed faces are not all regular
 
 
 def hirzebruch_jung_length(m, q):

@@ -425,6 +425,10 @@ class TestRatVec:
         a, b = RatVec([1, F(1, 2)]), RatVec([F(2, 2), F(1, 2)])
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert RatVec([1, 2]) != (1, 2)
+        assert Z2 != (Z2.denom, Z2.scaled_basis) and Z2 != RatVec([1, 0])
+        # The hashes of the field tuples, on which set iteration orders rest.
+        assert hash(a) == hash((a.coords,))
+        assert hash(Z2) == hash((Z2.denom, Z2.scaled_basis))
 
     def test_sorted_is_lexicographic(self):
         vs = [vec(1, 2), vec(0, 5), vec(1, F(1, 2)), vec(0, 3)]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -266,8 +265,8 @@ class TestAnalyzeVariety:
     def test_counts_follow_replaced_lists(self):
         # The counts are derived from the lists, so a replaced E counts.
         report = analyze_variety(self.reducible())
-        cone = dataclasses.replace(report.branches[0], E=((2, 0),))
-        moved = dataclasses.replace(report, branches=(cone, report.branches[1]))
+        cone = report.branches[0]._replace(E=((2, 0),))
+        moved = report._replace(branches=(cone, report.branches[1]))
         assert cone.nash_count == 2
         assert moved.total_nash == moved.total_essential == 4
 

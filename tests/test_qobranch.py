@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -53,7 +52,7 @@ class TestBuildTower:
         # carries no stale value.
         lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
         assert lat.step_indices == (2, 2)
-        first = dataclasses.replace(lat, tower=lat.tower[:2])
+        first = lat._replace(tower=lat.tower[:2])
         assert first.degree_n == 2
         assert first.M == lat.tower[1] != lat.M
 
@@ -62,7 +61,7 @@ class TestBuildTower:
         # M, not the dual of the two-step tower it was copied from.
         lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
         assert lat.N == lattice_from_generators([RatVec([4, 0]), RatVec([3, 1])])
-        first = dataclasses.replace(lat, tower=lat.tower[:2])
+        first = lat._replace(tower=lat.tower[:2])
         assert first.N == dual_lattice(first.M)
         assert first.N == lattice_from_generators([RatVec([2, 0]), RatVec([1, 1])])
 
@@ -70,12 +69,21 @@ class TestBuildTower:
         # The tower is the only field: a copy with a shorter tower has the
         # steps and the degree of that tower, [M_1 : Z^2] = 2.
         lat = build_tower(spec((F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
-        first = dataclasses.replace(lat, tower=lat.tower[:2])
+        first = lat._replace(tower=lat.tower[:2])
         assert first.step_indices == (2,)
         assert first.degree_n == 2 == index(standard_lattice(2), first.M)
-        assert dataclasses.replace(lat, tower=lat.tower[:1]).step_indices == ()
-        assert [f.name for f in dataclasses.fields(lat)] == ["tower"]
-        assert [f.name for f in dataclasses.fields(lat.M)] == ["denom", "scaled_basis"]
+        assert lat._replace(tower=lat.tower[:1]).step_indices == ()
+        assert list(lat._fields) == ["tower"]
+        assert list(lat.M.__slots__) == ["denom", "scaled_basis"]
+
+    def test_spec_is_a_tuple_record(self):
+        # The exponents become a tuple however the spec is built or copied,
+        # so it hashes like the tuple of its fields.
+        s = BranchSpec(2, [RatVec([1, F(1, 2)])])
+        moved = s._replace(char_exponents=[RatVec([1, F(1, 3)])], label="c")
+        assert type(s.char_exponents) is type(moved.char_exponents) is tuple
+        assert s.label == "" and moved.label == "c"
+        assert hash(s) == hash((2, s.char_exponents, ""))
 
     def test_not_characteristic(self):
         with pytest.raises(DomainError) as err:
