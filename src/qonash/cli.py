@@ -318,31 +318,22 @@ def _oracle_check(result: VarietyReport) -> None:
         raise DomainError("ORACLE_UNAVAILABLE", f"--oracle-check needs numpy: {exc}")
 
     for report in result.branches:
-        n = report.lattices.N
         # The oracle scans only the box of its own axis reaches, read off its
         # adjugate, and refuses the bound if one lies beyond the largest
         # reach of an edge the main path found.
         bound = max(f.reach[0] for f in report.faces if len(f.indices) == 1)
         try:
-            brute, singular = oracle.brute_branch(n, bound)
+            brute, singular = oracle.brute_branch(report.lattices.N, bound)
         except DomainError as exc:  # a refused scan names its branch
             raise DomainError(exc.code, exc.message, branch=report.label) from None
-        if brute != list(report.s_min):
-            main, brute = list(map(RatVec, report.s_min)), list(map(RatVec, brute))
+        s_min, faces = list(report.s_min), report.singular_faces_of_sigma
+        if (brute, singular) != (s_min, set(faces)):
             raise DomainError(
                 "ORACLE_MISMATCH",
-                f"minimal singular-face points differ: main {main}, brute {brute}",
+                f"main S_min {s_min}, singular faces {sorted(faces)}; "
+                f"brute S_min {brute}, singular faces {sorted(singular)}",
                 branch=report.label,
             )
-        for face in report.faces:
-            slow = face.indices not in singular
-            if face.regular != slow:
-                raise DomainError(
-                    "ORACLE_MISMATCH",
-                    f"regularity of face {face.indices} differs: "
-                    f"main {face.regular}, brute {slow}",
-                    branch=report.label,
-                )
 
 
 def _positive_int(text: str) -> int:

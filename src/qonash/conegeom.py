@@ -46,31 +46,29 @@ def leq_sigma(u, v) -> bool:
     return all(map(le, u, v))
 
 
-def _classify(n: Lattice, sections) -> list[Face]:
-    """Classify faces of N from (face, section) pairs, each axis's singleton
-    listed before the faces through it.
+def _classify(n: Lattice, sections, faces) -> list[Face]:
+    """Classify the listed faces of N from ``sections``, which maps each of
+    them, and each singleton of their axes, to its Hermite section.
 
     An axis's primitive generator is c/denom times e_k, c the pivot of its
     singleton section.  A face's index is the covolume of its edge
     sublattice over that of its section: the product of its axes' c over the
     product of the section's pivots.
     """
-    reach: dict[int, int] = {}
-    gens: dict[int, RatVec] = {}
+    d = n.dim
+    reach = {k: sections[k,][0][k - 1] for k in range(1, d + 1) if (k,) in sections}
+    gens = {
+        k: RatVec([Fraction(c, n.denom) if i == k else 0 for i in range(1, d + 1)])
+        for k, c in reach.items()
+    }
     out = []
-    for idx, section in sections:
-        if len(idx) == 1:
-            (k,) = idx
-            reach[k] = c = section[0][k - 1]
-            gens[k] = RatVec(
-                [Fraction(c, n.denom) if i == k else 0 for i in range(1, n.dim + 1)]
-            )
+    for idx in faces:
+        section = sections[idx]
         c = tuple(reach[i] for i in idx)
         pivots = prod(row[i - 1] for i, row in zip(idx, section))
-        assert prod(c) % pivots == 0
-        out.append(
-            Face(idx, tuple(gens[i] for i in idx), c, prod(c) // pivots, tuple(section))
-        )
+        index, rest = divmod(prod(c), pivots)
+        assert not rest
+        out.append(Face(idx, tuple(gens[i] for i in idx), c, index, tuple(section)))
     return out
 
 
@@ -80,18 +78,16 @@ def face_data(n: Lattice, indices) -> Face:
     if not all(intlat.is_index(i, n.dim) for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     idx = tuple(sorted(set(idx)))
-    # Its axes' singletons, then the face; a singleton face is listed once.
-    faces = dict.fromkeys([(i,) for i in idx] + [idx])
-    return _classify(n, [(f, intlat.section(n, f)) for f in faces])[-1]
+    sections = {f: intlat.section(n, f) for f in [(i,) for i in idx] + [idx]}
+    return _classify(n, sections, [idx])[0]
 
 
 def face_table(n: Lattice) -> tuple[Face, ...]:
     """Every nonempty face of the quadrant, by size and then indices, each
     section computed once by :func:`intlat.face_sections`."""
-    sections = intlat.face_sections(n)
     axes = range(1, n.dim + 1)
     faces = [idx for size in axes for idx in combinations(axes, size)]
-    return tuple(_classify(n, [(idx, sections[idx]) for idx in faces]))
+    return tuple(_classify(n, intlat.face_sections(n), faces))
 
 
 def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
@@ -176,7 +172,10 @@ def minimal_elements(pts) -> list:
     iff the AND of its masks has no bit above its own.
     """
     pts = sorted(set(pts), reverse=True)
-    axes = list(zip(*pts))[1:]
+    try:
+        axes = list(zip(*pts, strict=True))[1:]
+    except ValueError:
+        raise DomainError("DIMENSION_MISMATCH", "points of different dimensions") from None
     ands = repeat((1 << len(pts)) - 1)
     for axis in axes:
         mask = {}

@@ -75,7 +75,9 @@ class RatVec:
     def __iter__(self):
         return iter(self.coords)
 
-    def __lt__(self, other: "RatVec") -> bool:
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return self.coords < other.coords
 
     def scale(self, q: RatLike) -> "RatVec":

@@ -784,11 +784,15 @@ def test_unknown_key_rejected(tmp_path, capsys):
 def test_oracle_mismatch_fails_run(capsys, monkeypatch):
     real = oracle.brute_branch
     monkeypatch.setattr(oracle, "brute_branch", lambda n, bound: ([], real(n, bound)[1]))
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
-    assert code == 1
-    assert "ORACLE_MISMATCH" in err
+    assert (code, out) == (1, "")
+    assert err == (
+        "qonash: error: [ORACLE_MISMATCH] branch 'a1': "
+        "main S_min [(1, 1)], singular faces [(1, 2)]; "
+        "brute S_min [], singular faces [(1, 2)]\n"
+    )
 
 
 def test_regularity_mismatch_fails_run(capsys, monkeypatch):
@@ -799,12 +803,15 @@ def test_regularity_mismatch_fails_run(capsys, monkeypatch):
         return s_min, singular ^ {(1,)}
 
     monkeypatch.setattr(oracle, "brute_branch", flipped)
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
-    assert code == 1
-    assert "[ORACLE_MISMATCH]" in err
-    assert "regularity of face (1,) differs: main True, brute False" in err
+    assert (code, out) == (1, "")
+    assert err == (
+        "qonash: error: [ORACLE_MISMATCH] branch 'a1': "
+        "main S_min [(1, 1)], singular faces [(1, 2)]; "
+        "brute S_min [(1, 1)], singular faces [(1,), (1, 2)]\n"
+    )
 
 
 def test_import_loads_no_oracle():

@@ -209,8 +209,13 @@ class TestFaceRefusals:
 
     def test_zero_face_data(self):
         # The zero face is a face of the quadrant: no edges, index 1.
-        face = face_data(N_EVEN, ())
-        assert (face.indices, face.primgens, face.reach, face.index) == ((), (), (), 1)
+        assert face_data(N_EVEN, ()) == conegeom.Face((), (), (), 1, ())
+
+    def test_face_data_repeated_unsorted_indices(self):
+        # An index list names the face of its distinct coordinates.
+        for n in (N_EVEN, Z2):
+            assert face_data(n, (2, 1, 2)) == face_data(n, (1, 2))
+            assert face_data(n, [2, 2]) == face_data(n, (2,))
 
     def test_barycenter_of_singular_face(self):
         with pytest.raises(DomainError) as err:
@@ -236,6 +241,14 @@ class TestMinimalElements:
         assert minimal_elements([(3, 1, 4)]) == [(3, 1, 4)]
         assert minimal_elements([(3, 1, 4)] * 3) == [(3, 1, 4)]
         assert minimal_elements([vec(F(1, 2), 3)]) == [vec(F(1, 2), 3)]
+
+    @pytest.mark.parametrize("pts", [[(1, 2), (1,)], [(0, 5), (3,)], [(1, 1), (1, 1, 0)]])
+    def test_mixed_dimensions_refused(self, pts):
+        # Points of different dimensions are not comparable, so neither is
+        # dropped as if the other lay below it.
+        with pytest.raises(DomainError) as err:
+            minimal_elements(pts)
+        assert err.value.code == "DIMENSION_MISMATCH"
 
 
 def by_definition(pts):

@@ -434,6 +434,14 @@ class TestRatVec:
         vs = [vec(1, 2), vec(0, 5), vec(1, F(1, 2)), vec(0, 3)]
         assert sorted(vs) == [vec(0, 3), vec(0, 5), vec(1, F(1, 2)), vec(1, 2)]
 
+    def test_order_only_among_vectors(self):
+        # As with ==, a tuple is not a vector: the comparison is unsupported.
+        for other in [(1, 2), [1, 2], 1]:
+            with pytest.raises(TypeError):
+                RatVec([1, 2]) < other
+            with pytest.raises(TypeError):
+                other < RatVec([1, 2])
+
 
 class TestLatticeValue:
     def test_equal_however_built(self):
