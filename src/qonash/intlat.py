@@ -11,6 +11,7 @@ solver: it decides membership and reads the adjugate that gives the dual.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from itertools import combinations
 from math import gcd, lcm, prod
 
@@ -34,11 +35,13 @@ def _as_fraction(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+@total_ordering
 class RatVec:
     """Vector of exact rationals in ambient d-space, a value: callers must not
     mutate it.  Nothing enforces this (the class is not frozen, which keeps
     construction cheap), and a vector changed after hashing is lost from its
-    set.  It equals only another RatVec with the same coordinates."""
+    set.  It equals only another RatVec with the same coordinates, and is
+    ordered, lexicographically by coordinates, only against another RatVec."""
 
     __slots__ = ("coords",)
 
@@ -57,13 +60,6 @@ class RatVec:
 
     def __hash__(self) -> int:
         return hash((self.coords,))
-
-    @classmethod
-    def unit(cls, dim: int, k: int) -> "RatVec":
-        """Standard basis vector e_k, 1-based k."""
-        if not (is_index(dim, MAX_DIM) and is_index(k, dim)):
-            raise DomainError("DIMENSION_MISMATCH", f"axis {k} outside 1..{dim}")
-        return cls([1 if i == k - 1 else 0 for i in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -257,12 +253,6 @@ class Lattice:
             RatVec(Fraction(x, self.denom) for x in row) for row in self.scaled_basis
         )
 
-    @property
-    def det(self) -> Fraction:
-        """Positive determinant of the basis (covolume): HNF pivots are positive."""
-        pivots = prod(self.scaled_basis[i][i] for i in range(self.dim))
-        return Fraction(pivots, self.denom**self.dim)
-
     def scaled_coefficients(self, m) -> tuple[int, ...] | None:
         """Integer y with y . scaled_basis = m, or None if there is none: the
         basis coefficients of x when m holds the numerators of denom*x, by
@@ -362,7 +352,8 @@ def contains(l: Lattice, v: RatVec) -> bool:
 
 
 def index(sub: Lattice, sup: Lattice) -> int:
-    """Index [sup : sub] of a finite-index sublattice."""
+    """Index [sup : sub] of a finite-index sublattice: the ratio of the
+    covolumes, each the product of the Hermite pivots over denom**d."""
     if sub.dim != sup.dim:
         raise DomainError(
             "DIMENSION_MISMATCH", f"lattice dimensions differ: {sub.dim} vs {sup.dim}"
@@ -372,9 +363,13 @@ def index(sub: Lattice, sup: Lattice) -> int:
             raise DomainError(
                 "NOT_SUBLATTICE", f"basis vector {row} lies outside the big lattice"
             )
-    ratio = sub.det / sup.det
-    assert ratio.denominator == 1 and ratio.numerator >= 1
-    return ratio.numerator
+    d = sub.dim
+    ratio, rest = divmod(
+        prod(r[i] for i, r in enumerate(sub.scaled_basis)) * sup.denom**d,
+        prod(r[i] for i, r in enumerate(sup.scaled_basis)) * sub.denom**d,
+    )
+    assert not rest and ratio >= 1
+    return ratio
 
 
 def section(l: Lattice, idx) -> list[tuple[int, ...]]:
@@ -427,8 +422,8 @@ def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
 
 def primitive_on_ray(l: Lattice, k: int) -> RatVec:
     """Smallest positive multiple of e_k lying in the lattice (1-based k):
-    the pivot of the axis's section, over denom."""
+    the axis's section, whose one nonzero entry is its pivot, over denom."""
     if not is_index(k, l.dim):
         raise DomainError("DIMENSION_MISMATCH", f"axis {k} outside 1..{l.dim}")
     (row,) = section(l, (k,))
-    return RatVec.unit(l.dim, k).scale(Fraction(row[k - 1], l.denom))
+    return RatVec(Fraction(x, l.denom) for x in row)

@@ -8,8 +8,8 @@ form.  Each column that tests something is one broadcast comparison: the
 longest axis's negated residues against the other axes' residues summed
 over their box.  ``_BoxScanner.slabs`` yields the members in slabs along
 the longest axis, so memory stays flat whatever the box's shape, and that
-one scan gives a branch's singular faces and, by a prefix OR over the hits,
-its minimal points.
+one scan counts a branch's face indices by support and, by a prefix OR
+over the hits, finds its minimal points.
 Slow is fine; independent is the point.
 """
 
@@ -109,14 +109,46 @@ def _support(axes, order) -> np.ndarray:
     return sum((x > 0) * bit(1 << k) for k, x in zip(order, axes))
 
 
+def _scan(scanner: _BoxScanner) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """(members of the reach box by support bitmask, minimal hits, sorted).
+
+    The cells of support F are the edge box of face F, so each count is the
+    index of F.  The members less the corners (coordinates in {0, c_k}) are
+    the hits: the points of the faces of index above 1, less their corners,
+    and a corner is never minimal, since whatever lies above it lies above
+    the other member too.  A hit is minimal when the prefix OR of hits is
+    clear one cell below it on every axis.
+    """
+    d, order = scanner.dim, scanner.order
+    reach = [scanner.reach[k] for k in order]
+    counts = np.zeros(1 << d, dtype=np.int64)
+    # below[1:] marks the cells with a hit at or below them; below[0] carries
+    # the last row of the slab before, none at first.
+    last, found = False, []
+    for axes, hits in scanner.slabs():
+        counts += np.bincount(_support(axes, order)[hits], minlength=1 << d)
+        # The corners, every coordinate a multiple of c_k, leave the members.
+        hits[tuple(slice(-x.flat[0] % c, None, c) for x, c in zip(axes, reach))] = False
+        below = np.concatenate([np.broadcast_to(last, hits[:1].shape), hits])
+        for axis in range(d):
+            np.logical_or.accumulate(below, axis=axis, out=below)
+        free = hits & ~below[:-1]
+        for axis in range(1, d):
+            lead = (slice(None),) * axis
+            free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
+        points = np.argwhere(free)
+        points[:, 0] += axes[0].flat[0]
+        found.append(points)
+        last = below[-1]
+    # Back from scan order to coordinates, in the lexicographic order of S_min.
+    back = [order.index(k) for k in range(d)]
+    return counts, sorted(map(tuple, np.concatenate(found)[:, back].tolist()))
+
+
 @functools.lru_cache(maxsize=16)
 def _face_counts(n: Lattice) -> tuple[int, ...]:
-    """Members of the reach box by support bitmask: the cells of support F
-    are the edge box of F, so each count is the index of face F."""
-    scanner = _BoxScanner(n)
-    supports = (_support(axes, scanner.order)[mask] for axes, mask in scanner.slabs())
-    counts = sum(np.bincount(s, minlength=1 << n.dim) for s in supports)
-    return tuple(counts.tolist())
+    """Members of the reach box by support bitmask: each is a face's index."""
+    return tuple(_scan(_BoxScanner(n))[0].tolist())
 
 
 def brute_face_index(n: Lattice, indices) -> int:
@@ -135,17 +167,11 @@ def brute_face_index(n: Lattice, indices) -> int:
 def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     """(minimal points of the union of singular-face interiors, singular faces).
 
-    One scan of the reach box [0, c_1] x ... x [0, c_d], where c_k is the
-    primitive point on axis k.  The cells of support F are the edge box of
-    face F, whose far corner sum c_k e_k is a member; F is singular exactly
-    when another member lies in that box, below the corner.  So the members
-    with a coordinate outside {0, c_k} are the points of the singular faces,
-    less their corners, and a corner is never minimal: whatever lies above
-    it lies above the other member too.  Such a hit is minimal when the
-    prefix OR of hits is clear one cell below it on every axis.  The box
-    holds every minimal point, since subtracting c_k e_k from a point beyond
-    it stays in the same face interior.  The bound need only reach every c_k
-    (the result is then independent of it); otherwise an error is raised.
+    One :func:`_scan` of the reach box [0, c_1] x ... x [0, c_d], c_k the
+    primitive point on axis k; a face is singular when its count is above 1.
+    The box holds every minimal point: subtracting c_k e_k from a point
+    beyond it stays in the same face interior.  The bound need only reach
+    every c_k (the result is then independent of it), or an error is raised.
     """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
@@ -154,32 +180,9 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
         if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"
             raise DomainError("BOUND_TOO_SMALL", msg)
-    d, order = n.dim, scanner.order
-    reach = [scanner.reach[k] for k in order]
-    singular = np.zeros(1 << d, dtype=bool)
-    # below[1:] marks the cells with a hit at or below them; below[0] carries
-    # the last row of the slab before, none at first.
-    last = False
-    found = []
-    for axes, mask in scanner.slabs():
-        inner = [x % c > 0 for x, c in zip(axes, reach)]
-        hits = mask & functools.reduce(np.logical_or, inner)
-        singular[_support(axes, order)[hits]] = True
-        below = np.concatenate([np.broadcast_to(last, hits[:1].shape), hits])
-        for axis in range(d):
-            np.logical_or.accumulate(below, axis=axis, out=below)
-        free = hits & ~below[:-1]
-        for axis in range(1, d):
-            lead = (slice(None),) * axis
-            free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
-        points = np.argwhere(free)
-        points[:, 0] += axes[0].flat[0]
-        found.append(points)
-        last = below[-1]
-    faces = {tuple(i + 1 for i in range(d) if s >> i & 1) for s in np.flatnonzero(singular)}
-    # Back from scan order to coordinates, in the lexicographic order of S_min.
-    back = [order.index(k) for k in range(d)]
-    return sorted(map(tuple, np.concatenate(found)[:, back].tolist())), faces
+    counts, points = _scan(scanner)
+    singular = np.flatnonzero(counts > 1)
+    return points, {tuple(i + 1 for i in range(n.dim) if s >> i & 1) for s in singular}
 
 
 def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:

@@ -194,10 +194,6 @@ class TestFaceRefusals:
             pytest.param(
                 lambda n: standard_lattice(True), "DIMENSION_MISMATCH", id="standard_lattice"
             ),
-            pytest.param(
-                lambda n: RatVec.unit(n.dim, True), "DIMENSION_MISMATCH", id="unit"
-            ),
-            pytest.param(lambda n: RatVec.unit(True, 1), "DIMENSION_MISMATCH", id="unit_dim"),
         ],
     )
     def test_bool_index_refused(self, call, code):

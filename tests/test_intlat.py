@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction as F
 from math import gcd, lcm, prod
@@ -99,13 +100,12 @@ class TestSnf:
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
         try:
-            covolume = lattice_from_generators([RatVec(r) for r in rows]).det
+            l = lattice_from_generators([RatVec(r) for r in rows])
         except DomainError:
             return  # rank-deficient, no determinant identity to check
-        product = 1
-        for f in factors:
-            product *= f
-        assert product == covolume
+        # Integer rows: denom 1, and the covolume is the product of the pivots.
+        assert l.denom == 1
+        assert prod(factors) == prod(r[i] for i, r in enumerate(l.scaled_basis))
 
 
 class TestLatticeConstruction:
@@ -197,6 +197,74 @@ class TestIndex:
             index(Z2, lat((2, 0), (0, 2)))
         assert err.value.code == "NOT_SUBLATTICE"
 
+    def test_mixed_denominators(self):
+        # sub on the 1/3 grid inside sup on the 1/6 grid: covolumes 1/3 and
+        # 1/12, or pivots 1 * 3 over 3**2 and 1 * 3 over 6**2.
+        sub = lat((F(1, 3), 0), (0, 1))
+        sup = lat((F(1, 6), 0), (0, F(1, 2)))
+        assert (sub.denom, sup.denom) == (3, 6)
+        assert index(sub, sup) == 4
+        # A sheared sup of denom 6: (1/6, 1/2) and (0, 1) span covolume 1/6.
+        sheared = lat((F(1, 6), F(1, 2)), (0, 1))
+        assert sheared.denom == 6
+        assert index(sub, sheared) == 2
+        assert index(lat((F(2, 3), 0), (F(1, 3), 1)), sheared) == 4
+
+    def test_off_the_grid(self):
+        # (1/3, 0) lies off the grid of Z^2 and of (1/2)Z^2.
+        for sup in (Z2, lat((F(1, 2), 0), (0, F(1, 2)))):
+            with pytest.raises(DomainError) as err:
+                index(lat((F(1, 3), 0), (0, 1)), sup)
+            assert err.value.code == "NOT_SUBLATTICE"
+            assert err.value.message == "basis vector (1/3, 0) lies outside the big lattice"
+
+    def test_matches_fraction_covolume(self):
+        # sub = M . basis(sup) for a random integer M of nonzero determinant:
+        # the index is |det M|, and the ratio of Fraction covolumes.
+        rng = random.Random(34)
+        checked = 0
+        while checked < 2000:
+            d = rng.randint(1, 4)
+            gens = [
+                RatVec(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d))
+                for _ in range(d + 1)
+            ]
+            m = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            try:
+                sup = lattice_from_generators(gens)
+                rows = [
+                    RatVec(sum((c * b for c, b in zip(row, col)), F(0)) for col in zip(*sup.basis))
+                    for row in m
+                ]
+                sub = lattice_from_generators(rows)
+            except DomainError:
+                continue  # rank-deficient generators or M
+            assert index(sub, sup) == _covolume(sub) / _covolume(sup) == abs(_det(m)), (gens, m)
+            checked += 1
+
+
+def _det(rows) -> F:
+    """Determinant by Fraction Gaussian elimination."""
+    a = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for k in range(len(a)):
+        piv = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def _covolume(l) -> F:
+    """|det| of the lattice's basis rows, by Fraction elimination."""
+    return abs(_det([v.coords for v in l.basis]))
+
 
 class TestPrimitiveOnRay:
     def test_doubled_axis(self):
@@ -204,7 +272,9 @@ class TestPrimitiveOnRay:
 
     def test_standard(self):
         for k in (1, 2, 3):
-            assert primitive_on_ray(standard_lattice(3), k) == RatVec.unit(3, k)
+            assert primitive_on_ray(standard_lattice(3), k) == [
+                vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
+            ][k - 1]
 
     def test_mod4(self):
         assert primitive_on_ray(N_MOD4, 1) == vec(4, 0)
@@ -254,7 +324,9 @@ class TestLatticeProperties:
         for u in l.basis:
             for v in n.basis:
                 assert u.dot(v).denominator == 1
-        assert l.det * n.det == 1
+        assert _covolume(l) * _covolume(n) == 1
+        pivots = [prod(r[i] for i, r in enumerate(m.scaled_basis)) for m in (l, n)]
+        assert pivots[0] * pivots[1] == (l.denom * n.denom) ** l.dim
 
     @given(st.integers(1, 3), st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -304,9 +376,10 @@ class TestLatticeProperties:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_primitive_on_ray_matches_solve(self, l, k):
         assume(k <= l.dim)
-        y = [c for c in _cramer(l, RatVec.unit(l.dim, k)) if c != 0]
+        e_k = RatVec(int(i == k - 1) for i in range(l.dim))
+        y = [c for c in _cramer(l, e_k) if c != 0]
         t = F(lcm(*(c.denominator for c in y)), gcd(*(c.numerator for c in y)))
-        assert primitive_on_ray(l, k) == RatVec.unit(l.dim, k).scale(t)
+        assert primitive_on_ray(l, k) == e_k.scale(t)
 
     @given(lattices(max_dim=4), st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -437,10 +510,19 @@ class TestRatVec:
     def test_order_only_among_vectors(self):
         # As with ==, a tuple is not a vector: the comparison is unsupported.
         for other in [(1, 2), [1, 2], 1]:
-            with pytest.raises(TypeError):
-                RatVec([1, 2]) < other
-            with pytest.raises(TypeError):
-                other < RatVec([1, 2])
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(RatVec([1, 2]), other)
+                with pytest.raises(TypeError):
+                    op(other, RatVec([1, 2]))
+
+    def test_total_order(self):
+        # Lexicographic by coordinates, all four comparisons.
+        pairs = [((1, 2), (1, 3)), ((0, 5), (1, 0)), ((F(1, 2),), (1,)), ((1, 2), (1, 2))]
+        for a, b in pairs:
+            u, v = RatVec(a), RatVec(b)
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert op(u, v) == op(a, b) and op(v, u) == op(b, a), (op, a, b)
 
 
 class TestLatticeValue:

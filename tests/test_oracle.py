@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -168,6 +169,26 @@ def test_small_slabs_match_per_point_reference(n, monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 128)
     bound, s_min, singular = _reference_branch(n)
     assert brute_branch(n, bound) == (s_min, singular)
+
+
+def test_face_counts_carry_across_slabs(monkeypatch):
+    # The counts of every face at 128 cells a slab, where some of these
+    # boxes span several slabs, equal those of one slab; and the singular
+    # faces of brute_branch are exactly the faces counted above 1.
+    lattices = [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)]
+    assert any(math.prod(c + 1 for c in _BoxScanner(n).reach) > 128 for n in lattices)
+    oracle._face_counts.cache_clear()
+    whole = [oracle._face_counts(n) for n in lattices]
+    oracle._face_counts.cache_clear()
+    monkeypatch.setattr(oracle, "_CHUNK", 128)
+    assert [oracle._face_counts(n) for n in lattices] == whole
+    for n in lattices:
+        d = n.dim
+        axes = range(1, d + 1)
+        faces = itertools.chain(*(itertools.combinations(axes, k) for k in axes))
+        singular = {idx for idx in faces if brute_face_index(n, idx) > 1}
+        assert brute_branch(n, max(_BoxScanner(n).reach))[1] == singular
+    oracle._face_counts.cache_clear()
 
 
 def test_residues_packed_into_several_keys():
