@@ -104,7 +104,7 @@ def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
     return sorted(_box_walk(n.dim, face, strict=False))
 
 
-def _box_walk(dim: int, face: Face, strict: bool, stair=None) -> list:
+def _box_walk(dim: int, face: Face, strict: bool, stairs=None) -> list:
     """Points x of N with 0 < x_i <= c_i on the face's coordinates, or
     0 < x_i < c_i when ``strict`` (the open box), and x_j = 0 off them.
 
@@ -115,49 +115,73 @@ def _box_walk(dim: int, face: Face, strict: bool, stair=None) -> list:
     wasted on a non-point.  A level holds at most the product of c_i/p over
     the rows so far, so never more than the face's index of points.
 
-    ``stair`` holds, as two lists, the coordinates j and k of the staircase
-    (see :func:`minimal_singular_points`) of the singular 2-face {j, k} of
-    the face's last two coordinates.  Once x_j and x_k are fixed, a partial
-    point goes if a staircase point s has s_j <= x_j and s_k <= x_k: every
-    point it completes to is s plus a vector positive on the rest of the
-    face, so s lies strictly below it.  The staircase rises in j and falls
-    in k, so the last point with s_j <= x_j decides, found by one bisect.
+    ``stairs`` maps each singular 2-face (i, m) to its staircase (see
+    :func:`minimal_singular_points`) as two lists: its points' s_m, rising,
+    and c_i followed by their s_i, falling.  In the open box of a face of
+    three or more coordinates, a point at or above a staircase point s of
+    one of its 2-faces lies strictly above it, being positive on the rest
+    of the face.  So the level fixing x_i caps it below s_i for the
+    staircase point s of each such (i, m), m fixed already, with the
+    largest s_m <= x_m, found by one bisect: it has the least s_i of those
+    at or below x_m.  No point at or above one of them is built, and only
+    those are left out.
     """
-    points = [(0,) * dim]
-    for level, (i, c, row) in enumerate(
-        reversed(list(zip(face.indices, face.reach, face.section)))
-    ):
-        points = _walk_level(points, i, c, row, strict)
-        if level == 1 and stair:
-            (j, k), (xs, ys) = face.indices[-2:], stair
-            points = [
-                x
-                for x in points
-                if not (at := bisect_right(xs, x[j - 1])) or ys[at - 1] > x[k - 1]
-            ]
+    points, fixed = [(0,) * dim], []
+    for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
+        cuts = [(m, *stairs[i, m]) for m in fixed if (i, m) in stairs] if stairs else ()
+        caps = [[top[bisect_right(ms, x[m - 1])] for x in points] for m, ms, top in cuts]
+        if len(caps) > 1:
+            caps = [list(map(min, *caps))]
+        points = _walk_level(points, i, row, caps[0] if caps else repeat(c if strict else c + 1))
         if not points:
             break
+        fixed.append(i)
     return points
 
 
-def _walk_level(points, i: int, c: int, row, strict: bool) -> list:
+def _walk_level(points, i: int, row, tops) -> list:
     """Each partial point plus every multiple y*row that puts its coordinate
-    i in (0, c], or in (0, c) when ``strict``.
+    i in (0, top), ``tops`` holding each point's own bound top.
 
-    With p the pivot of row at i, coordinate i takes the values x_i + y*p
-    from the least positive one, v in [1, p], on: c/p of them lie in (0, c],
-    and the last is c itself iff v = p, that is iff p divides x_i.  Each
-    multiple y*row is built once, not once per point.
+    With p the pivot of row at i, coordinate i takes the values x_i + y*p:
+    the least positive one, v in [1, p], at y = (p - x_i) // p, and the
+    last one below top at y = (top - 1 - x_i) // p.  Each multiple y*row is
+    built once, not once per point.
     """
-    p, k = row[i - 1], c // row[i - 1]
-    lows = [-((x[i - 1] - 1) // p) for x in points]
+    p = row[i - 1]
+    xs = [x[i - 1] for x in points]
+    lows = [(p - v) // p for v in xs]
+    highs = [(top + p - 1 - v) // p for v, top in zip(xs, tops)]
     base = min(lows)
-    multiples = [tuple(map(y.__mul__, row)) for y in range(base, max(lows) + k)]
+    multiples = [tuple(map(y.__mul__, row)) for y in range(base, max(highs))]
     return [
         tuple(map(add, x, m))
-        for x, low in zip(points, lows)
-        for m in multiples[low - base : low - base + k - (strict and not x[i - 1] % p)]
+        for x, low, high in zip(points, lows, highs)
+        for m in multiples[low - base : high - base]
     ]
+
+
+def _staircase(m: int, b: int):
+    """The lower records of u*b mod m, from u = 1 while it is nonzero, as
+    pairs (u, u*b mod m) in increasing u, for 0 < b < m.
+
+    The intermediate fractions of b/m (Khinchin, Continued Fractions, 1964,
+    section 6): with (u, r) the last lower record and (v, s) the last upper
+    one, v*b = -s (mod m), the pairs (u, r) and (v, -s) span the lattice of
+    (w, t) with t = w*b (mod m), their determinant being -m.  So every w in
+    (0, u + v) has w*b mod m >= r, and u + v has r - s: a new record if
+    r > s, the end (u + v = m / gcd(b, m)) if r = s, and else an upper
+    record, a run of which is one floor division.
+    """
+    u, r, v, s = 1, b, 0, m
+    yield u, r
+    while r != s:
+        if r > s:
+            u, r = u + v, r - s
+            yield u, r
+        else:
+            k = (s - 1) // r
+            v, s = v + k * u, s - k * r
 
 
 def minimal_elements(pts) -> list:
@@ -233,30 +257,34 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
 
     A singleton face is always regular, so a point of S below a point of a
     singular 2-face G lies on G itself.  G's share of S_min is therefore
-    the set of minimal points of its own open box: in increasing order, the
-    points whose second coordinate falls below every earlier one.  This
-    staircase prunes the walk of each larger face (see :func:`_box_walk`),
-    and one :func:`minimal_elements` pass over the staircases and the
-    larger faces' survivors finishes S_min.  It is skipped when no point of
-    a face of three or more coordinates survives.
+    the set of minimal points of its own open box: with G = {i, j} and the
+    section rows (m, 0), (b, p) on (i, j), these are u*(b, p) less a
+    multiple of (m, 0), for 0 < u < m / gcd(b, m), so the points
+    (u*b mod m, u*p) at the lower records of u*b mod m (see
+    :func:`_staircase`), and no 2-face is walked.  These staircases cap the
+    walk of each larger face (see :func:`_box_walk`), and one
+    :func:`minimal_elements` pass over the staircases and the larger faces'
+    survivors finishes S_min.  It is skipped when no point of a face of
+    three or more coordinates survives.
     """
     _require_sublattice(n)
     singular = [face for face in faces if not face.regular]
     found, stairs = [], {}
     for face in singular:
         if len(face.indices) == 2:
-            i, j = face.indices
-            xs, ys = stairs[face.indices] = [], []
-            for p in sorted(_box_walk(n.dim, face, strict=True)):
-                if not ys or p[j - 1] < ys[-1]:
-                    xs.append(p[i - 1])
-                    ys.append(p[j - 1])
-                    found.append(p)
+            (i, j), (first, second) = face.indices, face.section
+            point = [0] * n.dim
+            ms, top = stairs[i, j] = [], [face.reach[0]]
+            for u, r in _staircase(first[i - 1], second[i - 1]):
+                point[i - 1], point[j - 1] = r, u * second[j - 1]
+                ms.append(point[j - 1])
+                top.append(r)
+                found.append(tuple(point))
     larger = [
         p
         for face in singular
         if len(face.indices) > 2
-        for p in _box_walk(n.dim, face, strict=True, stair=stairs.get(face.indices[-2:]))
+        for p in _box_walk(n.dim, face, strict=True, stairs=stairs)
     ]
     if not larger:
         found.sort()

@@ -468,11 +468,13 @@ def test_each_quantity_computed_once(capsys, monkeypatch):
 
 
 def test_each_quantity_computed_once_with_larger_faces(tmp_path, capsys, monkeypatch):
-    # d = 3, where faces of three coordinates are singular.  In "kept" the
-    # walk of {1,2,3} keeps points past the staircase prune of {2,3}, so
-    # S_min's last dominance pass runs; in "pruned" the prune drops every
-    # point of that walk, and in "ridge" the open box of {1,2,3} is empty
-    # (c_3 = 1), so it does not; "plane" is smooth.
+    # d = 3, where faces of three coordinates are singular, and each of the
+    # first three branches walks its face {1,2,3} once; no 2-face is walked.
+    # In "kept" that walk keeps 11 of its open box's 22 points past the caps
+    # of the 2-face staircases, so S_min's last dominance pass runs; in
+    # "pruned" the caps drop all 12 points of that open box, and in "ridge"
+    # the open box of {1,2,3} is empty (c_3 = 1), so it does not; "plane"
+    # is smooth.
     def entry(label, exponent, sing_faces):
         exps = [[[x.numerator, x.denominator] for x in map(F, exponent)]]
         return {"label": label, "char_exponents": exps, "sing_faces": sing_faces}
@@ -493,7 +495,7 @@ def test_each_quantity_computed_once_with_larger_faces(tmp_path, capsys, monkeyp
     path.write_text(json.dumps(doc))
     calls = check_each_quantity_computed_once(capsys, monkeypatch, path)
     kept = qobranch.build_tower(BranchSpec(3, (RatVec([F(1, 6), F(1, 10), F(1, 15)]),))).N
-    assert calls["_box_walk"] == 4 + 4 + 2
+    assert calls["_box_walk"] == 1 + 1 + 1
     assert calls["minimal_elements"] == calls["minimal_elements", kept] == 1
 
 
@@ -534,8 +536,8 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
             if _name == "face_sections":
                 # One section for each face, all from this single call.
                 calls["sections", args[0]] += len(out)
-            if _name == "_box_walk" and len(args[1].indices) > 2 and out:
-                calls["kept", branch[0]] = 1  # a point past the staircase prune
+            if _name == "_box_walk" and out:
+                calls["kept", branch[0]] = 1  # a point past the staircase caps
             return out
 
         monkeypatch.setattr(module, name, counted)
@@ -546,11 +548,12 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
     expected = Counter()
     for b, n in zip(branches, lattices):
         singular = b["singular_faces_of_sigma"]
-        # One walk of the open box per singular face.  S_min's last dominance
-        # pass runs once iff the walk of a face of three or more coordinates
-        # keeps a point past the staircase prune.
+        # One walk of the open box per singular face of three or more
+        # coordinates; a 2-face's staircase is read off its section.  S_min's
+        # last dominance pass runs once iff such a walk keeps a point past
+        # the staircase caps.
         for key in ("_box_walk", ("_box_walk", n)):
-            expected[key] += len(singular)
+            expected[key] += sum(len(face) > 2 for face in singular)
         for key in ("minimal_elements", ("minimal_elements", n)):
             expected[key] += calls["kept", n]
         expected["face_sections", n] += 1

@@ -303,10 +303,11 @@ class TestMinimalElementsByDefinition:
 
 
 class TestMinimalSingularPoints:
-    # minimal_singular_points walks only the open boxes and prunes each
-    # larger face by a 2-face staircase; the half-open boxes and one
-    # minimal_elements pass are its reference (and the 520 criterion-1
-    # towers are checked in test_branches_match_sum_sweep).
+    # minimal_singular_points reads each 2-face's staircase off its section
+    # and walks only the open boxes of the larger faces, capped by the
+    # staircases; the half-open boxes and one minimal_elements pass are its
+    # reference (and the 520 criterion-1 towers are checked in
+    # test_branches_match_sum_sweep).
     LADDER = (
         (3, [[F(1, 30), F(1, 42), F(1, 70)]]),
         (3, [[F(1, 60), F(1, 84), F(1, 140)]]),
@@ -353,6 +354,52 @@ class TestMinimalSingularPoints:
                 assert len(walked) == len(set(walked)) == count, f
                 assert count == 0 or not face.regular
 
+    @staticmethod
+    def walked_staircase(n, face):
+        # The running minimum over the walk of the 2-face's open box.
+        i, j = face.indices
+        stair = []
+        for p in sorted(conegeom._box_walk(n.dim, face, strict=True)):
+            if not stair or p[j - 1] < stair[-1][j - 1]:
+                stair.append(p)
+        return stair
+
+    def test_staircase_matches_walk(self):
+        # Every singular 2-face of the 520 criterion-1 towers and of random
+        # towers in d = 2..6: the staircase read off the section is the
+        # running minimum of the walked open box.
+        towers = random_branches(520, seed=20250810)
+        for d in range(2, 7):
+            towers += random_branches(30, seed=840 + d, dims=(d,), max_index=60)
+        faces = 0
+        for _, lattices_ in towers:
+            n = lattices_.N
+            for face in face_table(n):
+                if len(face.indices) == 2 and not face.regular:
+                    assert minimal_singular_points(n, (face,)) == self.walked_staircase(n, face)
+                    faces += 1
+        assert faces > 1000
+
+    def test_staircase_literals(self):
+        # Pairs (u, u*b mod m) at the lower records of u*b mod m.
+        def staircase(m, b):
+            return list(conegeom._staircase(m, b))
+
+        assert staircase(7, 1) == [(1, 1)]  # b = 1: the first point is least
+        assert staircase(7, 6) == [(u, 7 - u) for u in range(1, 7)]  # b = m - 1
+        assert staircase(12, 8) == [(1, 8), (2, 4)]  # gcd 4: u < 12 / 4
+        assert staircase(2, 1) == [(1, 1)]  # m = 2
+        assert staircase(13, 5) == [(1, 5), (3, 2), (8, 1)]
+        for (m, b), points in [
+            ((7, 1), [(1, 1, 0)]),
+            ((7, 6), [(k, 7 - k, 0) for k in range(1, 7)]),
+            ((12, 8), [(4, 2, 0), (8, 1, 0)]),
+            ((2, 1), [(1, 1, 0)]),
+        ]:
+            # The section rows (m, 0, 0), (b, 1, 0) and e_3: N's 2-face {1, 2}.
+            n = lattice_from_scaled(1, [(m, 0, 0), (b, 1, 0), (0, 0, 1)])
+            assert minimal_toric_divisors(n) == points
+
 
 class TestUndominatedMemory:
     @staticmethod
@@ -373,6 +420,21 @@ class TestUndominatedMemory:
 
     def test_two_coordinate_peak_is_linear(self):
         assert self.peak(12_000) < 2.5 * self.peak(6_000)
+
+    def test_staircase_far_below_index(self):
+        # (1/1 000 003, 387 421/1 000 003): 2-face index 1 000 003, whose open
+        # box a walk would hold whole, and 18 points in S_min.
+        m = 1_000_003
+        lattice = build_tower(BranchSpec(2, (vec(F(1, m), F(387_421, m)),))).N
+        tracemalloc.start()
+        try:
+            kept = minimal_toric_divisors(lattice)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 18
+        assert minimal_elements(kept) == kept
+        assert top < 1_000_000
 
 
 class TestMinimalToricDivisors:
