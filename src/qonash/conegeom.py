@@ -104,7 +104,7 @@ def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
     return sorted(_box_walk(n.dim, face, strict=False))
 
 
-def _box_walk(dim: int, face: Face, strict: bool, stairs=None) -> list:
+def _box_walk(dim: int, face: Face, strict: bool, stairs=()) -> list:
     """Points x of N with 0 < x_i <= c_i on the face's coordinates, or
     0 < x_i < c_i when ``strict`` (the open box), and x_j = 0 off them.
 
@@ -128,7 +128,7 @@ def _box_walk(dim: int, face: Face, strict: bool, stairs=None) -> list:
     """
     points, fixed = [(0,) * dim], []
     for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
-        cuts = [(m, *stairs[i, m]) for m in fixed if (i, m) in stairs] if stairs else ()
+        cuts = [(m, *stairs[i, m]) for m in fixed if (i, m) in stairs]
         caps = [[top[bisect_right(ms, x[m - 1])] for x in points] for m, ms, top in cuts]
         if len(caps) > 1:
             caps = [list(map(min, *caps))]
@@ -255,17 +255,17 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
     are integer combinations of its c_i e_i, so its open box is empty;
     G - I is singular, q lies in S, and p is not minimal.
 
-    A singleton face is always regular, so a point of S below a point of a
-    singular 2-face G lies on G itself.  G's share of S_min is therefore
-    the set of minimal points of its own open box: with G = {i, j} and the
-    section rows (m, 0), (b, p) on (i, j), these are u*(b, p) less a
-    multiple of (m, 0), for 0 < u < m / gcd(b, m), so the points
-    (u*b mod m, u*p) at the lower records of u*b mod m (see
-    :func:`_staircase`), and no 2-face is walked.  These staircases cap the
-    walk of each larger face (see :func:`_box_walk`), and one
-    :func:`minimal_elements` pass over the staircases and the larger faces'
-    survivors finishes S_min.  It is skipped when no point of a face of
-    three or more coordinates survives.
+    A point in an open box has that box's face for support, and q <= p
+    puts supp(q) in supp(p).  A singleton face is regular, so a singular
+    2-face G's share of S_min is the set of minimal points of its own open
+    box: with G = {i, j} and the section rows (m, 0), (b, p) on (i, j),
+    these are u*(b, p) less a multiple of (m, 0), for 0 < u < m / gcd(b, m),
+    so the points (u*b mod m, u*p) at the lower records of u*b mod m (see
+    :func:`_staircase`), and no 2-face is walked.  No walked point, of a
+    face of three or more coordinates, lies below a staircase point, and
+    the caps of :func:`_box_walk` build none at or above one.  So S_min is
+    the staircases and the :func:`minimal_elements` of the walked points, a
+    pass that runs only when a walk keeps a point.
     """
     _require_sublattice(n)
     singular = [face for face in faces if not face.regular]
@@ -286,10 +286,10 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
         if len(face.indices) > 2
         for p in _box_walk(n.dim, face, strict=True, stairs=stairs)
     ]
-    if not larger:
-        found.sort()
-        return found
-    return minimal_elements(found + larger)
+    if larger:
+        found += minimal_elements(larger)
+    found.sort()
+    return found
 
 
 def barycenter(n: Lattice, indices) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import ge
 
 from .errors import DomainError
 
@@ -375,11 +376,17 @@ def index(sub: Lattice, sup: Lattice) -> int:
 def section(l: Lattice, idx) -> list[tuple[int, ...]]:
     """Hermite basis of denom times the lattice points supported on a face.
 
-    ``idx`` lists the face's coordinates (1-based, ascending).  With them
-    first, the leading len(idx) rows of the lower-triangular HNF are the HNF
-    of that section (Cohen, GTM 138, 2.4); they come back in ambient order,
-    row r pivoting at coordinate idx[r].
+    ``idx`` lists the face's coordinates (1-based, strictly ascending), or
+    the face is refused with BAD_FACE.  With them first, the leading
+    len(idx) rows of the lower-triangular HNF are the HNF of that section
+    (Cohen, GTM 138, 2.4); they come back in ambient order, row r pivoting
+    at coordinate idx[r].
     """
+    idx = tuple(idx)
+    if not all(is_index(i, l.dim) for i in idx):
+        raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{l.dim}")
+    if any(map(ge, idx, idx[1:])):
+        raise DomainError("BAD_FACE", f"face indices {idx} not strictly ascending")
     rest = [j for j in range(l.dim) if j + 1 not in idx]
     return _leading_rows(l.scaled_basis, [i - 1 for i in idx] + rest, len(idx))
 

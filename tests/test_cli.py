@@ -471,10 +471,10 @@ def test_each_quantity_computed_once_with_larger_faces(tmp_path, capsys, monkeyp
     # d = 3, where faces of three coordinates are singular, and each of the
     # first three branches walks its face {1,2,3} once; no 2-face is walked.
     # In "kept" that walk keeps 11 of its open box's 22 points past the caps
-    # of the 2-face staircases, so S_min's last dominance pass runs; in
-    # "pruned" the caps drop all 12 points of that open box, and in "ridge"
-    # the open box of {1,2,3} is empty (c_3 = 1), so it does not; "plane"
-    # is smooth.
+    # of the 2-face staircases, so S_min's dominance pass runs on those 11
+    # alone, the staircase points being minimal already; in "pruned" the
+    # caps drop all 12 points of that open box, and in "ridge" the open box
+    # of {1,2,3} is empty (c_3 = 1), so it does not run; "plane" is smooth.
     def entry(label, exponent, sing_faces):
         exps = [[[x.numerator, x.denominator] for x in map(F, exponent)]]
         return {"label": label, "char_exponents": exps, "sing_faces": sing_faces}
@@ -497,6 +497,7 @@ def test_each_quantity_computed_once_with_larger_faces(tmp_path, capsys, monkeyp
     kept = qobranch.build_tower(BranchSpec(3, (RatVec([F(1, 6), F(1, 10), F(1, 15)]),))).N
     assert calls["_box_walk"] == 1 + 1 + 1
     assert calls["minimal_elements"] == calls["minimal_elements", kept] == 1
+    assert calls["dominance input", kept] == calls["walked", kept] == 11
 
 
 def check_each_quantity_computed_once(capsys, monkeypatch, path):
@@ -532,12 +533,16 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
                 calls[_name, args[0]] += 1
             if _name in ("_box_walk", "minimal_elements"):
                 calls[_name, branch[0]] += 1
+            if _name == "minimal_elements":
+                calls["dominance input", branch[0]] += len(args[0])
             out = _fn(*args, **kwargs)
             if _name == "face_sections":
                 # One section for each face, all from this single call.
                 calls["sections", args[0]] += len(out)
-            if _name == "_box_walk" and out:
-                calls["kept", branch[0]] = 1  # a point past the staircase caps
+            if _name == "_box_walk":
+                calls["walked", branch[0]] += len(out)
+                if out:
+                    calls["kept", branch[0]] = 1  # a point past the staircase caps
             return out
 
         monkeypatch.setattr(module, name, counted)
@@ -550,12 +555,14 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
         singular = b["singular_faces_of_sigma"]
         # One walk of the open box per singular face of three or more
         # coordinates; a 2-face's staircase is read off its section.  S_min's
-        # last dominance pass runs once iff such a walk keeps a point past
-        # the staircase caps.
+        # dominance pass runs once iff such a walk keeps a point past the
+        # staircase caps, and it gets exactly the walked points: no
+        # staircase point, which is minimal already.
         for key in ("_box_walk", ("_box_walk", n)):
             expected[key] += sum(len(face) > 2 for face in singular)
         for key in ("minimal_elements", ("minimal_elements", n)):
             expected[key] += calls["kept", n]
+        expected["dominance input", n] += calls["walked", n]
         expected["face_sections", n] += 1
         expected["sections", n] += 2**dim - 1
         expected["_BoxScanner", n] += 1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -305,9 +306,10 @@ class TestMinimalElementsByDefinition:
 class TestMinimalSingularPoints:
     # minimal_singular_points reads each 2-face's staircase off its section
     # and walks only the open boxes of the larger faces, capped by the
-    # staircases; the half-open boxes and one minimal_elements pass are its
-    # reference (and the 520 criterion-1 towers are checked in
-    # test_branches_match_sum_sweep).
+    # staircases; its one minimal_elements pass gets the walked points
+    # alone.  The reference is one minimal_elements pass over the half-open
+    # boxes, staircase faces included (and the 520 criterion-1 towers are
+    # checked in test_branches_match_sum_sweep).
     LADDER = (
         (3, [[F(1, 30), F(1, 42), F(1, 70)]]),
         (3, [[F(1, 60), F(1, 84), F(1, 140)]]),
@@ -399,6 +401,37 @@ class TestMinimalSingularPoints:
             # The section rows (m, 0, 0), (b, 1, 0) and e_3: N's 2-face {1, 2}.
             n = lattice_from_scaled(1, [(m, 0, 0), (b, 1, 0), (0, 0, 1)])
             assert minimal_toric_divisors(n) == points
+
+
+# Ladder rungs past the oracle's reach, by dimension: exponent, |S_min|.
+RUNGS = {
+    3: ((F(1, 480), F(1, 672), F(1, 1120)), 53_998),
+    4: ((F(1, 90), F(1, 126), F(1, 210), F(1, 330)), 20_568),
+}
+
+
+def rung_s_min(exponent):
+    return minimal_toric_divisors(build_tower(BranchSpec(len(exponent), (vec(*exponent),))).N)
+
+
+@functools.cache
+def unmoved_s_min(d):
+    return rung_s_min(RUNGS[d][0])
+
+
+@pytest.mark.parametrize(
+    "d, order",
+    [(3, order) for order in itertools.permutations(range(3))]
+    + [(4, tuple(random.Random(4200 + k).sample(range(4), 4))) for k in range(6)],
+    ids=str,
+)
+def test_axis_permutation_at_scale(d, order):
+    # Relabelling the axes permutes S_min.  Each order gives the main path
+    # another Hermite form, walk order and set of staircase caps.
+    exponent, size = RUNGS[d]
+    moved = rung_s_min(tuple(exponent[i] for i in order))
+    assert moved == sorted(tuple(p[i] for i in order) for p in unmoved_s_min(d))
+    assert len(moved) == size
 
 
 class TestUndominatedMemory:

@@ -405,6 +405,27 @@ class TestLatticeProperties:
             _det(s)
         )
 
+    @pytest.mark.parametrize(
+        "idx, message",
+        [
+            ((0,), "face indices (0,) not within 1..3"),
+            ((-1,), "face indices (-1,) not within 1..3"),
+            ((4,), "face indices (4,) not within 1..3"),
+            ((True,), "face indices (True,) not within 1..3"),
+            ((1, 1), "face indices (1, 1) not strictly ascending"),
+            ((2, 1), "face indices (2, 1) not strictly ascending"),
+            ((1, 3, 2), "face indices (1, 3, 2) not strictly ascending"),
+        ],
+    )
+    def test_section_refuses_bad_face(self, idx, message):
+        # Index 0 or -1 would read a column from the end, 4 would run off
+        # the basis, and a repeat or a descent would return rows pivoting at
+        # the wrong coordinates.
+        l = lat((3, 0, 0), (1, 1, 0), (0, 0, 2))
+        with pytest.raises(DomainError) as err:
+            section(l, idx)
+        assert (err.value.code, err.value.message) == ("BAD_FACE", message)
+
 
 def _det(m):
     """Leibniz determinant of a square integer matrix (1 when empty)."""
