@@ -125,54 +125,50 @@ def _int_rows(rows) -> list[list[int]]:
     if not out:
         raise DomainError("DIMENSION_MISMATCH", "empty row list")
     width = len(out[0])
-    if width == 0 or any(len(r) != width for r in out):
+    if any(len(r) != width for r in out):
         raise DomainError("DIMENSION_MISMATCH", "rows of unequal length")
+    if width == 0:
+        raise DomainError("DIMENSION_MISMATCH", "empty rows")
     return out
 
 
-def _hnf_core(rows: list[list[int]]) -> list[list[int]]:
-    """Lower-triangular row HNF basis of the integer row span.
+def _hnf_core(rows, cols=None) -> list[tuple[int, ...]]:
+    """Row HNF basis of the integer row span, triangular in the column order
+    ``cols`` (0-based; every column in ambient order by default).
 
-    The rows come back sorted by ascending pivot column, pivots positive,
-    and for every earlier pivot column c the entries of later rows at c lie
-    in [0, pivot_c).  No transform is tracked: kernels and sections are read
-    off a Hermite form (Cohen, GTM 138, 2.4).
+    One elimination runs through the columns from the last listed to the
+    first.  Each pivot is made positive and at once reduces the finished
+    rows at its column; it is zero at every column they pivot at, so their
+    reduced entries stay put.  The rows must vanish off ``cols``.  They come
+    back in ambient coordinates, ordered by where their pivots are listed,
+    each zero at the columns listed after its pivot and with its entry at
+    an earlier row's pivot column c in [0, pivot_c).  No transform is
+    tracked: kernels and sections are read off a Hermite form (Cohen,
+    GTM 138, 2.4).
     """
-    work = [row[:] for row in rows]
-    free = list(range(len(work)))
-    pivot_of_col: dict[int, int] = {}
-
-    for col in range(len(work[0]) - 1, -1, -1):
-        live = [i for i in free if work[i][col] != 0]
+    work, done = list(rows), []
+    for col in reversed(range(len(work[0])) if cols is None else cols):
+        live = [i for i, row in enumerate(work) if row[col]]
         while len(live) > 1:
             live.sort(key=lambda i: abs(work[i][col]))
-            p = live[0]
+            p = work[live[0]]
             for i in live[1:]:
-                q = work[i][col] // work[p][col]
+                q = work[i][col] // p[col]
                 if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[p])]
-            live = [i for i in live if work[i][col] != 0]
+                    work[i] = [a - q * b for a, b in zip(work[i], p)]
+            live = [i for i in live if work[i][col]]
         if not live:
             continue
-        p = live[0]
-        if work[p][col] < 0:
-            work[p] = [-a for a in work[p]]
-        pivot_of_col[col] = p
-        free.remove(p)
-
-    pivot_cols = sorted(pivot_of_col)
-    # Reduce entries at earlier pivot columns; descending order keeps the
-    # already-reduced later columns untouched.
-    for col in pivot_cols:
-        r = pivot_of_col[col]
-        for col2 in sorted((c for c in pivot_cols if c < col), reverse=True):
-            r2 = pivot_of_col[col2]
-            q = work[r][col2] // work[r2][col2]
+        p = work.pop(live[0])
+        if p[col] < 0:
+            p = [-a for a in p]
+        for k, row in enumerate(done):
+            q = row[col] // p[col]
             if q:
-                work[r] = [a - q * b for a, b in zip(work[r], work[r2])]
-
-    assert all(all(x == 0 for x in work[i]) for i in free)
-    return [work[pivot_of_col[c]] for c in pivot_cols]
+                done[k] = [a - q * b for a, b in zip(row, p)]
+        done.append(p)
+    assert not any(map(any, work))
+    return [tuple(row) for row in reversed(done)]
 
 
 def hnf(rows) -> list[tuple[int, ...]]:
@@ -183,7 +179,7 @@ def hnf(rows) -> list[tuple[int, ...]]:
     pivot columns are reduced modulo that pivot.  Rank-deficient input yields
     fewer rows than columns.
     """
-    return [tuple(r) for r in _hnf_core(_int_rows(rows))]
+    return _hnf_core(_int_rows(rows))
 
 
 def integer_kernel(rows) -> list[tuple[int, ...]]:
@@ -377,10 +373,10 @@ def section(l: Lattice, idx) -> list[tuple[int, ...]]:
     """Hermite basis of denom times the lattice points supported on a face.
 
     ``idx`` lists the face's coordinates (1-based, strictly ascending), or
-    the face is refused with BAD_FACE.  With them first, the leading
-    len(idx) rows of the lower-triangular HNF are the HNF of that section
-    (Cohen, GTM 138, 2.4); they come back in ambient order, row r pivoting
-    at coordinate idx[r].
+    the face is refused with BAD_FACE.  In the column order with them
+    first, the leading len(idx) rows of the Hermite form are the HNF of that
+    section (Cohen, GTM 138, 2.4); they come back in ambient order, row r
+    pivoting at coordinate idx[r].
     """
     idx = tuple(idx)
     if not all(is_index(i, l.dim) for i in idx):
@@ -388,19 +384,7 @@ def section(l: Lattice, idx) -> list[tuple[int, ...]]:
     if any(map(ge, idx, idx[1:])):
         raise DomainError("BAD_FACE", f"face indices {idx} not strictly ascending")
     rest = [j for j in range(l.dim) if j + 1 not in idx]
-    return _leading_rows(l.scaled_basis, [i - 1 for i in idx] + rest, len(idx))
-
-
-def _leading_rows(rows, cols, size: int) -> list[tuple[int, ...]]:
-    """The leading ``size`` rows of the HNF of ``rows`` taken on the columns
-    ``cols`` (0-based, in that order), put back in place with 0 elsewhere."""
-    out = []
-    for row in _hnf_core([[row[c] for c in cols] for row in rows])[:size]:
-        full = [0] * len(rows[0])
-        for c, x in zip(cols, row):
-            full[c] = x
-        out.append(tuple(full))
-    return out
+    return _hnf_core(l.scaled_basis, [i - 1 for i in idx] + rest)[: len(idx)]
 
 
 def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -409,12 +393,13 @@ def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     The leading rows of a Hermite form depend only on the leading columns, so
     the section of F is the first |F| rows of the section of F + {d} when F
     misses the last coordinate d.  Otherwise it is the section of F within
-    the section of F + {j}, j any coordinate off F, which is zero off the
-    columns (F..., j): one Hermite form of size |F| + 1.  Faces go from the
-    largest down, so each larger face is ready when it is needed.
+    the section of F + {j}, j any coordinate off F, whose rows vanish off
+    the columns (F..., j): one elimination of |F| + 1 rows in that column
+    order, 2^(d-1) - 1 of them in all.  Faces go from the largest down, so
+    each larger face is ready when it is needed.
     """
     d = l.dim
-    out = {tuple(range(1, d + 1)): [tuple(r) for r in l.scaled_basis]}
+    out = {tuple(range(1, d + 1)): list(l.scaled_basis)}
     for size in range(d - 1, 0, -1):
         for idx in combinations(range(1, d + 1), size):
             if idx[-1] != d:
@@ -423,7 +408,7 @@ def face_sections(l: Lattice) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
                 # The last coordinate off F: the fewest rows pivot after it.
                 j = next(k for k in range(d - 1, 0, -1) if k not in idx)
                 cols = [i - 1 for i in idx] + [j - 1]
-                out[idx] = _leading_rows(out[tuple(sorted(idx + (j,)))], cols, size)
+                out[idx] = _hnf_core(out[tuple(sorted(idx + (j,)))], cols)[:size]
     return out
 
 

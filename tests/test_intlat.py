@@ -22,6 +22,7 @@ from qonash import (
     snf,
     standard_lattice,
 )
+from qonash import intlat
 from qonash.intlat import integer_kernel, section
 from helpers import lat, vec
 
@@ -49,6 +50,22 @@ class TestHnf:
         with pytest.raises(DomainError):
             hnf([(1, 0), (0, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "form, rows, message",
+        [
+            (hnf, [[]], "empty rows"),
+            (hnf, [[], []], "empty rows"),
+            (snf, [[]], "empty rows"),
+            (hnf, [[], [1]], "rows of unequal length"),
+            (hnf, [(1, 0), (0, 1, 2)], "rows of unequal length"),
+        ],
+    )
+    def test_refusal_messages(self, form, rows, message):
+        # Rows of width zero are all of one length: they are refused as empty.
+        with pytest.raises(DomainError) as err:
+            form(rows)
+        assert (err.value.code, err.value.message) == ("DIMENSION_MISMATCH", message)
+
     @given(
         st.lists(
             st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -68,6 +85,65 @@ class TestHnf:
         for r, c in zip(h, pivot_cols):
             assert r[c] > 0
             assert all(x == 0 for x in r[c + 1 :])
+
+
+def _ordered_reference(rows, cols):
+    """The Hermite form in the column order ``cols``: the rows taken on those
+    columns in that order, put in HNF, and put back in place."""
+    out = []
+    for row in hnf([[r[c] for c in cols] for r in rows]):
+        full = [0] * len(rows[0])
+        for c, x in zip(cols, row):
+            full[c] = x
+        out.append(tuple(full))
+    return out
+
+
+class TestOrderedElimination:
+    @staticmethod
+    def random_rows(rng, width, support):
+        """Seeded integer rows zero off ``support``; about one set in three
+        is rank-deficient."""
+        count = rng.randint(1, len(support) + 2)
+        rows = [[0] * width for _ in range(count)]
+        for row in rows:
+            for c in support:
+                row[c] = rng.randint(-9, 9)
+        if count > 1 and rng.random() < 1 / 3:
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        return rows
+
+    @staticmethod
+    def check(rows, cols):
+        got = intlat._hnf_core(rows, cols)
+        assert got == _ordered_reference(rows, cols), (rows, cols)
+        # The reduced form: each row's pivot, its last nonzero entry in the
+        # order of cols, is positive, and later rows lie in [0, pivot) there.
+        place = {c: k for k, c in enumerate(cols)}
+        pivots = [max((c for c in cols if row[c]), key=place.get) for row in got]
+        assert [place[c] for c in pivots] == sorted(place[c] for c in pivots)
+        for r, (row, c) in enumerate(zip(got, pivots)):
+            assert row[c] > 0
+            assert all(0 <= later[c] < row[c] for later in got[r + 1 :])
+
+    def test_every_column_order(self):
+        rng = random.Random(3737)
+        for width in range(1, 5):
+            for _ in range(40):
+                rows = self.random_rows(rng, width, range(width))
+                if not any(map(any, rows)):
+                    continue
+                for cols in itertools.permutations(range(width)):
+                    self.check(rows, list(cols))
+
+    def test_rows_vanishing_off_the_columns(self):
+        rng = random.Random(7373)
+        for width in range(2, 7):
+            for _ in range(60):
+                cols = rng.sample(range(width), rng.randint(1, width - 1))
+                rows = self.random_rows(rng, width, cols)
+                if any(map(any, rows)):
+                    self.check(rows, cols)
 
 
 class TestSnf:
@@ -425,6 +501,29 @@ class TestLatticeProperties:
         with pytest.raises(DomainError) as err:
             section(l, idx)
         assert (err.value.code, err.value.message) == ("BAD_FACE", message)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_face_sections_eliminations(monkeypatch, d):
+    # One elimination for each face F that holds d and is not the whole
+    # cone, on the |F| + 1 rows of a face one larger: 2^(d-1) - 1 of them.
+    rng = random.Random(d)
+    rows = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
+    rows += [[7 * (i == j) for j in range(d)] for i in range(d)]
+    l = intlat.lattice_from_scaled(rng.randint(1, 4), rows)
+    calls = []
+
+    def counted(rows, cols=None, _real=intlat._hnf_core):
+        calls.append((len(rows), cols))
+        return _real(rows, cols)
+
+    monkeypatch.setattr(intlat, "_hnf_core", counted)
+    assert len(intlat.face_sections(l)) == 2**d - 1
+    assert len(calls) == 2 ** (d - 1) - 1
+    assert all(count == len(cols) and cols[-2] == d - 1 for count, cols in calls)
+    assert sorted(len(cols) - 1 for _, cols in calls) == [
+        size for size in range(1, d) for _ in itertools.combinations(range(d - 1), size - 1)
+    ]
 
 
 def _det(m):
