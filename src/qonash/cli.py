@@ -318,22 +318,21 @@ def _oracle_check(result: VarietyReport) -> None:
         raise DomainError("ORACLE_UNAVAILABLE", f"--oracle-check needs numpy: {exc}")
 
     for report in result.branches:
-        # The oracle scans only the box of its own axis reaches, read off its
-        # adjugate, and refuses the bound if one lies beyond the largest
-        # reach of an edge the main path found.
-        bound = max(f.reach[0] for f in report.faces if len(f.indices) == 1)
         try:
-            brute, singular = oracle.brute_branch(report.lattices.N, bound)
+            brute = oracle.brute_branch(report.lattices.N)
         except DomainError as exc:  # a refused scan names its branch
             raise DomainError(exc.code, exc.message, branch=report.label) from None
-        s_min, faces = list(report.s_min), report.singular_faces_of_sigma
-        if (brute, singular) != (s_min, set(faces)):
-            raise DomainError(
-                "ORACLE_MISMATCH",
-                f"main S_min {s_min}, singular faces {sorted(faces)}; "
-                f"brute S_min {brute}, singular faces {sorted(singular)}",
-                branch=report.label,
+        main = (
+            list(report.s_min),
+            [f.reach[0] for f in report.faces if len(f.indices) == 1],
+            {f.indices: f.index for f in report.faces},
+        )
+        if brute != main:
+            msg = "; ".join(
+                f"{side} S_min {s}, reaches {c}, face indices {dict(sorted(f.items()))}"
+                for side, (s, c, f) in (("main", main), ("brute", brute))
             )
+            raise DomainError("ORACLE_MISMATCH", msg, branch=report.label)
 
 
 def _positive_int(text: str) -> int:

@@ -15,7 +15,6 @@ Slow is fine; independent is the point.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -145,34 +144,39 @@ def _scan(scanner: _BoxScanner) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return counts, sorted(map(tuple, np.concatenate(found)[:, back].tolist()))
 
 
-@functools.lru_cache(maxsize=16)
-def _face_counts(n: Lattice) -> tuple[int, ...]:
-    """Members of the reach box by support bitmask: each is a face's index."""
-    return tuple(_scan(_BoxScanner(n))[0].tolist())
+def brute_branch(n: Lattice) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
+    """(minimal points of the union of singular-face interiors, axis reaches
+    c_1..c_d, index of every nonempty face keyed by its indices).
+
+    One :func:`_scan` of the reach box [0, c_1] x ... x [0, c_d], each c_k
+    read off the adjugate; a face is singular when its index is above 1.
+    The box holds every minimal point: subtracting c_k e_k from a point
+    beyond it stays in the same face interior.
+    """
+    scanner = _BoxScanner(n)
+    counts, points = _scan(scanner)
+    faces = {
+        tuple(i + 1 for i in range(n.dim) if s >> i & 1): count
+        for s, count in enumerate(counts.tolist()) if s
+    }
+    return points, scanner.reach, faces
 
 
 def brute_face_index(n: Lattice, indices) -> int:
     """Count lattice points in the half-open edge box of a face, by box scan.
 
     Equals the lattice index underlying the face's regularity flag: the face
-    is regular exactly when the count is 1.  The counts of every face come
-    from one scan of the lattice, kept for the next faces asked about.
+    is regular exactly when the count is 1.  Read off :func:`brute_branch`.
     """
     idx = tuple(indices)  # checked before the set, where True would merge with 1
     if not idx or not all(is_index(i, n.dim) for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
-    return _face_counts(n)[sum(1 << (i - 1) for i in set(idx))]
+    return brute_branch(n)[2][tuple(sorted(set(idx)))]
 
 
-def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """(minimal points of the union of singular-face interiors, singular faces).
-
-    One :func:`_scan` of the reach box [0, c_1] x ... x [0, c_d], c_k the
-    primitive point on axis k; a face is singular when its count is above 1.
-    The box holds every minimal point: subtracting c_k e_k from a point
-    beyond it stays in the same face interior.  The bound need only reach
-    every c_k (the result is then independent of it), or an error is raised.
-    """
+def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
+    """Minimal points of the union of singular-face interiors, by box search;
+    ``bound`` must reach every axis reach c_k, checked before the scan."""
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
     scanner = _BoxScanner(n)
@@ -180,11 +184,4 @@ def brute_branch(n: Lattice, bound: int) -> tuple[list[tuple[int, ...]], set[tup
         if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"
             raise DomainError("BOUND_TOO_SMALL", msg)
-    counts, points = _scan(scanner)
-    singular = np.flatnonzero(counts > 1)
-    return points, {tuple(i + 1 for i in range(n.dim) if s >> i & 1) for s in singular}
-
-
-def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
-    """Minimal points of the union of singular-face interiors, by box search."""
-    return [RatVec(x) for x in brute_branch(n, bound)[0]]
+    return [RatVec(x) for x in _scan(scanner)[1]]

@@ -13,7 +13,6 @@ Beside criterion 1, the oracle's second tier checks larger towers (d = 3..5,
 degree 201..1 000) against the same brute force, sized to its scan cap.
 """
 
-import itertools
 import json
 import math
 import random
@@ -45,7 +44,7 @@ from qonash import (
 )
 from qonash.conegeom import face_table
 from qonash.nashmap import componentize, lemma_min_diagnostics
-from qonash.oracle import brute_branch, brute_face_index, brute_minimal_S
+from qonash.oracle import brute_branch
 from helpers import src_env, vec, vectors
 from towers import random_branch, random_branches
 
@@ -66,18 +65,16 @@ def test_criterion_1_oracle_equivalence():
     for spec, lattices in branches:
         n = lattices.N
         seen_dims.add(n.dim)
-        main = vectors(minimal_toric_divisors(n))
-        reach = [
-            primitive_on_ray(n, k).coords[k - 1].numerator
-            for k in range(1, n.dim + 1)
-        ]
-        brute = brute_minimal_S(n, max(reach))
+        faces = face_table(n)
+        main = (
+            minimal_toric_divisors(n),
+            [face.reach[0] for face in faces[: n.dim]],
+            {face.indices: face.index for face in faces},
+        )
+        brute = brute_branch(n)
         assert main == brute, (spec.char_exponents, main, brute)
-        for size in range(1, n.dim + 1):
-            for idx in itertools.combinations(range(1, n.dim + 1), size):
-                assert face_data(n, idx).regular == (
-                    brute_face_index(n, idx) == 1
-                ), (spec.char_exponents, idx)
+        for idx, face_index in brute[2].items():
+            assert face_data(n, idx).index == face_index, (spec.char_exponents, idx)
     elapsed = time.time() - started
     assert seen_dims == {2, 3, 4}
     assert elapsed < 120, f"runtime target exceeded: {elapsed:.1f}s"
@@ -105,18 +102,22 @@ def _second_tier_tower(rng, d):
             and math.prod(c + 1 for c in reach) <= 10**6
             and sum(face.index for face in faces if not face.regular) <= 10**5
         ):
-            return exps, lattices.N, max(reach)
+            return exps, lattices.N, faces
 
 
 def test_oracle_second_tier():
-    """S_min and the singular faces equal brute force on larger towers."""
+    """S_min, the axis reaches and every face's index equal brute force on
+    larger towers."""
     rng = random.Random(20261018)
     for d in (3, 4, 5):
         for _ in range(15):
-            exps, n, bound = _second_tier_tower(rng, d)
-            main = minimal_toric_divisors(n)
-            singular = {face.indices for face in face_table(n) if not face.regular}
-            assert brute_branch(n, bound) == (main, singular), exps
+            exps, n, faces = _second_tier_tower(rng, d)
+            main = (
+                minimal_toric_divisors(n),
+                [face.reach[0] for face in faces[:d]],
+                {face.indices: face.index for face in faces},
+            )
+            assert brute_branch(n) == main, exps
 
 
 def _branch_from_corpus(case, label):

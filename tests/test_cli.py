@@ -793,24 +793,24 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 def test_oracle_mismatch_fails_run(capsys, monkeypatch):
     real = oracle.brute_branch
-    monkeypatch.setattr(oracle, "brute_branch", lambda n, bound: ([], real(n, bound)[1]))
+    monkeypatch.setattr(oracle, "brute_branch", lambda n: ([], *real(n)[1:]))
     code, out, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
     assert (code, out) == (1, "")
     assert err == (
         "qonash: error: [ORACLE_MISMATCH] branch 'a1': "
-        "main S_min [(1, 1)], singular faces [(1, 2)]; "
-        "brute S_min [], singular faces [(1, 2)]\n"
+        "main S_min [(1, 1)], reaches [2, 2], face indices {(1,): 1, (1, 2): 2, (2,): 1}; "
+        "brute S_min [], reaches [2, 2], face indices {(1,): 1, (1, 2): 2, (2,): 1}\n"
     )
 
 
 def test_regularity_mismatch_fails_run(capsys, monkeypatch):
     real = oracle.brute_branch
 
-    def flipped(n, bound):
-        s_min, singular = real(n, bound)
-        return s_min, singular ^ {(1,)}
+    def flipped(n):
+        s_min, reach, faces = real(n)
+        return s_min, reach, {**faces, (1,): 2}
 
     monkeypatch.setattr(oracle, "brute_branch", flipped)
     code, out, err = run_cli(
@@ -819,9 +819,30 @@ def test_regularity_mismatch_fails_run(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == (
         "qonash: error: [ORACLE_MISMATCH] branch 'a1': "
-        "main S_min [(1, 1)], singular faces [(1, 2)]; "
-        "brute S_min [(1, 1)], singular faces [(1,), (1, 2)]\n"
+        "main S_min [(1, 1)], reaches [2, 2], face indices {(1,): 1, (1, 2): 2, (2,): 1}; "
+        "brute S_min [(1, 1)], reaches [2, 2], face indices {(1,): 2, (1, 2): 2, (2,): 1}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "case, label, mutate",
+    [
+        # Every singular face's index doubled: it feeds only the
+        # --max-index budget, so the report itself stays golden.
+        ("degree4", "deg4", lambda f: f if f.regular else f._replace(index=2 * f.index)),
+        # Axis 1's reach set to 1, where the cone's is 2.
+        ("reducible", "cone", lambda f: f._replace(reach=(1,)) if f.indices == (1,) else f),
+    ],
+    ids=["doubled_index", "wrong_reach"],
+)
+def test_corrupt_face_table_fails_check(capsys, monkeypatch, case, label, mutate):
+    # The oracle compares every reach and face index with the main path's,
+    # not only S_min and which faces are singular.
+    real = conegeom.face_table
+    monkeypatch.setattr(conegeom, "face_table", lambda n: tuple(map(mutate, real(n))))
+    code, out, err = run_cli(capsys, "analyze", str(CORPUS / f"{case}.json"), "--oracle-check")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qonash: error: [ORACLE_MISMATCH] branch '{label}': main S_min "), err
 
 
 def test_import_loads_no_oracle():

@@ -29,7 +29,8 @@ class TestBruteMinimalS:
 
     def test_standard_lattice(self):
         assert brute_minimal_S(standard_lattice(2), 1) == []
-        assert brute_branch(standard_lattice(3), 1) == ([], set())
+        faces = itertools.chain(*(itertools.combinations((1, 2, 3), k) for k in (1, 2, 3)))
+        assert brute_branch(standard_lattice(3)) == ([], [1, 1, 1], dict.fromkeys(faces, 1))
 
     def test_mod4(self):
         assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
@@ -70,29 +71,28 @@ class TestBruteFaceIndex:
     def test_one_scan_per_lattice(self, monkeypatch):
         # Every face of a lattice is counted from one scan, and each count
         # is the index the main path's face table holds.
-        oracle._face_counts.cache_clear()
         scanned = []
         real = oracle._BoxScanner
         monkeypatch.setattr(oracle, "_BoxScanner", lambda n: scanned.append(n) or real(n))
         lattices = [TOWERS.D6, N_MOD4] + [lattices.N for _, lattices in TOWERS.BRANCHES]
         for n in lattices:
-            for face in conegeom.face_table(n):
-                assert brute_face_index(n, face.indices) == face.index, face
-        assert scanned == list(dict.fromkeys(lattices))
+            table = conegeom.face_table(n)
+            assert brute_branch(n)[2] == {face.indices: face.index for face in table}
+        assert scanned == lattices
 
 
 class TestBruteSingularFaces:
     def test_agrees_with_face_index(self):
         for n in (N_EVEN, N_MOD4, standard_lattice(2), lat((1, 0), (0, 2))):
-            singular = brute_branch(n, 4)[1]
+            faces = brute_branch(n)[2]
             for idx in [(1,), (2,), (1, 2)]:
-                assert (idx in singular) == (brute_face_index(n, idx) > 1)
+                assert faces[idx] == brute_face_index(n, idx)
 
     def test_bound_too_small(self):
         # Below an axis reach, or not a positive int at all.
         for n, bound in [(N_MOD4, 3), (standard_lattice(2), True), (standard_lattice(2), 2.5)]:
             with pytest.raises(DomainError) as err:
-                brute_branch(n, bound)
+                brute_minimal_S(n, bound)
             assert err.value.code == "BOUND_TOO_SMALL"
 
 
@@ -108,12 +108,13 @@ def _member(rows, x):
 
 
 def _reference_branch(n):
-    """(bound, S_min, singular faces) one point at a time, in Python ints.
+    """(S_min, axis reaches, index of every face) one point at a time, in
+    Python ints.
 
-    The bound is the largest axis reach; a face is singular when the box
-    prod [1, reach_i] over its axes holds more than one lattice point; S_min
-    is every hit of [0, bound]^d with a singular support that no other hit
-    lies below.
+    A face's index is the number of lattice points in the box
+    prod [1, reach_i] over its axes, and it is singular when that is above
+    1; S_min is every hit of [0, bound]^d, the bound the largest axis reach,
+    with a singular support that no other hit lies below.
     """
     rows = n.scaled_basis
     d = n.dim
@@ -131,12 +132,12 @@ def _reference_branch(n):
         ]
         return sum(_member(rows, x) for x in itertools.product(*ranges))
 
-    singular = {
-        face
+    faces = {
+        face: face_points(face)
         for size in range(1, d + 1)
         for face in itertools.combinations(range(1, d + 1), size)
-        if face_points(face) > 1
     }
+    singular = {face for face, count in faces.items() if count > 1}
     bound = max(reach)
     hits = [
         x
@@ -146,7 +147,7 @@ def _reference_branch(n):
     s_min = [
         x for x in hits if not any(y != x and all(map(le, y, x)) for y in hits)
     ]
-    return bound, sorted(s_min), singular
+    return sorted(s_min), reach, faces
 
 
 @pytest.mark.parametrize(
@@ -154,8 +155,7 @@ def _reference_branch(n):
     [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)],
 )
 def test_matches_per_point_reference(n):
-    bound, s_min, singular = _reference_branch(n)
-    assert brute_branch(n, bound) == (s_min, singular)
+    assert brute_branch(n) == _reference_branch(n)
 
 
 @pytest.mark.parametrize(
@@ -167,28 +167,20 @@ def test_small_slabs_match_per_point_reference(n, monkeypatch):
     # prod [0, c_k] spans several slabs, so the prefix OR is carried from
     # one slab to the next.
     monkeypatch.setattr(oracle, "_CHUNK", 128)
-    bound, s_min, singular = _reference_branch(n)
-    assert brute_branch(n, bound) == (s_min, singular)
+    assert brute_branch(n) == _reference_branch(n)
 
 
 def test_face_counts_carry_across_slabs(monkeypatch):
     # The counts of every face at 128 cells a slab, where some of these
-    # boxes span several slabs, equal those of one slab; and the singular
-    # faces of brute_branch are exactly the faces counted above 1.
+    # boxes span several slabs, equal those of one slab; and brute_face_index
+    # reads each face's count off the same answer.
     lattices = [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)]
     assert any(math.prod(c + 1 for c in _BoxScanner(n).reach) > 128 for n in lattices)
-    oracle._face_counts.cache_clear()
-    whole = [oracle._face_counts(n) for n in lattices]
-    oracle._face_counts.cache_clear()
+    whole = [brute_branch(n)[2] for n in lattices]
     monkeypatch.setattr(oracle, "_CHUNK", 128)
-    assert [oracle._face_counts(n) for n in lattices] == whole
-    for n in lattices:
-        d = n.dim
-        axes = range(1, d + 1)
-        faces = itertools.chain(*(itertools.combinations(axes, k) for k in axes))
-        singular = {idx for idx in faces if brute_face_index(n, idx) > 1}
-        assert brute_branch(n, max(_BoxScanner(n).reach))[1] == singular
-    oracle._face_counts.cache_clear()
+    assert [brute_branch(n)[2] for n in lattices] == whole
+    for n, faces in zip(lattices, whole):
+        assert {idx: brute_face_index(n, idx) for idx in faces} == faces
 
 
 def test_residues_packed_into_several_keys():
@@ -196,8 +188,7 @@ def test_residues_packed_into_several_keys():
     # so a member must pass four comparisons, one per column.
     n = lat((16, 0, 0, 0), (0, 16, 0, 0), (0, 0, 16, 0), (0, 0, 0, 16), (8, 8, 0, 8))
     assert len(_BoxScanner(n).columns) == 4
-    bound, s_min, singular = _reference_branch(n)
-    assert brute_branch(n, bound) == (s_min, singular)
+    assert brute_branch(n) == _reference_branch(n)
 
 
 def test_memory_flat_in_box_size(monkeypatch):
@@ -213,14 +204,14 @@ def test_memory_flat_in_box_size(monkeypatch):
         lambda m: (lat((2 * m, 0), (m - 2, 2), (m, m)), [(i, m - i) for i in range(2, m, 4)]),
     ]
     monkeypatch.setattr(oracle, "_CHUNK", 4096)
-    brute_branch(N_MOD4, 4)
+    brute_branch(N_MOD4)
     for family in families:
         peaks = []
         for m in (128, 256):
             n, s_min = family(m)
             tracemalloc.start()
             try:
-                assert brute_branch(n, 2 * m)[0] == s_min
+                assert brute_branch(n)[0] == s_min
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -232,14 +223,14 @@ def test_memory_flat_in_thin_box(monkeypatch):
     # grow with q (along the first axis each slab's table of the second is
     # q + 1 cells, about four times the peak at four times q).
     monkeypatch.setattr(oracle, "_CHUNK", 4096)
-    brute_branch(N_MOD4, 4)
+    brute_branch(N_MOD4)
     peaks = []
     for q in (20_000, 80_000):
         n = lat((2, 0), (1, q // 2))
         assert _BoxScanner(n).reach == [2, q]
         tracemalloc.start()
         try:
-            assert brute_branch(n, q) == ([(1, q // 2)], {(1, 2)})
+            assert brute_branch(n) == ([(1, q // 2)], [2, q], {(1,): 1, (2,): 1, (1, 2): 2})
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -251,19 +242,19 @@ def test_bound_error_precedes_cap(monkeypatch):
     # 16-cell box is over the cap too.
     monkeypatch.setattr(oracle, "MAX_SCAN", 15)
     with pytest.raises(DomainError) as err:
-        brute_branch(N_MOD4, 3)
+        brute_minimal_S(N_MOD4, 3)
     assert err.value.code == "BOUND_TOO_SMALL"
     # Bound 5 reaches every axis; the 25-cell reach box is over the cap.
     monkeypatch.setattr(oracle, "MAX_SCAN", 24)
     with pytest.raises(DomainError) as err:
-        brute_branch(N_MOD4, 5)
+        brute_minimal_S(N_MOD4, 5)
     assert err.value.code == "LIMIT_EXCEEDED"
     assert err.value.message == "box of 25 points exceeds the oracle cap"
 
 
 def test_bound_far_beyond_reach():
     # Only the reach box [0, 4]^2 is scanned, whatever the bound.
-    assert brute_branch(N_MOD4, 10**9) == brute_branch(N_MOD4, 4)
+    assert brute_minimal_S(N_MOD4, 10**9) == brute_minimal_S(N_MOD4, 4)
 
 
 def test_axis_reach_matches_axis_scan():
@@ -297,9 +288,10 @@ def test_huge_det_refused():
     n = lat((1, 0), (0, 2**62))
     assert _BoxScanner(n).reach == [1, 2**62]
     message = f"box of {2 * (2**62 + 1)} points exceeds the oracle cap"
-    for call in (lambda: brute_branch(n, 2**62), lambda: brute_face_index(n, (1,))):
+    calls = (brute_branch, lambda n: brute_minimal_S(n, 2**62), lambda n: brute_face_index(n, (1,)))
+    for call in calls:
         with pytest.raises(DomainError) as err:
-            call()
+            call(n)
         assert err.value.code == "LIMIT_EXCEEDED"
         assert err.value.message == message
 
@@ -311,7 +303,7 @@ def test_one_scan_per_branch(monkeypatch):
     monkeypatch.setattr(_BoxScanner, "slabs", lambda self: scans.append(self) or real(self))
     for n in (N_MOD4, TOWERS.D6, standard_lattice(3)):
         scans.clear()
-        brute_branch(n, max(_BoxScanner(n).reach))
+        brute_branch(n)
         assert len(scans) == 1
 
 
@@ -327,7 +319,7 @@ def test_oracle_shares_no_membership_code(monkeypatch):
     assert brute_minimal_S(N_MOD4, 4) == [vec(1, 3), vec(2, 2), vec(3, 1)]
     assert brute_face_index(N_MOD4, (1, 2)) == 4
     assert brute_face_index(N_EVEN, (2,)) == 1
-    assert brute_branch(N_MOD4, 4)[1] == {(1, 2)}
+    assert brute_branch(N_MOD4) == ([(1, 3), (2, 2), (3, 1)], [4, 4], {(1,): 1, (2,): 1, (1, 2): 4})
 
 
 def _cofactor_det(m):
