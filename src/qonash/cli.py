@@ -310,7 +310,7 @@ def render_text(result: VarietyReport, dim: int) -> str:
 # ------------------------------------------------------------------ command
 
 
-def _oracle_check(result: VarietyReport) -> None:
+def _oracle_check(result: VarietyReport, dim: int) -> None:
     # Imported here so that numpy loads only when the check is asked for.
     try:
         from . import oracle
@@ -319,7 +319,7 @@ def _oracle_check(result: VarietyReport) -> None:
 
     for report in result.branches:
         try:
-            brute = oracle.brute_branch(report.lattices.N)
+            brute = oracle.brute_exponents(dim, report.char_exponents)
         except DomainError as exc:  # a refused scan names its branch
             raise DomainError(exc.code, exc.message, branch=report.label) from None
         main = (
@@ -425,7 +425,7 @@ def run(argv=None) -> int:
             )
         result = analyze_variety(inputs, max_points=args.max_index)
         if args.oracle_check:
-            _oracle_check(result)
+            _oracle_check(result, dim)
     except SchemaError as exc:
         _stderr(f"qonash: error: schema: {exc}")
         return 2

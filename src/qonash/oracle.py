@@ -1,15 +1,15 @@
 """Brute-force reference implementations for cross-checking.
 
-These deliberately share no algorithmic code with the main path.  A lattice
-is scanned once, in its reach box prod [0, c_k]: x lies in N exactly when
-x . a = 0 (mod det) for every column a of an adjugate found here by
-fraction-free elimination, which also gives each axis reach c_k in closed
-form.  Each column that tests something is one broadcast comparison: the
-longest axis's negated residues against the other axes' residues summed
-over their box.  ``_BoxScanner.slabs`` yields the members in slabs along
-the longest axis, so memory stays flat whatever the box's shape, and that
-one scan counts a branch's face indices by support and, by a prefix OR
-over the hits, finds its minimal points.
+These deliberately share no algorithmic code with the main path.  N is
+given by generators g of its dual M over one modulus det, read off the
+characteristic exponents or, for a given N, off an adjugate found here by
+fraction-free elimination: x lies in N exactly when x . g = 0 (mod det) for
+every g, which gives each axis reach c_k in closed form.  N is scanned once,
+in its reach box prod [0, c_k], in slabs along the longest axis, so memory
+stays flat whatever the box's shape; each slab is one comparison with one
+residue table of the other axes.  That one scan counts a branch's face
+indices by support and, by a prefix OR over the hits, finds its minimal
+points.
 Slow is fine; independent is the point.
 """
 
@@ -50,33 +50,29 @@ def _adjugate(mat: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 class _BoxScanner:
-    """Exhaustive membership filter over the reach box of one lattice."""
+    """Exhaustive membership filter over the reach box of the lattice
+    {x in Z^d : x . g = 0 (mod det) for every generator g}."""
 
-    def __init__(self, n: Lattice):
-        if n.denom != 1:
-            raise DomainError("NOT_SUBLATTICE", "oracle expects a sublattice of Z^d")
-        self.dim = n.dim
-        adj, det = _adjugate([list(row) for row in n.scaled_basis])
-        det = self.det = abs(det)
-        # t * e_k is a member exactly when t * adj[k] = 0 (mod det) in every
-        # column, so the least such t > 0, the axis reach c_k, divides det.
-        self.reach = [det // math.gcd(det, *row) for row in adj]
+    def __init__(self, dim: int, gens: list, det: int):
+        self.dim, self.det = dim, det
+        # t * e_k is a member exactly when t * g_k = 0 (mod det) for every
+        # g, so the least such t > 0, the axis reach c_k, divides det.
+        self.reach = [det // math.gcd(det, *(g[k] for g in gens)) for k in range(dim)]
         # The scan axes, by decreasing reach (ties in index order): slabs cut
-        # the longest, so each column's table of the others is smallest.
-        self.order = sorted(range(self.dim), key=lambda k: -self.reach[k])
-        # The columns of adj mod det in scan order; those that vanish test nothing.
-        columns = ([x % det for x in c] for c in zip(*(adj[k] for k in self.order)))
+        # the longest, so the residue table of the others is smallest.
+        self.order = sorted(range(dim), key=lambda k: -self.reach[k])
+        # The generators mod det in scan order; those that vanish test nothing.
+        columns = ([g[k] % det for k in self.order] for g in gens)
         self.columns = [c for c in columns if any(c)]
 
     def slabs(self):
         """Membership of the reach box prod [0, c_k], capped before any array.
 
         Slabs of about ``_CHUNK`` cells (at least one row) along the longest
-        axis come as ``(axes, mask)``: ``axes`` are the slab's coordinates,
-        one int64 array per axis in scan order (``self.order``) shaped to
-        broadcast, and ``mask`` marks its members.  The edge lattice lies in
-        N, so det divides prod c_k: every box under the cap has det <
-        MAX_SCAN < 2**31, and products of two residues fit int64.
+        axis come as ``(lo, mask)``: ``mask`` marks the members of the slab
+        from ``(lo, 0, ..., 0)`` in scan order (``self.order``).  The edge
+        lattice lies in N, so det divides prod c_k: every box under the cap
+        has det < MAX_SCAN < 2**31, and products of two residues fit int64.
         """
         shape = [self.reach[k] + 1 for k in self.order]
         total = math.prod(shape)
@@ -84,28 +80,17 @@ class _BoxScanner:
             msg = f"box of {total} points exceeds the oracle cap"
             raise DomainError("LIMIT_EXCEEDED", msg)
         det, d = self.det, self.dim
-        later = [
-            np.arange(size, dtype=np.int64).reshape([-1 if i == k else 1 for i in range(d)])
-            for k, size in enumerate(shape[1:], 1)
-        ]
-        # A cell passes column a when x_1 * a_1 = -(x_2 * a_2 + ...) mod
-        # det; the right side, summed over the later axes, is one table.
-        tails = [sum(x * a % det for x, a in zip(later, col[1:])) % det for col in self.columns]
+        # Each generator a, coordinate i at coef[..., i], shaped (columns, 1, ..., 1).
+        coef = np.array(self.columns, dtype=np.int64).reshape(-1, *[1] * d, d)
+        # A cell passes a when x_1 * a_1 = -(x_2 * a_2 + ...) mod det; the
+        # right side is one table of the later axes, (columns, 1, c_2 + 1, ...).
+        later = np.indices(shape[1:], dtype=np.int64, sparse=True)
+        tail = sum(x * coef[..., k] % det for k, x in enumerate(later, 1)) % det
         step = max(1, _CHUNK * shape[0] // total)
         for lo in range(0, shape[0], step):
             first = np.arange(lo, min(lo + step, shape[0]), dtype=np.int64)
             first = first.reshape(-1, *[1] * (d - 1))
-            mask = np.ones((len(first), *shape[1:]), dtype=bool)
-            for col, tail in zip(self.columns, tails):
-                mask &= -first * col[0] % det == tail
-            yield [first, *later], mask
-
-
-def _support(axes, order) -> np.ndarray:
-    """Bitmask of the nonzero coordinates of each cell, given a slab's axes
-    and the coordinate ``order[i]`` of its scan axis i."""
-    bit = np.min_scalar_type((1 << len(axes)) - 1).type
-    return sum((x > 0) * bit(1 << k) for k, x in zip(order, axes))
+            yield lo, (-first * coef[..., 0] % det == tail).all(axis=0)
 
 
 def _scan(scanner: _BoxScanner) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -121,27 +106,46 @@ def _scan(scanner: _BoxScanner) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     d, order = scanner.dim, scanner.order
     reach = [scanner.reach[k] for k in order]
     counts = np.zeros(1 << d, dtype=np.int64)
-    # below[1:] marks the cells with a hit at or below them; below[0] carries
+    # Support bitmasks of the later axes; a slab adds the scan axis's bit past row 0.
+    bit = np.min_scalar_type((1 << d) - 1).type
+    later = np.indices([c + 1 for c in reach[1:]], sparse=True)
+    later = sum((x > 0) * bit(1 << order[k]) for k, x in enumerate(later, 1))
+    # below[1:] marks the cells with a hit at or below them; below[:1] carries
     # the last row of the slab before, none at first.
-    last, found = False, []
-    for axes, hits in scanner.slabs():
-        counts += np.bincount(_support(axes, order)[hits], minlength=1 << d)
+    below = np.zeros((1, *(c + 1 for c in reach[1:])), dtype=bool)
+    back, found = [order.index(k) for k in range(d)], []
+    for lo, hits in scanner.slabs():
+        first = np.arange(lo, lo + len(hits)).reshape(-1, *[1] * (d - 1)) > 0
+        counts += np.bincount((later + first * bit(1 << order[0]))[hits], minlength=1 << d)
         # The corners, every coordinate a multiple of c_k, leave the members.
-        hits[tuple(slice(-x.flat[0] % c, None, c) for x, c in zip(axes, reach))] = False
-        below = np.concatenate([np.broadcast_to(last, hits[:1].shape), hits])
+        hits[tuple(slice(-x % c, None, c) for x, c in zip([lo] + [0] * (d - 1), reach))] = False
+        below = np.concatenate([below[-1:], hits])
         for axis in range(d):
             np.logical_or.accumulate(below, axis=axis, out=below)
         free = hits & ~below[:-1]
         for axis in range(1, d):
             lead = (slice(None),) * axis
             free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
-        points = np.argwhere(free)
-        points[:, 0] += axes[0].flat[0]
-        found.append(points)
-        last = below[-1]
-    # Back from scan order to coordinates, in the lexicographic order of S_min.
-    back = [order.index(k) for k in range(d)]
-    return counts, sorted(map(tuple, np.concatenate(found)[:, back].tolist()))
+        # Back from scan order to coordinates; sorted at the end, as S_min is.
+        rows, *cols = np.nonzero(free)
+        found += zip(*[(rows + lo, *cols)[i].tolist() for i in back])
+    return counts, sorted(found)
+
+
+def _lattice_scanner(n: Lattice) -> _BoxScanner:
+    """The scanner of a sublattice N of Z^d: its adjugate's columns over |det|."""
+    if n.denom != 1:
+        raise DomainError("NOT_SUBLATTICE", "oracle expects a sublattice of Z^d")
+    adj, det = _adjugate([list(row) for row in n.scaled_basis])
+    return _BoxScanner(n.dim, list(zip(*adj)), abs(det))
+
+
+def _branch(scanner: _BoxScanner) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
+    counts, points = _scan(scanner)
+    return points, scanner.reach, {
+        tuple(i + 1 for i in range(scanner.dim) if s >> i & 1): count
+        for s, count in enumerate(counts.tolist()) if s
+    }
 
 
 def brute_branch(n: Lattice) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
@@ -153,13 +157,17 @@ def brute_branch(n: Lattice) -> tuple[list[tuple[int, ...]], list[int], dict[tup
     The box holds every minimal point: subtracting c_k e_k from a point
     beyond it stays in the same face interior.
     """
-    scanner = _BoxScanner(n)
-    counts, points = _scan(scanner)
-    faces = {
-        tuple(i + 1 for i in range(n.dim) if s >> i & 1): count
-        for s, count in enumerate(counts.tolist()) if s
-    }
-    return points, scanner.reach, faces
+    return _branch(_lattice_scanner(n))
+
+
+def brute_exponents(dim: int, exponents) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
+    """:func:`brute_branch` of N, the dual of M = Z^d + sum Z lambda_j, read
+    off the characteristic exponents lambda_j with no elimination: det is
+    the lcm of their denominators and g = det * lambda_j.  M / Z^d has
+    exponent det, so det divides [M : Z^d] = [Z^d : N]."""
+    det = math.lcm(*(x.denominator for lam in exponents for x in lam))
+    gens = [[x.numerator * (det // x.denominator) for x in lam] for lam in exponents]
+    return _branch(_BoxScanner(dim, gens, det))
 
 
 def brute_face_index(n: Lattice, indices) -> int:
@@ -179,7 +187,7 @@ def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
     ``bound`` must reach every axis reach c_k, checked before the scan."""
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
-    scanner = _BoxScanner(n)
+    scanner = _lattice_scanner(n)
     for k, c in enumerate(scanner.reach):
         if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"

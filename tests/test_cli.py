@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -523,13 +524,14 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
         (intlat, "contains"),
         (intlat, "index"),
         (oracle, "_BoxScanner"),
+        (oracle, "_adjugate"),
     ]:
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             if _name == "minimal_singular_points":
                 branch[0] = args[0]
-            if _name in ("face_sections", "_BoxScanner"):
+            if _name == "face_sections":
                 calls[_name, args[0]] += 1
             if _name in ("_box_walk", "minimal_elements"):
                 calls[_name, branch[0]] += 1
@@ -565,15 +567,16 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
         expected["dominance input", n] += calls["walked", n]
         expected["face_sections", n] += 1
         expected["sections", n] += 2**dim - 1
-        expected["_BoxScanner", n] += 1
     for key, count in expected.items():
         assert calls[key] == count, key
     assert calls["build_tower"] == calls["minimal_singular_points"] == len(branches)
     assert calls["_BoxScanner"] == calls["dual_lattice"] == len(branches)
     # Every reported divisor is primitive by construction: none is solved
-    # for.  The half-open box is only the tests' reference.
+    # for.  The half-open box is only the tests' reference, and the oracle
+    # reads N off the exponents with no elimination.
     for name in (
         "section", "primitive_on_ray", "snf", "contains", "index", "parallelepiped_points",
+        "_adjugate",
     ):
         assert calls[name] == 0, name
     return calls
@@ -792,8 +795,8 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_oracle_mismatch_fails_run(capsys, monkeypatch):
-    real = oracle.brute_branch
-    monkeypatch.setattr(oracle, "brute_branch", lambda n: ([], *real(n)[1:]))
+    real = oracle.brute_exponents
+    monkeypatch.setattr(oracle, "brute_exponents", lambda dim, exps: ([], *real(dim, exps)[1:]))
     code, out, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
@@ -806,13 +809,13 @@ def test_oracle_mismatch_fails_run(capsys, monkeypatch):
 
 
 def test_regularity_mismatch_fails_run(capsys, monkeypatch):
-    real = oracle.brute_branch
+    real = oracle.brute_exponents
 
-    def flipped(n):
-        s_min, reach, faces = real(n)
+    def flipped(dim, exps):
+        s_min, reach, faces = real(dim, exps)
         return s_min, reach, {**faces, (1,): 2}
 
-    monkeypatch.setattr(oracle, "brute_branch", flipped)
+    monkeypatch.setattr(oracle, "brute_exponents", flipped)
     code, out, err = run_cli(
         capsys, "analyze", str(CORPUS / "a1_cone.json"), "--oracle-check"
     )
@@ -843,6 +846,59 @@ def test_corrupt_face_table_fails_check(capsys, monkeypatch, case, label, mutate
     code, out, err = run_cli(capsys, "analyze", str(CORPUS / f"{case}.json"), "--oracle-check")
     assert (code, out) == (1, "")
     assert err.startswith(f"qonash: error: [ORACLE_MISMATCH] branch '{label}': main S_min "), err
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_wrong_dual_fails_check(capsys, monkeypatch, case):
+    # N with its last Hermite row doubled, a sublattice of index 2: the
+    # oracle reads N off the exponents, so it does not follow the main path.
+    real = intlat.dual_lattice
+
+    def doubled(m):
+        n = real(m)
+        rows = [*n.scaled_basis[:-1], [2 * x for x in n.scaled_basis[-1]]]
+        return intlat.lattice_from_scaled(n.denom, rows)
+
+    monkeypatch.setattr(intlat, "dual_lattice", doubled)
+    path = CORPUS / f"{case}.json"
+    label = json.loads(path.read_text())["branches"][0]["label"]
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "json", "--oracle-check")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qonash: error: [ORACLE_MISMATCH] branch '{label}': main S_min "), err
+
+
+def test_wrong_tower_step_fails_check(tmp_path, capsys, monkeypatch):
+    # Each tower step adds three times the numerators of its exponent.  On
+    # the first 120 benchmark towers, M is unchanged where 3 is prime to
+    # the step's index, and the tripled exponent may lie in the lattice
+    # before it; every other report is refused, none is wrong.
+    real = intlat.lattice_from_scaled
+
+    def tripled(denom, rows):
+        return real(denom, [*rows[:-1], [3 * x for x in rows[-1]]])
+
+    mutated = types.SimpleNamespace(**{**vars(intlat), "lattice_from_scaled": tripled})
+    outcomes = Counter()
+    for i, (spec, _) in enumerate(random_branches(120, seed=20250810)):
+        exps = [[[x.numerator, x.denominator] for x in lam] for lam in spec.char_exponents]
+        sing = [[k] for k in range(1, spec.dim + 1)]
+        branch = {"label": f"t{i}", "char_exponents": exps, "sing_faces": sing}
+        path = tmp_path / f"t{i}.json"
+        path.write_text(json.dumps({"schema_version": 1, "dim": spec.dim, "branches": [branch]}))
+        argv = ("analyze", str(path), "--format", "json", "--oracle-check")
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0, (i, expected[2])
+        with monkeypatch.context() as patch:
+            patch.setattr(qobranch, "intlat", mutated)
+            code, out, err = run_cli(capsys, *argv)
+        if (code, out, err) == expected:
+            outcomes["unchanged"] += 1
+            continue
+        assert (code, out) == (1, ""), (i, err)
+        tag = err.split("]")[0].split("[")[-1]
+        assert err.startswith(f"qonash: error: [{tag}] branch 't{i}': "), err
+        outcomes[tag] += 1
+    assert outcomes == {"unchanged": 88, "NOT_CHARACTERISTIC": 20, "ORACLE_MISMATCH": 12}
 
 
 def test_import_loads_no_oracle():

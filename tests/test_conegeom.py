@@ -35,7 +35,7 @@ from qonash import (
 from qonash import conegeom, oracle
 from qonash.conegeom import face_table, minimal_singular_points
 from qonash.intlat import face_sections, lattice_from_scaled, section
-from qonash.oracle import _adjugate, _BoxScanner, _support, brute_face_index
+from qonash.oracle import _adjugate, _lattice_scanner, brute_face_index
 from helpers import lat, vec
 from towers import random_branch, random_branches
 
@@ -619,13 +619,13 @@ class TestMinimalDivisorsOnTowers:
         # points of the box prod [1, c_j] on the columns of face F.
         for n in [lattices_.N for _, lattices_ in self.BRANCHES] + [self.D6]:
             by_support = {}
-            scanner = _BoxScanner(n)
+            scanner = _lattice_scanner(n)
             back = [scanner.order.index(k) for k in range(n.dim)]
-            for axes, mask in scanner.slabs():
+            for lo, mask in scanner.slabs():
                 points = np.argwhere(mask)
-                points[:, 0] += axes[0].flat[0]
-                supports = _support(axes, scanner.order)[mask].tolist()
-                for s, p in zip(supports, points[:, back].tolist()):
+                points[:, 0] += lo
+                for p in points[:, back].tolist():
+                    s = sum(1 << k for k, x in enumerate(p) if x)
                     by_support.setdefault(s, []).append(tuple(p))
             for face in face_table(n):
                 idx = face.indices

@@ -8,14 +8,25 @@ from operator import le
 import pytest
 
 from qonash import (
+    BranchSpec,
     DomainError,
+    RatVec,
+    build_tower,
     conegeom,
     intlat,
     oracle,
     standard_lattice,
 )
-from qonash.oracle import _BoxScanner, brute_branch, brute_face_index, brute_minimal_S
+from qonash.oracle import (
+    _BoxScanner,
+    _lattice_scanner,
+    brute_branch,
+    brute_exponents,
+    brute_face_index,
+    brute_minimal_S,
+)
 from helpers import lat, vec
+from towers import random_branches
 from test_conegeom import TestMinimalDivisorsOnTowers as TOWERS
 
 
@@ -72,8 +83,8 @@ class TestBruteFaceIndex:
         # Every face of a lattice is counted from one scan, and each count
         # is the index the main path's face table holds.
         scanned = []
-        real = oracle._BoxScanner
-        monkeypatch.setattr(oracle, "_BoxScanner", lambda n: scanned.append(n) or real(n))
+        real = oracle._lattice_scanner
+        monkeypatch.setattr(oracle, "_lattice_scanner", lambda n: scanned.append(n) or real(n))
         lattices = [TOWERS.D6, N_MOD4] + [lattices.N for _, lattices in TOWERS.BRANCHES]
         for n in lattices:
             table = conegeom.face_table(n)
@@ -175,7 +186,7 @@ def test_face_counts_carry_across_slabs(monkeypatch):
     # boxes span several slabs, equal those of one slab; and brute_face_index
     # reads each face's count off the same answer.
     lattices = [lattices.N for _, lattices in TOWERS.BRANCHES] + [TOWERS.D6, standard_lattice(3)]
-    assert any(math.prod(c + 1 for c in _BoxScanner(n).reach) > 128 for n in lattices)
+    assert any(math.prod(c + 1 for c in _lattice_scanner(n).reach) > 128 for n in lattices)
     whole = [brute_branch(n)[2] for n in lattices]
     monkeypatch.setattr(oracle, "_CHUNK", 128)
     assert [brute_branch(n)[2] for n in lattices] == whole
@@ -187,7 +198,7 @@ def test_residues_packed_into_several_keys():
     # det = 2**15: every one of the four adjugate columns tests something,
     # so a member must pass four comparisons, one per column.
     n = lat((16, 0, 0, 0), (0, 16, 0, 0), (0, 0, 16, 0), (0, 0, 0, 16), (8, 8, 0, 8))
-    assert len(_BoxScanner(n).columns) == 4
+    assert len(_lattice_scanner(n).columns) == 4
     assert brute_branch(n) == _reference_branch(n)
 
 
@@ -227,7 +238,7 @@ def test_memory_flat_in_thin_box(monkeypatch):
     peaks = []
     for q in (20_000, 80_000):
         n = lat((2, 0), (1, q // 2))
-        assert _BoxScanner(n).reach == [2, q]
+        assert _lattice_scanner(n).reach == [2, q]
         tracemalloc.start()
         try:
             assert brute_branch(n) == ([(1, q // 2)], [2, q], {(1,): 1, (2,): 1, (1, 2): 2})
@@ -269,7 +280,7 @@ def test_axis_reach_matches_axis_scan():
             ]
             rows.append([rng.randint(-4, 4) for _ in range(d)])
             n = lat(*rows)
-            scanner = _BoxScanner(n)
+            scanner = _lattice_scanner(n)
             first = []  # the least t > 0 with t * e_k in N, point by point
             for k in range(d):
                 t = 1
@@ -279,14 +290,14 @@ def test_axis_reach_matches_axis_scan():
             assert scanner.reach == first, rows
     # det = 2**32: the reach is read off the adjugate in Python ints, though
     # the box is far over the cap and no int64 residue is ever formed.
-    assert _BoxScanner(lat((2**16, 0), (0, 2**16))).reach == [2**16, 2**16]
+    assert _lattice_scanner(lat((2**16, 0), (0, 2**16))).reach == [2**16, 2**16]
 
 
 def test_huge_det_refused():
     # det = 2**62: the reach box [0, 1] x [0, 2**62] is refused by its cell
     # count before any residue or box-sized array is built.
     n = lat((1, 0), (0, 2**62))
-    assert _BoxScanner(n).reach == [1, 2**62]
+    assert _lattice_scanner(n).reach == [1, 2**62]
     message = f"box of {2 * (2**62 + 1)} points exceeds the oracle cap"
     calls = (brute_branch, lambda n: brute_minimal_S(n, 2**62), lambda n: brute_face_index(n, (1,)))
     for call in calls:
@@ -294,6 +305,50 @@ def test_huge_det_refused():
             call(n)
         assert err.value.code == "LIMIT_EXCEEDED"
         assert err.value.message == message
+
+
+def _random_chains(rng, count):
+    """Seeded characteristic chains of two or three exponents in d = 1..4,
+    each on a 1/q grid with q <= 12, at or above the one before.  Those
+    whose reach box is between 10^5 cells and the cap are left out, which
+    keeps the scans short; those over the cap stay, to be refused."""
+    chains = []
+    while len(chains) < count:
+        d = rng.randint(1, 4)
+        exps, prev = [], [F(0)] * d
+        for _ in range(rng.randint(2, 3)):
+            q = rng.randint(2, 12)
+            prev = [F(-(-x.numerator * q // x.denominator) + rng.randint(0, q), q) for x in prev]
+            exps.append(RatVec(prev))
+        try:
+            n = build_tower(BranchSpec(d, exps)).N
+        except DomainError:
+            continue
+        if not 10**5 < math.prod(c + 1 for c in _lattice_scanner(n).reach) <= oracle.MAX_SCAN:
+            chains.append((d, exps, n))
+    return chains
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 128])
+def test_exponent_scan_matches_lattice_scan(chunk, monkeypatch):
+    # N read off the exponents and N given by its basis are one scan with
+    # one answer, or one refusal past the cap, slabs small or large.
+    towers = [(s.dim, s.char_exponents, lattices.N) for s, lattices in random_branches(520, 20250810)]
+    chains = _random_chains(random.Random(71), 300)
+    assert all(len(exps) >= 2 for _, exps, _ in chains) and {d for d, _, _ in chains} == {1, 2, 3, 4}
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    refused = 0
+    for d, exps, n in towers + chains:
+        try:
+            expected = brute_branch(n)
+        except DomainError as err:
+            with pytest.raises(DomainError) as again:
+                brute_exponents(d, exps)
+            assert (again.value.code, again.value.message) == (err.code, err.message)
+            refused += 1
+            continue
+        assert brute_exponents(d, exps) == expected, (d, exps)
+    assert 0 < refused < len(chains) // 10
 
 
 def test_one_scan_per_branch(monkeypatch):
