@@ -253,9 +253,13 @@ def _fmt_face(idx) -> str:
     return "{" + ",".join(str(i) for i in idx) + "}"
 
 
+def _fmt_point(p) -> str:
+    return "(" + ", ".join(map(str, p)) + ")"
+
+
 def _fmt_divisor(p) -> str:
-    vector = ", ".join(map(str, p))
-    return f"({vector}) = 1*({vector})"
+    point = _fmt_point(p)
+    return f"{point} = 1*{point}"
 
 
 def render_text(result: VarietyReport, dim: int) -> str:
@@ -271,7 +275,7 @@ def render_text(result: VarietyReport, dim: int) -> str:
             f"  tower step indices: {list(report.lattices.step_indices)}"
             f"  degree n = {report.lattices.degree_n}"
         )
-        lines.append("  N basis: " + ", ".join(str(v) for v in report.lattices.N.basis))
+        lines.append("  N basis: " + ", ".join(map(_fmt_point, report.lattices.N.scaled_basis)))
         lines.append(
             "  singular faces of sigma: "
             + (
@@ -283,7 +287,7 @@ def render_text(result: VarietyReport, dim: int) -> str:
             lines.append("  relevant faces:")
             for face in report.relevant:
                 tag = "regular" if face.regular else "singular"
-                gens = ", ".join(str(p) for p in face.primgens)
+                gens = ", ".join(map(_fmt_point, face.primgens))
                 lines.append(f"    {_fmt_face(face.indices)}: {tag}, edge generators {gens}")
         else:
             lines.append("  relevant faces: (none)")

@@ -24,11 +24,11 @@ from .errors import DomainError
 from .intlat import Lattice, RatVec
 
 class Face(namedtuple("Face", "indices primgens reach index section")):
-    """A face of the quadrant: coordinate subset, edge generators and their
-    reaches c_i (denom times the generator's coordinate), the index of the
-    edge sublattice in the face's lattice points (shadowing ``tuple.index``),
-    and the Hermite basis of denom times those points (see
-    :func:`intlat.section`)."""
+    """A face of the quadrant: coordinate subset, edge generators as the
+    integer points c_i e_i (denom times the primitive generators) and their
+    reaches c_i, the index of the edge sublattice in the face's lattice
+    points (shadowing ``tuple.index``), and the Hermite basis of denom times
+    those points (see :func:`intlat.section`)."""
 
     __slots__ = ()
 
@@ -50,21 +50,17 @@ def _classify(n: Lattice, sections, faces) -> list[Face]:
     """Classify the listed faces of N from ``sections``, which maps each of
     them, and each singleton of their axes, to its Hermite section.
 
-    An axis's primitive generator is c/denom times e_k, c the pivot of its
-    singleton section.  A face's index is the covolume of its edge
-    sublattice over that of its section: the product of its axes' c over the
-    product of the section's pivots.
+    An axis's edge generator is stored as its singleton section's one row,
+    c e_k with c the pivot: denom times the primitive generator, in
+    integers.  A face's index is the covolume of its edge sublattice over
+    that of its section: the product of its axes' c over the product of the
+    section's pivots.
     """
-    d = n.dim
-    reach = {k: sections[k,][0][k - 1] for k in range(1, d + 1) if (k,) in sections}
-    gens = {
-        k: RatVec([Fraction(c, n.denom) if i == k else 0 for i in range(1, d + 1)])
-        for k, c in reach.items()
-    }
+    gens = {k: sections[k,][0] for k in range(1, n.dim + 1) if (k,) in sections}
     out = []
     for idx in faces:
         section = sections[idx]
-        c = tuple(reach[i] for i in idx)
+        c = tuple(gens[i][i - 1] for i in idx)
         pivots = prod(row[i - 1] for i, row in zip(idx, section))
         index, rest = divmod(prod(c), pivots)
         assert not rest
@@ -293,25 +289,18 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
 
 
 def barycenter(n: Lattice, indices) -> tuple[int, ...]:
-    """Sum of the primitive edge generators of a regular face, as an integer
-    point."""
+    """E's point of a regular face: the sum of its edge generators, an
+    integer point."""
     _require_sublattice(n)
     face = face_data(n, indices)
     if not face.indices:
         raise DomainError("BAD_FACE", "the zero face has no barycenter")
-    return barycenter_point(n, face)
-
-
-def barycenter_point(n: Lattice, face: Face) -> tuple[int, ...]:
-    """Numerators of denom times the barycenter of a face already classified
-    for N: the face's reaches on its coordinates, 0 elsewhere."""
     if not face.regular:
         raise DomainError(
             "SINGULAR_FACE",
             f"face {face.indices} is singular; barycenters live on regular faces",
         )
-    reach = dict(zip(face.indices, face.reach))
-    return tuple(reach.get(k, 0) for k in range(1, n.dim + 1))
+    return tuple(map(sum, zip(*face.primgens)))
 
 
 def monomial_valuation(v: RatVec, support) -> Fraction:

@@ -147,7 +147,7 @@ def _split(n: Lattice, faces, relevant):
     the antichain is proved, not checked point by point."""
     s_min = conegeom.minimal_singular_points(n, faces)
     regular = [f for f in relevant if f.regular]
-    e_points = sorted(conegeom.barycenter_point(n, f) for f in regular)
+    e_points = sorted(tuple(map(sum, zip(*f.primgens))) for f in regular)
     # E and S_min form an antichain unless one regular relevant face lies
     # inside another.  S_min is one by construction.  No p in S_min lies
     # below a barycenter b_F: its support, a singular face, would lie in F,

@@ -21,6 +21,7 @@ from qonash import (
     BranchSpec,
     RatVec,
     analyze_variety,
+    cli,
     conegeom,
     intlat,
     oracle,
@@ -580,6 +581,44 @@ def check_each_quantity_computed_once(capsys, monkeypatch, path):
     ):
         assert calls[name] == 0, name
     return calls
+
+
+def test_no_rational_after_parsing(tmp_path, capsys, monkeypatch):
+    # Past the input's exponents the mathematics is integral: a request
+    # builds no RatVec and no Fraction once parse_variety has returned, in
+    # either format and under --oracle-check.
+    requests = [
+        (CORPUS / f"{case}.json", "--format", fmt) for case in CASES for fmt in ("json", "text")
+    ]
+    for i, (spec, _) in enumerate(random_branches(60, seed=20250810)):
+        exps = [[[c.numerator, c.denominator] for c in v] for v in spec.char_exponents]
+        faces = [[k] for k in range(1, spec.dim + 1)]
+        branch = {"label": "b", "char_exponents": exps, "sing_faces": faces}
+        path = tmp_path / f"tower{i}.json"
+        path.write_text(json.dumps({"dim": spec.dim, "branches": [branch]}))
+        requests.append((path, "--format", "json", "--oracle-check"))
+    built, parsed = Counter(), [False]
+
+    def after_parse(doc):
+        out = parse(doc)
+        parsed[0] = True
+        return out
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            built[name] += parsed[0]
+            return fn(*args, **kwargs)
+        return counted
+
+    parse = cli.parse_variety
+    monkeypatch.setattr(cli, "parse_variety", after_parse)
+    monkeypatch.setattr(RatVec, "__init__", counting("RatVec", RatVec.__init__))
+    monkeypatch.setattr(F, "__new__", staticmethod(counting("Fraction", F.__new__)))
+    for path, *args in requests:
+        parsed[0] = False
+        code, out, _ = run_cli(capsys, "analyze", str(path), *args)
+        assert code == 0 and out and parsed[0]
+    assert built == Counter(), built
 
 
 def test_oracle_check_bounded_by_axis_reach(tmp_path, capsys):

@@ -66,12 +66,12 @@ class TestLeqSigma:
 class TestFaceData:
     def test_axis_scaled_but_regular(self):
         face = face_data(lat((1, 0), (0, 2)), (1, 2))
-        assert face.primgens == (vec(1, 0), vec(0, 2))
+        assert face.primgens == ((1, 0), (0, 2))
         assert face.regular
 
     def test_even_lattice_singular(self):
         face = face_data(N_EVEN, (1, 2))
-        assert face.primgens == (vec(2, 0), vec(0, 2))
+        assert face.primgens == ((2, 0), (0, 2))
         assert not face.regular
         assert face.index == 2
         assert face.section == ((2, 0), (1, 1))
@@ -101,6 +101,26 @@ def random_lattice(rng, d, denom):
             continue
         if (n.denom > 1) == (denom > 1):
             return n
+
+
+class TestIntegerEdgeGenerators:
+    def test_generators_are_scaled_primitive_points(self):
+        # Each edge generator is denom times the primitive generator on its
+        # ray, held as an integer point, and a regular face's barycenter is
+        # their sum: its reaches c_i on the face, 0 elsewhere.
+        rng = random.Random(4040)
+        for d in range(1, 7):
+            for denom in (1, 1, 2, 3):
+                n = random_lattice(rng, d, denom)
+                for face in face_table(n):
+                    for f in (face, face_data(n, face.indices)):
+                        for i, g in zip(f.indices, f.primgens):
+                            assert all(type(x) is int for x in g)
+                            assert g == tuple(x * n.denom for x in primitive_on_ray(n, i))
+                    if face.regular and n.denom == 1:
+                        reach = dict(zip(face.indices, face.reach))
+                        expected = tuple(reach.get(k, 0) for k in range(1, d + 1))
+                        assert barycenter(n, face.indices) == expected
 
 
 class TestFaceTableMatchesFaceData:
@@ -569,7 +589,7 @@ class TestFaceProperties:
         assert len(pts) == expected
         if expected == 1:
             gens = face_data(n, idx).primgens
-            assert pts == [tuple(sum(col) * n.denom for col in zip(*gens))]
+            assert pts == [tuple(map(sum, zip(*gens)))]
 
 
 class TestValuationProperties:
@@ -767,23 +787,51 @@ class TestProducts:
         rows += [[0] * da + [x * (denom // b.denom) for x in r] for r in b.scaled_basis]
         return lattice_from_scaled(denom, rows)
 
+    @classmethod
+    def check(cls, a, b, s_a, s_b):
+        """S_min of a x b, after checking every face index and S_min against
+        the factors', given S_min of each factor; returns it with the count
+        of its singular faces that meet both factors."""
+        n, da = cls.product(a, b), a.dim
+        table = face_table(n)
+        ia, ib = ({(): 1} | {f.indices: f.index for f in face_table(l)} for l in (a, b))
+        mixed_singular = 0
+        for face in table:
+            left = tuple(i for i in face.indices if i <= da)
+            right = tuple(i - da for i in face.indices if i > da)
+            assert face.index == ia[left] * ib[right], face.indices
+            mixed_singular += bool(left and right and not face.regular)
+        s_min = minimal_singular_points(n, table)
+        expected = [p + (0,) * b.dim for p in s_a] + [(0,) * da + p for p in s_b]
+        assert s_min == sorted(expected)
+        return s_min, mixed_singular
+
     def test_random_products(self):
         rng = random.Random(20251019)
         mixed_singular = 0
         for _ in range(30):
             a, b = (random_branch(rng, dims=(2, 3, 4, 5), max_index=40)[1].N for _ in "ab")
-            n, da = self.product(a, b), a.dim
-            table = face_table(n)
-            ia, ib = ({(): 1} | {f.indices: f.index for f in face_table(l)} for l in (a, b))
-            for face in table:
-                left = tuple(i for i in face.indices if i <= da)
-                right = tuple(i - da for i in face.indices if i > da)
-                assert face.index == ia[left] * ib[right], face.indices
-                mixed_singular += bool(left and right and not face.regular)
-            expected = [p + (0,) * b.dim for p in minimal_singular_points(a, face_table(a))]
-            expected += [(0,) * da + p for p in minimal_singular_points(b, face_table(b))]
-            assert minimal_singular_points(n, table) == sorted(expected)
+            s_a, s_b = (minimal_singular_points(l, face_table(l)) for l in (a, b))
+            mixed_singular += self.check(a, b, s_a, s_b)[1]
         assert mixed_singular  # the mixed faces are not all regular
+
+    def test_products_at_scale(self):
+        # N' is the d = 3 ladder rung (1/480, 1/672, 1/1120), 53 998 points
+        # in S_min, nearly all walked in its face {1, 2, 3}; N'' and two
+        # seeded random d = 2 lattices each have a singular 2-face.  Both
+        # orders of each product, whose S_min must be the same points with
+        # the two blocks of axes swapped.
+        rng = random.Random(7)
+        r1, r2 = (random_branch(rng, dims=(2,))[1].N for _ in "ab")
+        rung = build_tower(BranchSpec(3, (RatVec([F(1, 480), F(1, 672), F(1, 1120)]),))).N
+        sizes = []
+        for a, b in [(rung, lat((20, 0), (11, 2))), (r1, r2)]:
+            s_a, s_b = (minimal_singular_points(l, face_table(l)) for l in (a, b))
+            ab = self.check(a, b, s_a, s_b)[0]
+            ba = self.check(b, a, s_b, s_a)[0]
+            assert sorted(p[a.dim :] + p[: a.dim] for p in ab) == ba
+            sizes.append((len(s_a), len(s_b)))
+        assert sizes == [(53_998, 3), (4, 2)]
 
 
 def hirzebruch_jung_length(m, q):
