@@ -74,7 +74,7 @@ def face_data(n: Lattice, indices) -> Face:
     if not all(intlat.is_index(i, n.dim) for i in idx):
         raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
     idx = tuple(sorted(set(idx)))
-    sections = {f: intlat.section(n, f) for f in [(i,) for i in idx] + [idx]}
+    sections = {f: intlat.section(n, f) for f in {idx, *((i,) for i in idx)}}
     return _classify(n, sections, [idx])[0]
 
 

@@ -92,44 +92,47 @@ class _BoxScanner:
             first = first.reshape(-1, *[1] * (d - 1))
             yield lo, (-first * coef[..., 0] % det == tail).all(axis=0)
 
+    def answer(self) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
+        """(minimal hits, sorted; the axis reaches; the index of every
+        nonempty face, keyed by its indices), from one pass over :meth:`slabs`.
 
-def _scan(scanner: _BoxScanner) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """(members of the reach box by support bitmask, minimal hits, sorted).
-
-    The cells of support F are the edge box of face F, so each count is the
-    index of F.  The members less the corners (coordinates in {0, c_k}) are
-    the hits: the points of the faces of index above 1, less their corners,
-    and a corner is never minimal, since whatever lies above it lies above
-    the other member too.  A hit is minimal when the prefix OR of hits is
-    clear one cell below it on every axis.
-    """
-    d, order = scanner.dim, scanner.order
-    reach = [scanner.reach[k] for k in order]
-    counts = np.zeros(1 << d, dtype=np.int64)
-    # Support bitmasks of the later axes; a slab adds the scan axis's bit past row 0.
-    bit = np.min_scalar_type((1 << d) - 1).type
-    later = np.indices([c + 1 for c in reach[1:]], sparse=True)
-    later = sum((x > 0) * bit(1 << order[k]) for k, x in enumerate(later, 1))
-    # below[1:] marks the cells with a hit at or below them; below[:1] carries
-    # the last row of the slab before, none at first.
-    below = np.zeros((1, *(c + 1 for c in reach[1:])), dtype=bool)
-    back, found = [order.index(k) for k in range(d)], []
-    for lo, hits in scanner.slabs():
-        first = np.arange(lo, lo + len(hits)).reshape(-1, *[1] * (d - 1)) > 0
-        counts += np.bincount((later + first * bit(1 << order[0]))[hits], minlength=1 << d)
-        # The corners, every coordinate a multiple of c_k, leave the members.
-        hits[tuple(slice(-x % c, None, c) for x, c in zip([lo] + [0] * (d - 1), reach))] = False
-        below = np.concatenate([below[-1:], hits])
-        for axis in range(d):
-            np.logical_or.accumulate(below, axis=axis, out=below)
-        free = hits & ~below[:-1]
-        for axis in range(1, d):
-            lead = (slice(None),) * axis
-            free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
-        # Back from scan order to coordinates; sorted at the end, as S_min is.
-        rows, *cols = np.nonzero(free)
-        found += zip(*[(rows + lo, *cols)[i].tolist() for i in back])
-    return counts, sorted(found)
+        The cells of support F are the edge box of face F, so each count is
+        the index of F.  The members less the corners (coordinates in
+        {0, c_k}) are the hits: the points of the faces of index above 1,
+        less their corners, and a corner is never minimal, since whatever
+        lies above it lies above the other member too.  A hit is minimal
+        when the prefix OR of hits is clear one cell below it on every axis.
+        """
+        d, order = self.dim, self.order
+        reach = [self.reach[k] for k in order]
+        counts = np.zeros(1 << d, dtype=np.int64)
+        # Support bitmasks of the later axes; a slab adds the scan axis's bit past row 0.
+        bit = np.min_scalar_type((1 << d) - 1).type
+        later = np.indices([c + 1 for c in reach[1:]], sparse=True)
+        later = sum((x > 0) * bit(1 << order[k]) for k, x in enumerate(later, 1))
+        # below[1:] marks the cells with a hit at or below them; below[:1] carries
+        # the last row of the slab before, none at first.
+        below = np.zeros((1, *(c + 1 for c in reach[1:])), dtype=bool)
+        back, found = [order.index(k) for k in range(d)], []
+        for lo, hits in self.slabs():
+            first = np.arange(lo, lo + len(hits)).reshape(-1, *[1] * (d - 1)) > 0
+            counts += np.bincount((later + first * bit(1 << order[0]))[hits], minlength=1 << d)
+            # The corners, every coordinate a multiple of c_k, leave the members.
+            hits[tuple(slice(-x % c, None, c) for x, c in zip([lo] + [0] * (d - 1), reach))] = False
+            below = np.concatenate([below[-1:], hits])
+            for axis in range(d):
+                np.logical_or.accumulate(below, axis=axis, out=below)
+            free = hits & ~below[:-1]
+            for axis in range(1, d):
+                lead = (slice(None),) * axis
+                free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
+            # Back from scan order to coordinates; sorted at the end, as S_min is.
+            rows, *cols = np.nonzero(free)
+            found += zip(*[(rows + lo, *cols)[i].tolist() for i in back])
+        return sorted(found), self.reach, {
+            tuple(i + 1 for i in range(d) if s >> i & 1): count
+            for s, count in enumerate(counts.tolist()) if s
+        }
 
 
 def _lattice_scanner(n: Lattice) -> _BoxScanner:
@@ -140,24 +143,16 @@ def _lattice_scanner(n: Lattice) -> _BoxScanner:
     return _BoxScanner(n.dim, list(zip(*adj)), abs(det))
 
 
-def _branch(scanner: _BoxScanner) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
-    counts, points = _scan(scanner)
-    return points, scanner.reach, {
-        tuple(i + 1 for i in range(scanner.dim) if s >> i & 1): count
-        for s, count in enumerate(counts.tolist()) if s
-    }
-
-
 def brute_branch(n: Lattice) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
     """(minimal points of the union of singular-face interiors, axis reaches
     c_1..c_d, index of every nonempty face keyed by its indices).
 
-    One :func:`_scan` of the reach box [0, c_1] x ... x [0, c_d], each c_k
-    read off the adjugate; a face is singular when its index is above 1.
-    The box holds every minimal point: subtracting c_k e_k from a point
-    beyond it stays in the same face interior.
+    One :meth:`_BoxScanner.answer` over the reach box [0, c_1] x ... x
+    [0, c_d], each c_k read off the adjugate; a face is singular when its
+    index is above 1.  The box holds every minimal point: subtracting
+    c_k e_k from a point beyond it stays in the same face interior.
     """
-    return _branch(_lattice_scanner(n))
+    return _lattice_scanner(n).answer()
 
 
 def brute_exponents(dim: int, exponents) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
@@ -167,7 +162,7 @@ def brute_exponents(dim: int, exponents) -> tuple[list[tuple[int, ...]], list[in
     exponent det, so det divides [M : Z^d] = [Z^d : N]."""
     det = math.lcm(*(x.denominator for lam in exponents for x in lam))
     gens = [[x.numerator * (det // x.denominator) for x in lam] for lam in exponents]
-    return _branch(_BoxScanner(dim, gens, det))
+    return _BoxScanner(dim, gens, det).answer()
 
 
 def brute_face_index(n: Lattice, indices) -> int:
@@ -192,4 +187,4 @@ def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
         if c > bound:
             msg = f"no lattice point on axis {k + 1} within bound {bound}"
             raise DomainError("BOUND_TOO_SMALL", msg)
-    return [RatVec(x) for x in _scan(scanner)[1]]
+    return [RatVec(x) for x in scanner.answer()[0]]

@@ -32,11 +32,11 @@ from qonash import (
     singular_faces,
     standard_lattice,
 )
-from qonash import conegeom, oracle
+from qonash import conegeom, intlat, oracle
 from qonash.conegeom import face_table, minimal_singular_points
 from qonash.intlat import face_sections, lattice_from_scaled, section
 from qonash.oracle import _adjugate, _lattice_scanner, brute_face_index
-from helpers import lat, vec
+from helpers import lat, random_lattice, scale_axis, vec
 from towers import random_branch, random_branches
 
 
@@ -81,26 +81,31 @@ class TestFaceData:
             for k in (1, 2):
                 assert face_data(n, (k,)).regular
 
+    def test_one_section_per_distinct_face(self, monkeypatch):
+        # A face and each of its axes need one Hermite section apiece, and a
+        # singleton face is its own one axis: |F| + 1 sections, or 1.
+        built = []
+        monkeypatch.setattr(intlat, "section", lambda n, f: built.append(f) or section(n, f))
+        n3 = lat((4, 0, 0), (3, 1, 0), (1, 2, 5))
+        for call, n, idx, count in [
+            (face_data, N_MOD4, (1,), 1),
+            (face_data, n3, (3,), 1),
+            (barycenter, N_MOD4, (2,), 1),
+            (parallelepiped_points, n3, (1,), 1),
+            (face_data, N_MOD4, (1, 2), 3),
+            (face_data, N_MOD4, (2, 1, 2), 3),
+            (face_data, n3, (1, 3), 3),
+            (face_data, n3, (1, 2, 3), 4),
+        ]:
+            built.clear()
+            call(n, idx)
+            assert len(built) == len(set(built)) == count, (call.__name__, idx, built)
+
     def test_bad_indices(self):
         with pytest.raises(DomainError):
             face_data(Z2, (0, 1))
         with pytest.raises(DomainError):
             face_data(Z2, (3,))
-
-
-def random_lattice(rng, d, denom):
-    """A full-rank lattice spanned by d + 1 random vectors over denom, drawn
-    again until it is integral exactly when denom is 1."""
-    while True:
-        gens = [
-            RatVec(F(rng.randint(-6, 6), denom) for _ in range(d)) for _ in range(d + 1)
-        ]
-        try:
-            n = lattice_from_generators(gens)
-        except DomainError:
-            continue
-        if (n.denom > 1) == (denom > 1):
-            return n
 
 
 class TestIntegerEdgeGenerators:
@@ -452,6 +457,17 @@ def test_axis_permutation_at_scale(d, order):
     moved = rung_s_min(tuple(exponent[i] for i in order))
     assert moved == sorted(tuple(p[i] for i in order) for p in unmoved_s_min(d))
     assert len(moved) == size
+
+
+@pytest.mark.parametrize("d, i, k", [(3, 1, 3), (4, 3, 2)], ids=str)
+def test_axis_scaling_at_scale(d, i, k):
+    # Multiplying coordinate i of a rung's N by k keeps every face index and
+    # multiplies S_min's coordinate i by k, as TestMetamorphic checks on
+    # small lattices.
+    n = build_tower(BranchSpec(d, (vec(*RUNGS[d][0]),))).N
+    m = lattice_from_scaled(1, [scale_axis(r, i, k) for r in n.scaled_basis])
+    assert [f.index for f in face_table(m)] == [f.index for f in face_table(n)]
+    assert minimal_toric_divisors(m) == [scale_axis(p, i, k) for p in unmoved_s_min(d)]
 
 
 class TestUndominatedMemory:

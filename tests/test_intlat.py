@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qonash import (
     DomainError,
-    Lattice,
     RatVec,
     contains,
     dual_lattice,
@@ -319,26 +318,8 @@ class TestIndex:
             checked += 1
 
 
-def _det(rows) -> F:
-    """Determinant by Fraction Gaussian elimination."""
-    a = [[F(x) for x in row] for row in rows]
-    det = F(1)
-    for k in range(len(a)):
-        piv = next((r for r in range(k, len(a)) if a[r][k]), None)
-        if piv is None:
-            return F(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for r in range(k + 1, len(a)):
-            f = a[r][k] / a[k][k]
-            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return det
-
-
 def _covolume(l) -> F:
-    """|det| of the lattice's basis rows, by Fraction elimination."""
+    """|det| of the lattice's basis rows, by the Leibniz :func:`_det`."""
     return abs(_det([v.coords for v in l.basis]))
 
 

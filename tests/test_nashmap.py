@@ -30,8 +30,9 @@ from qonash import (
 )
 from qonash import conegeom, nashmap
 from qonash.cli import parse_variety
+from qonash.intlat import lattice_from_scaled
 from qonash.nashmap import lemma_min_diagnostics
-from helpers import cross_branch, lat, vec, vectors
+from helpers import cross_branch, lat, random_lattice, scale_axis, vec, vectors
 from towers import random_branches
 
 
@@ -782,6 +783,32 @@ class TestMetamorphic:
                 assert got == [insert_zero(p, k) for p in s_min], (spec, k)
                 cases[d + 1] += 1
         assert cases[8] > 0 and sum(cases.values()) > 200, cases
+
+    def test_axis_scaling(self):
+        # Multiplying coordinate i of N by k maps N's points in the quadrant
+        # onto those of the scaled lattice, keeping the order: every face
+        # index stays, and S_min's coordinate i is multiplied by k.  The main
+        # path sees other sections, staircases and caps on the way.
+        rng = random.Random(5)
+        lattices, walked = [], Counter()
+        for d in range(2, 6):
+            lattices += [l.N for _, l in random_branches(40, seed=440 + d, dims=(d,))]
+            lattices += [random_lattice(rng, d, 1) for _ in range(40)]
+        for n in lattices:
+            faces = conegeom.face_table(n)
+            s_min = conegeom.minimal_singular_points(n, faces)
+            walked[n.dim] += sum(sum(map(bool, p)) > 2 for p in s_min)
+            for i in range(n.dim):
+                for k in (2, 3, 5):
+                    m = lattice_from_scaled(1, [scale_axis(r, i, k) for r in n.scaled_basis])
+                    scaled = conegeom.face_table(m)
+                    assert [(f.indices, f.index) for f in scaled] == [
+                        (f.indices, f.index) for f in faces
+                    ], (n, i, k)
+                    got = conegeom.minimal_singular_points(m, scaled)
+                    assert got == [scale_axis(p, i, k) for p in s_min], (n, i, k)
+        # S_min points off the 2-faces, which only the capped walk finds.
+        assert len(lattices) == 320 and all(walked[d] for d in (3, 4, 5)), walked
 
     @pytest.mark.parametrize("case", ["reducible", "smooth"])
     def test_branch_order(self, case):

@@ -9,7 +9,7 @@ enumeration size only and do not change which lattice shapes can appear.
 from fractions import Fraction
 import random
 
-from qonash import BranchSpec, RatVec, build_tower, contains, primitive_on_ray
+from qonash import BranchSpec, RatVec, build_tower, primitive_on_ray
 
 DENOMS = (2, 3, 4, 5, 6, 7, 8)
 
