@@ -339,46 +339,37 @@ def _oracle_check(result: VarietyReport, dim: int) -> None:
             raise DomainError("ORACLE_MISMATCH", msg, branch=report.label)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for the limits: an int of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qonash",
+        usage="%(prog)s analyze FILE [options]",
         description=(
             "Essential divisors and Nash components of quasi-ordinary "
             "hypersurface germs, from characteristic exponent data."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    analyze = sub.add_parser("analyze", help="analyze a variety description file")
-    analyze.add_argument("file", help="JSON description file, or - for stdin")
-    analyze.add_argument(
+    parser.add_argument(
+        "command", choices=("analyze",), help="analyze a variety description file"
+    )
+    parser.add_argument("file", help="JSON description file, or - for stdin")
+    parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
-    analyze.add_argument(
+    parser.add_argument(
         "--oracle-check",
         action="store_true",
         help="recompute core results by brute force and fail on mismatch",
     )
-    analyze.add_argument(
+    parser.add_argument(
         "--max-dim",
-        type=_positive_int,
+        type=int,
         default=8,
         help="refuse inputs above this dimension",
     )
-    analyze.add_argument(
+    parser.add_argument(
         "--max-index",
-        type=_positive_int,
+        type=int,
         default=10**5,
         help=(
             "cap on each branch's candidate points: the sum of the index over "
@@ -400,6 +391,9 @@ def _stderr(line: str) -> None:
 
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
+    for option, value in (("--max-dim", args.max_dim), ("--max-index", args.max_index)):
+        if value < 1:
+            _parser().error(f"argument {option}: must be a positive integer, got {value}")
 
     try:
         if args.file == "-":

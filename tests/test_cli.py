@@ -375,6 +375,39 @@ def test_limits_must_be_positive(capsys, option, value, message):
     assert f"argument {option}: {message}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"]])
+def test_help_names_every_option(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for option in ("--format", "--oracle-check", "--max-dim", "--max-index"):
+        assert option in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyse", str(CORPUS / "whitney.json")], "argument command: invalid choice: 'analyse'"),
+        (
+            ["analyze", "/nonexistent.json", "--max-index", "0"],
+            "argument --max-index: must be a positive integer, got 0",
+        ),
+    ],
+    ids=["command", "limit"],
+)
+def test_usage_error_before_input_read(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qonash analyze")
+    assert message in captured.err
+    assert "cannot read input" not in captured.err
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -975,7 +1008,7 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     real = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))  # the subparser is "qonash analyze"
+        built.append(kwargs.get("prog"))  # one parser, "qonash", for the one command
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)

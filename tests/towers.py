@@ -13,7 +13,7 @@ from qonash import BranchSpec, RatVec, build_tower, primitive_on_ray
 
 DENOMS = (2, 3, 4, 5, 6, 7, 8)
 
-# Work caps: candidates in one face box, and in the oracle's full box scan.
+# Work caps: candidates in one face box, and a cube bounding the oracle's box scan.
 MAX_FACE_BOX = 150_000
 MAX_ORACLE_BOX = 2_500_000
 
@@ -68,6 +68,10 @@ def random_branch(rng: random.Random, dims=(2, 3, 4), max_index=200):
             box *= c
         if box > MAX_FACE_BOX:
             continue
+        # The oracle scans the reach box, prod(c_k + 1) cells, and this
+        # cube bounds it.  The cap stays the cube: perfbench/workloads.py
+        # builds the pinned `towers` inputs from this generator, and another
+        # cap would admit other towers.
         oracle_box = (max(reach) + 1) ** d
         if oracle_box > MAX_ORACLE_BOX:
             continue
