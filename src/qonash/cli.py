@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from .errors import DomainError, SchemaError
-from .intlat import MAX_DIM, Lattice, RatVec
+from .intlat import MAX_DIM, Lattice, RatVec, is_index, is_int
 from .nashmap import (
     BranchInput,
     BranchReport,
@@ -51,16 +51,12 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_rational(value, path: str) -> Fraction:
     _expect(
         isinstance(value, list) and len(value) == 2, path, "expected a [num, den] pair"
     )
     num, den = value
-    _expect(_is_int(num) and _is_int(den), path, "num and den must be integers")
+    _expect(is_int(num) and is_int(den), path, "num and den must be integers")
     _expect(den > 0, path, "denominator must be positive")
     return Fraction(num, den)
 
@@ -78,7 +74,7 @@ def _parse_faces(value, path: str) -> tuple[tuple[int, ...], ...]:
     out = []
     for i, face in enumerate(value):
         _expect(
-            isinstance(face, list) and all(_is_int(x) for x in face),
+            isinstance(face, list) and all(is_int(x) for x in face),
             f"{path}[{i}]",
             "expected a list of integers",
         )
@@ -96,17 +92,13 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     version = doc.get("schema_version", SCHEMA_VERSION)
     _expect(
-        _is_int(version) and version == SCHEMA_VERSION,
+        is_int(version) and version == SCHEMA_VERSION,
         "$.schema_version",
         f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}",
     )
     _known_keys(doc, {"schema_version", "dim", "branches", "contacts"}, "$")
     dim = doc.get("dim")
-    _expect(
-        _is_int(dim) and 1 <= dim <= MAX_DIM,
-        "$.dim",
-        f"dim must be an integer in 1..{MAX_DIM}",
-    )
+    _expect(is_index(dim, MAX_DIM), "$.dim", f"dim must be an integer in 1..{MAX_DIM}")
     raw_branches = doc.get("branches")
     _expect(isinstance(raw_branches, list), "$.branches", "expected a list")
 

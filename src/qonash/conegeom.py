@@ -38,11 +38,9 @@ class Face(namedtuple("Face", "indices primgens reach index section")):
 
 
 def leq_sigma(u, v) -> bool:
-    """Quadrant order on coordinate sequences: u <= v iff v - u >= 0."""
-    if len(u) != len(v):
-        raise DomainError(
-            "DIMENSION_MISMATCH", f"vector dimensions differ: {len(u)} vs {len(v)}"
-        )
+    """Quadrant order on coordinate sequences of one dimension
+    (:func:`intlat.same_dim`): u <= v iff v - u >= 0."""
+    intlat.same_dim(len(u), len(v))
     return all(map(le, u, v))
 
 
@@ -69,11 +67,10 @@ def _classify(n: Lattice, sections, faces) -> list[Face]:
 
 
 def face_data(n: Lattice, indices) -> Face:
-    """Edge generators, index, regularity and section of a quadrant face."""
-    idx = tuple(indices)  # checked before the set, where True would merge with 1
-    if not all(intlat.is_index(i, n.dim) for i in idx):
-        raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
-    idx = tuple(sorted(set(idx)))
+    """Edge generators, index, regularity and section of a quadrant face,
+    the zero face included, its coordinates checked by
+    :func:`intlat.face_indices`."""
+    idx = intlat.face_indices(indices, n.dim, empty=True)
     sections = {f: intlat.section(n, f) for f in {idx, *((i,) for i in idx)}}
     return _classify(n, sections, [idx])[0]
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations
 from math import gcd, lcm, prod
-from operator import ge
 
 from .errors import DomainError
 
@@ -24,10 +23,31 @@ MAX_DIM = 16
 RatLike = int | str | Fraction
 
 
+def is_int(value) -> bool:
+    """Whether value is an int but not a bool, which would merge with 1 in a set."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_index(value, top: int) -> bool:
-    """Whether value is an int in 1..top.  A bool is an int to isinstance,
-    and True would merge with 1 in a set, but it is no index."""
-    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= top
+    """Whether value is an int (:func:`is_int`) in 1..top."""
+    return is_int(value) and 1 <= value <= top
+
+
+def face_indices(raw, dim: int, name: str = "face indices", *, empty: bool = False):
+    """The face of the coordinates ``raw``, sorted and distinct.  Each must be
+    an index in 1..dim, and ``raw`` nonempty unless ``empty`` admits the
+    zero face, or it is refused with BAD_FACE "<name> <raw> not within
+    1..dim".  The check runs before the set, where True would merge with 1."""
+    raw = tuple(raw)
+    if not (raw or empty) or not all(is_index(i, dim) for i in raw):
+        raise DomainError("BAD_FACE", f"{name} {raw} not within 1..{dim}")
+    return tuple(sorted(set(raw)))
+
+
+def same_dim(a: int, b: int, what: str = "vector") -> None:
+    """Refuse unequal dimensions a and b of two ``what``s with DIMENSION_MISMATCH."""
+    if a != b:
+        raise DomainError("DIMENSION_MISMATCH", f"{what} dimensions differ: {a} vs {b}")
 
 
 def _as_fraction(value: RatLike) -> Fraction:
@@ -82,11 +102,7 @@ class RatVec:
         return RatVec(q * a for a in self.coords)
 
     def dot(self, other: "RatVec") -> Fraction:
-        if len(self.coords) != len(other.coords):
-            raise DomainError(
-                "DIMENSION_MISMATCH",
-                f"vector dimensions differ: {len(self.coords)} vs {len(other.coords)}",
-            )
+        same_dim(len(self.coords), len(other.coords))
         return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
 
     def is_zero(self) -> bool:
@@ -111,9 +127,7 @@ class RatVec:
 
 
 def _to_int(value) -> int:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"integer expected, got {value!r}")
-    if isinstance(value, int):
+    if is_int(value):
         return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
@@ -311,10 +325,7 @@ def lattice_from_scaled(denom: int, int_rows: list[list[int]]) -> Lattice:
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     """Smallest lattice containing both summands."""
-    if a.dim != b.dim:
-        raise DomainError(
-            "DIMENSION_MISMATCH", f"lattice dimensions differ: {a.dim} vs {b.dim}"
-        )
+    same_dim(a.dim, b.dim, "lattice")
     denom = lcm(a.denom, b.denom)
     rows = [[x * denom // l.denom for x in r] for l in (a, b) for r in l.scaled_basis]
     return lattice_from_scaled(denom, rows)
@@ -351,10 +362,7 @@ def contains(l: Lattice, v: RatVec) -> bool:
 def index(sub: Lattice, sup: Lattice) -> int:
     """Index [sup : sub] of a finite-index sublattice: the ratio of the
     covolumes, each the product of the Hermite pivots over denom**d."""
-    if sub.dim != sup.dim:
-        raise DomainError(
-            "DIMENSION_MISMATCH", f"lattice dimensions differ: {sub.dim} vs {sup.dim}"
-        )
+    same_dim(sub.dim, sup.dim, "lattice")
     for row in sub.basis:
         if not contains(sup, row):
             raise DomainError(
@@ -372,16 +380,15 @@ def index(sub: Lattice, sup: Lattice) -> int:
 def section(l: Lattice, idx) -> list[tuple[int, ...]]:
     """Hermite basis of denom times the lattice points supported on a face.
 
-    ``idx`` lists the face's coordinates (1-based, strictly ascending), or
-    the face is refused with BAD_FACE.  In the column order with them
-    first, the leading len(idx) rows of the Hermite form are the HNF of that
-    section (Cohen, GTM 138, 2.4); they come back in ambient order, row r
-    pivoting at coordinate idx[r].
+    ``idx`` lists the face's coordinates (1-based, strictly ascending; the
+    zero face is admitted), or the face is refused with BAD_FACE, as by
+    :func:`face_indices`.  In the column order with them first, the leading
+    len(idx) rows of the Hermite form are the HNF of that section (Cohen,
+    GTM 138, 2.4); they come back in ambient order, row r pivoting at
+    coordinate idx[r].
     """
     idx = tuple(idx)
-    if not all(is_index(i, l.dim) for i in idx):
-        raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{l.dim}")
-    if any(map(ge, idx, idx[1:])):
+    if face_indices(idx, l.dim, empty=True) != idx:
         raise DomainError("BAD_FACE", f"face indices {idx} not strictly ascending")
     rest = [j for j in range(l.dim) if j + 1 not in idx]
     return _hnf_core(l.scaled_basis, [i - 1 for i in idx] + rest)[: len(idx)]

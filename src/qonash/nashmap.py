@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
+from functools import wraps
 
 from . import conegeom, qobranch
 from .conegeom import Face, leq_sigma
 from .errors import DomainError
-from .intlat import Lattice, RatVec, is_index
+from .intlat import Lattice, RatVec, face_indices
 from .qobranch import BranchLattices
 
 
@@ -127,8 +128,8 @@ def essential_divisors(
     n: Lattice, relevant
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[Diagnostic]]:
     """Split the essential divisors over the relevant faces, given as index
-    sequences in any order, into E and V; an empty face, or an index that is
-    a bool or outside 1..d, is refused with BAD_FACE.
+    sequences in any order, into E and V; each face is checked by
+    :func:`intlat.face_indices`.
 
     E holds the barycenters of the regular relevant faces; V holds the
     minimal singular-face lattice points not strictly dominated by a
@@ -136,7 +137,7 @@ def essential_divisors(
     list is sorted.  Their union is the full set of essential divisors
     relative to B, and equals the image of the Nash components.
     """
-    chosen = set(_check_face_list(n.dim, relevant, kind="relevant", label=""))
+    chosen = set(_check_face_list(n.dim, relevant, "relevant"))
     faces = conegeom.face_table(n)
     return _split(n, faces, [f for f in faces if f.indices in chosen])
 
@@ -164,23 +165,37 @@ def _split(n: Lattice, faces, relevant):
     return e_points, s_min, diagnostics
 
 
-def _check_face_list(dim: int, faces, *, kind: str, label: str) -> tuple[tuple[int, ...], ...]:
+def _check_face_list(dim: int, faces, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Each face checked by :func:`intlat.face_indices` as a "<kind> face";
+    a singular-locus face must also have one, two or all dim coordinates."""
     out = []
-    for raw in map(tuple, faces):
-        if not raw or not all(is_index(i, dim) for i in raw):
-            raise DomainError("BAD_FACE", f"{kind} face {raw} not within 1..{dim}", branch=label)
-        idx = tuple(sorted(set(raw)))
+    for raw in faces:
+        idx = face_indices(raw, dim, f"{kind} face")
         if kind == "singular-locus" and len(idx) > 2 and len(idx) != dim:
             raise DomainError(
                 "BAD_FACE",
                 f"singular-locus face {idx} must have one or two indices "
                 f"(or all {dim} for a point singularity)",
-                branch=label,
             )
         out.append(idx)
     return tuple(out)
 
 
+def _names_branch(step):
+    """A per-branch step ``step(branch, ...)`` whose every DomainError names
+    the branch: one that names none yet is raised again with its label."""
+    @wraps(step)
+    def named(branch: BranchInput, *args):
+        try:
+            return step(branch, *args)
+        except DomainError as exc:
+            if exc.branch is not None:
+                raise
+            raise DomainError(exc.code, exc.message, branch=branch.spec.label) from None
+    return named
+
+
+@_names_branch
 def _prepare(branch: BranchInput, max_points: int | None):
     """Tower and face table of a branch, refused with LIMIT_EXCEEDED before
     any enumeration if its candidate points, sum(index) over the singular
@@ -203,7 +218,6 @@ def _prepare(branch: BranchInput, max_points: int | None):
             "LIMIT_EXCEEDED",
             f"degree or a lattice entry has more than {limit} digits, more "
             f"than Python writes (sys.get_int_max_str_digits())",
-            branch=branch.spec.label,
         ) from None
     faces = conegeom.face_table(lattices.N)
     points = sum(f.index for f in faces if not f.regular)
@@ -211,7 +225,6 @@ def _prepare(branch: BranchInput, max_points: int | None):
         raise DomainError(
             "LIMIT_EXCEEDED",
             f"{points} candidate points above --max-index {max_points}",
-            branch=branch.spec.label,
         )
     return lattices, faces
 
@@ -232,15 +245,16 @@ def analyze_branch(
     return _analyze(branch, *_prepare(branch, max_points))
 
 
+@_names_branch
 def _analyze(
     branch: BranchInput, lattices: BranchLattices, faces: tuple[Face, ...]
 ) -> BranchReport:
-    label = branch.spec.label
+    """The report of a branch from its :func:`_prepare` result."""
     n = lattices.N
     d = branch.spec.dim
 
-    sing_faces = _check_face_list(d, branch.sing_faces, kind="singular-locus", label=label)
-    extra_faces = _check_face_list(d, branch.extra_faces, kind="extra", label=label)
+    sing_faces = _check_face_list(d, branch.sing_faces, "singular-locus")
+    extra_faces = _check_face_list(d, branch.extra_faces, "extra")
     raw: list[tuple[int, ...]] = list(sing_faces) + list(extra_faces)
     for contact in branch.contacts:
         if contact.exponent.dim != d:
@@ -248,12 +262,8 @@ def _analyze(
                 "DIMENSION_MISMATCH",
                 f"contact exponent {contact.exponent} has dimension "
                 f"{contact.exponent.dim}, expected {d}",
-                branch=label,
             )
-        try:
-            raw.extend(contact_faces(contact.exponent))
-        except DomainError as exc:
-            raise DomainError(exc.code, exc.message, branch=label) from None
+        raw.extend(contact_faces(contact.exponent))
     components = componentize(raw)
     relevant = tuple(f for f in faces if f.indices in components)
 
@@ -263,7 +273,6 @@ def _analyze(
             "B_MISSING_SING",
             "the normalization is singular but no singular-locus faces were "
             "supplied; B must contain the singular locus",
-            branch=label,
         )
 
     e_points, s_min, diagnostics = _split(n, faces, relevant)
@@ -275,7 +284,7 @@ def _analyze(
             )
         ]
     return BranchReport(
-        label=label,
+        label=branch.spec.label,
         char_exponents=branch.spec.char_exponents,
         lattices=lattices,
         relevant=relevant,
@@ -287,44 +296,40 @@ def _analyze(
 
 
 def _check_contact_symmetry(branches) -> None:
+    """Unique labels first, then :func:`_check_contacts` branch by branch."""
     labels = Counter(b.spec.label for b in branches)
     dupes = [l for l, count in labels.items() if count > 1]
     if dupes:
         raise DomainError("DUPLICATE_LABEL", f"branch labels not unique: {sorted(dupes)}")
     pairs = {(b.spec.label, c.partner) for b in branches for c in b.contacts}
     for b in branches:
-        seen = set()
-        for contact in b.contacts:
-            partner = contact.partner
-            if partner is None:
-                raise DomainError(
-                    "ASYMMETRIC_CONTACT",
-                    "contact without a partner label cannot be matched",
-                    branch=b.spec.label,
-                )
-            if partner == b.spec.label:
-                raise DomainError(
-                    "SELF_CONTACT", "a branch cannot meet itself", branch=b.spec.label
-                )
-            if partner not in labels:
-                raise DomainError(
-                    "UNKNOWN_BRANCH",
-                    f"contact names unknown branch {partner!r}",
-                    branch=b.spec.label,
-                )
-            if partner in seen:
-                raise DomainError(
-                    "DUPLICATE_CONTACT",
-                    f"more than one contact listed for branch {partner!r}",
-                    branch=b.spec.label,
-                )
-            seen.add(partner)
-            if (partner, b.spec.label) not in pairs:
-                raise DomainError(
-                    "ASYMMETRIC_CONTACT",
-                    f"branch {b.spec.label!r} lists a contact with {partner!r} "
-                    f"but not conversely",
-                )
+        _check_contacts(b, labels, pairs)
+
+
+@_names_branch
+def _check_contacts(branch: BranchInput, labels, pairs) -> None:
+    """Each contact of a branch names another known branch, once, and that
+    branch lists a contact back: ``pairs`` holds every (label, partner)."""
+    seen = set()
+    for contact in branch.contacts:
+        partner = contact.partner
+        if partner is None:
+            raise DomainError(
+                "ASYMMETRIC_CONTACT", "contact without a partner label cannot be matched"
+            )
+        if partner == branch.spec.label:
+            raise DomainError("SELF_CONTACT", "a branch cannot meet itself")
+        if partner not in labels:
+            raise DomainError("UNKNOWN_BRANCH", f"contact names unknown branch {partner!r}")
+        if partner in seen:
+            raise DomainError(
+                "DUPLICATE_CONTACT", f"more than one contact listed for branch {partner!r}"
+            )
+        seen.add(partner)
+        if (partner, branch.spec.label) not in pairs:
+            raise DomainError(
+                "ASYMMETRIC_CONTACT", f"lists a contact with {partner!r} but not conversely"
+            )
 
 
 def analyze_variety(

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .intlat import Lattice, RatVec, is_index
+from .intlat import Lattice, RatVec, face_indices, is_int
 
 # Hard ceiling on scanned box cells; the oracle is a checking tool, not a
 # production path, and anything bigger than this is a mistake.
@@ -169,18 +169,17 @@ def brute_face_index(n: Lattice, indices) -> int:
     """Count lattice points in the half-open edge box of a face, by box scan.
 
     Equals the lattice index underlying the face's regularity flag: the face
-    is regular exactly when the count is 1.  Read off :func:`brute_branch`.
+    is regular exactly when the count is 1.  Read off :func:`brute_branch`,
+    the face checked by :func:`intlat.face_indices` before the scan.
     """
-    idx = tuple(indices)  # checked before the set, where True would merge with 1
-    if not idx or not all(is_index(i, n.dim) for i in idx):
-        raise DomainError("BAD_FACE", f"face indices {idx} not within 1..{n.dim}")
-    return brute_branch(n)[2][tuple(sorted(set(idx)))]
+    face = face_indices(indices, n.dim)
+    return brute_branch(n)[2][face]
 
 
 def brute_minimal_S(n: Lattice, bound: int) -> list[RatVec]:
     """Minimal points of the union of singular-face interiors, by box search;
     ``bound`` must reach every axis reach c_k, checked before the scan."""
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+    if not is_int(bound) or bound < 1:
         raise DomainError("BOUND_TOO_SMALL", "bound must be a positive integer")
     scanner = _lattice_scanner(n)
     for k, c in enumerate(scanner.reach):

@@ -741,7 +741,7 @@ def _sheets(labels, contacts):
             ["a", "b"],
             [("a", "b"), ("b", "b")],
             1,
-            "[ASYMMETRIC_CONTACT] branch 'a' lists a contact with 'b' but not conversely",
+            "[ASYMMETRIC_CONTACT] branch 'a': lists a contact with 'b' but not conversely",
         ),
         (
             ["a", "b"],
@@ -754,6 +754,17 @@ def _sheets(labels, contacts):
 def test_error_precedence(tmp_path, capsys, labels, contacts, code, line):
     path = _write(tmp_path, _sheets(labels, contacts))
     assert run_cli(capsys, "analyze", path) == (code, "", f"qonash: error: {line}\n")
+
+
+def test_zero_contact_exit_names_branch(tmp_path, capsys):
+    doc = _sheets(["a", "b"], [("a", "b"), ("b", "a")])
+    doc["contacts"][0]["exponent"] = [[0, 1], [0, 1]]
+    assert run_cli(capsys, "analyze", _write(tmp_path, doc)) == (
+        1,
+        "",
+        "qonash: error: [ZERO_CONTACT] branch 'a': zero contact exponent: a unit "
+        "cuts out nothing, the branches do not meet\n",
+    )
 
 
 def primes(count):

@@ -17,6 +17,7 @@ from qonash import (
     index,
     lattice_from_generators,
     lattice_sum,
+    leq_sigma,
     primitive_on_ray,
     snf,
     standard_lattice,
@@ -205,6 +206,44 @@ class TestLatticeConstruction:
     def test_generator_order_irrelevant(self, gens):
         reference = lattice_from_generators([RatVec(g) for g in gens])
         assert reference == lat((1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 2, 1), (1, 1, 1))
+
+
+class TestInputRules:
+    """The exact refusals of the shared input rules and of the generator and
+    Hermite-form entry points."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: vec(1, 2).dot(vec(1, 2, 3)), "vector dimensions differ: 2 vs 3"),
+            (lambda: leq_sigma((1, 2, 3), (1, 2)), "vector dimensions differ: 3 vs 2"),
+            (lambda: lattice_sum(Z2, standard_lattice(3)), "lattice dimensions differ: 2 vs 3"),
+            (lambda: index(standard_lattice(3), Z2), "lattice dimensions differ: 3 vs 2"),
+        ],
+    )
+    def test_dimensions_differ(self, call, message):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert (err.value.code, err.value.message) == ("DIMENSION_MISMATCH", message)
+
+    @pytest.mark.parametrize(
+        "gens, code, message",
+        [
+            ([], "NOT_FULL_RANK", "no generators given"),
+            ([vec(1, 0), vec(0, 1, 0)], "DIMENSION_MISMATCH", "generators of mixed dimension"),
+        ],
+    )
+    def test_generators_refused(self, gens, code, message):
+        with pytest.raises(DomainError) as err:
+            lattice_from_generators(gens)
+        assert (err.value.code, err.value.message) == (code, message)
+
+    def test_hnf_entries(self):
+        # An integral Fraction is an integer entry; no other non-int is.
+        assert hnf([[F(2), 0], [0, 3]]) == [(2, 0), (0, 3)]
+        for bad in (F(1, 2), True, 1.0):
+            with pytest.raises(TypeError, match="integer expected"):
+                hnf([[bad, 0], [0, 3]])
 
 
 class TestLatticeSum:

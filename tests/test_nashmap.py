@@ -350,7 +350,7 @@ def sheets(**partners):
         (sheets(a=["a", "b"], b=[]), "[SELF_CONTACT] branch 'a': a branch cannot meet itself"),
         (
             sheets(a=["b"], b=["b"]),
-            "[ASYMMETRIC_CONTACT] branch 'a' lists a contact with 'b' but not conversely",
+            "[ASYMMETRIC_CONTACT] branch 'a': lists a contact with 'b' but not conversely",
         ),
         (
             sheets(a=[None, "a"]),
@@ -369,7 +369,7 @@ def sheets(**partners):
         # the next contact's duplicate.
         (
             sheets(a=["b", "b"], b=[]),
-            "[ASYMMETRIC_CONTACT] branch 'a' lists a contact with 'b' but not conversely",
+            "[ASYMMETRIC_CONTACT] branch 'a': lists a contact with 'b' but not conversely",
         ),
         (
             sheets(a=["b"], b=["a", "a", "c"], c=[]),
@@ -381,6 +381,96 @@ def test_contact_error_precedence(branches, error):
     with pytest.raises(DomainError) as err:
         analyze_variety(branches)
     assert str(err.value) == error
+
+
+HALF = vec(F(1, 2), F(1, 2))
+
+
+def branch_a(exps=(HALF,), sing=((1, 2),), dim=2, **kwargs):
+    """Branch 'a', by default the cone x^2 = y1 y2 with its singular point."""
+    return BranchInput(BranchSpec(dim, exps, "a"), sing, **kwargs)
+
+
+def meeting(exponent):
+    """Branch 'a' meeting the smooth sheet 'b', whose contact is (1, 1)."""
+    return [
+        branch_a(contacts=(Contact(exponent, "b"),)),
+        BranchInput(BranchSpec(2, (), "b"), contacts=(Contact(vec(1, 1), "a"),)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "branches, max_points, code, message",
+    [
+        ([branch_a(sing=((0,),))], None, "BAD_FACE", "singular-locus face (0,) not within 1..2"),
+        ([branch_a(extra_faces=((3,),))], None, "BAD_FACE", "extra face (3,) not within 1..2"),
+        (
+            [branch_a((), ((1, 2, 3),), dim=4)],
+            None,
+            "BAD_FACE",
+            "singular-locus face (1, 2, 3) must have one or two indices "
+            "(or all 4 for a point singularity)",
+        ),
+        (
+            [branch_a(sing=())],
+            None,
+            "B_MISSING_SING",
+            "the normalization is singular but no singular-locus faces were "
+            "supplied; B must contain the singular locus",
+        ),
+        (
+            meeting(vec(1, 1, 1)),
+            None,
+            "DIMENSION_MISMATCH",
+            "contact exponent (1, 1, 1) has dimension 3, expected 2",
+        ),
+        (
+            meeting(vec(0, 0)),
+            None,
+            "ZERO_CONTACT",
+            "zero contact exponent: a unit cuts out nothing, the branches do not meet",
+        ),
+        (
+            meeting(vec(-1, 1)),
+            None,
+            "NEGATIVE_EXPONENT",
+            "contact exponent (-1, 1) has a negative coordinate",
+        ),
+        ([branch_a()], 1, "LIMIT_EXCEEDED", "2 candidate points above --max-index 1"),
+        (
+            [branch_a((vec(1, 0),))],
+            None,
+            "NOT_CHARACTERISTIC",
+            "exponent 1 = (1, 0) already lies in the lattice generated by the earlier ones",
+        ),
+        (sheets(a=["a"]), None, "SELF_CONTACT", "a branch cannot meet itself"),
+        (sheets(a=["ghost"]), None, "UNKNOWN_BRANCH", "contact names unknown branch 'ghost'"),
+        (
+            sheets(a=["b", "b"], b=["a"]),
+            None,
+            "DUPLICATE_CONTACT",
+            "more than one contact listed for branch 'b'",
+        ),
+        (
+            sheets(a=[None]),
+            None,
+            "ASYMMETRIC_CONTACT",
+            "contact without a partner label cannot be matched",
+        ),
+        (
+            sheets(a=["b"], b=[]),
+            None,
+            "ASYMMETRIC_CONTACT",
+            "lists a contact with 'b' but not conversely",
+        ),
+    ],
+)
+def test_per_branch_refusal_names_branch(branches, max_points, code, message):
+    # Whichever step refuses it, a labelled branch's error names that branch.
+    with pytest.raises(DomainError) as err:
+        analyze_variety(branches, max_points=max_points)
+    assert (err.value.code, err.value.message, err.value.branch) == (code, message, "a")
+    assert str(err.value) == f"[{code}] branch 'a': {message}"
 
 
 class CountedContacts(tuple):

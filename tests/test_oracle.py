@@ -79,6 +79,15 @@ class TestBruteFaceIndex:
         with pytest.raises(DomainError):
             brute_face_index(N_EVEN, ())
 
+    @pytest.mark.parametrize("idx", [(), (0,), (3,), (True,)])
+    def test_bad_face_refused_before_scan(self, monkeypatch, idx):
+        monkeypatch.setattr(oracle, "_lattice_scanner", None)  # a scan would fail
+        with pytest.raises(DomainError) as err:
+            brute_face_index(N_EVEN, idx)
+        assert (err.value.code, err.value.message) == (
+            "BAD_FACE", f"face indices {idx} not within 1..2"
+        )
+
     def test_one_scan_per_lattice(self, monkeypatch):
         # Every face of a lattice is counted from one scan, and each count
         # is the index the main path's face table holds.

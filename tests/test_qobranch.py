@@ -105,6 +105,13 @@ class TestBuildTower:
             build_tower(spec((0, 0)))
         assert err.value.code == "NOT_CHARACTERISTIC"
 
+    def test_exponent_of_wrong_dimension(self):
+        with pytest.raises(DomainError) as err:
+            build_tower(spec((F(1, 2), F(1, 2), 0), label="x"))
+        assert str(err.value) == (
+            "[DIMENSION_MISMATCH] branch 'x': exponent 1 has dimension 3, expected 2"
+        )
+
     def test_error_names_branch(self):
         with pytest.raises(DomainError) as err:
             build_tower(spec((1, 1), label="culprit"))
