@@ -307,11 +307,8 @@ def render_text(result: VarietyReport, dim: int) -> str:
 
 
 def _oracle_check(result: VarietyReport, dim: int) -> None:
-    # Imported here so that numpy loads only when the check is asked for.
-    try:
-        from . import oracle
-    except ImportError as exc:
-        raise DomainError("ORACLE_UNAVAILABLE", f"--oracle-check needs numpy: {exc}")
+    # Imported here so that the oracle loads only when the check is asked for.
+    from . import oracle
 
     for report in result.branches:
         try:

@@ -16,7 +16,7 @@ class DomainError(ValueError):
       BAD_FACE, SINGULAR_FACE, EMPTY_SUPPORT, ZERO_CONTACT,
       B_MISSING_SING, DUPLICATE_LABEL, UNKNOWN_BRANCH, SELF_CONTACT,
       DUPLICATE_CONTACT, ASYMMETRIC_CONTACT, BOUND_TOO_SMALL, LIMIT_EXCEEDED,
-      ORACLE_MISMATCH, ORACLE_UNAVAILABLE.
+      ORACLE_MISMATCH.
     """
 
     def __init__(self, code: str, message: str, *, branch: str | None = None):

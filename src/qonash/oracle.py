@@ -5,19 +5,18 @@ given by generators g of its dual M over one modulus det, read off the
 characteristic exponents or, for a given N, off an adjugate found here by
 fraction-free elimination: x lies in N exactly when x . g = 0 (mod det) for
 every g, which gives each axis reach c_k in closed form.  N is scanned once,
-in its reach box prod [0, c_k], in slabs along the longest axis, so memory
-stays flat whatever the box's shape; each slab is one comparison with one
-residue table of the other axes.  That one scan counts a branch's face
-indices by support and, by a prefix OR over the hits, finds its minimal
-points.
+in its reach box prod [0, c_k], in slabs of about ``_CHUNK`` cells, so
+memory stays flat whatever the box's shape.  A slab is one Python int with
+a bit for each cell; each row of it takes its members from one congruence
+along the row, solved for the row's one residue.  That one scan counts a
+branch's face indices by support and, by a prefix OR over the hits, finds
+its minimal points, each a few big-int operations a slab.
 Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 from .intlat import Lattice, RatVec, face_indices, is_int
@@ -49,6 +48,45 @@ def _adjugate(mat: list[list[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[d:]] for row in rows], sign * prev
 
 
+def _tile(block: int, width: int, total: int) -> int:
+    """``block`` repeated every ``width`` bits up to bit ``total``."""
+    span = width
+    while span < total:
+        block |= block << span
+        span *= 2
+    return block & ((1 << total) - 1)
+
+
+def _ones(bits: int):
+    """The positions of the set bits of ``bits``, in increasing order."""
+    text = f"{bits:b}"[::-1]
+    at = text.find("1")
+    while at >= 0:
+        yield at
+        at = text.find("1", at + 1)
+
+
+def _row_keys(column: list[int], ranges: list[range]) -> list[int]:
+    """y . column over the rows y of the other axes in ``ranges``, the
+    first fastest."""
+    keys = [0]
+    for span, a in zip(reversed(ranges), reversed(column[1:])):
+        keys = [k + x * a for k in keys for x in span]
+    return keys
+
+
+def _by_support(bits: int, axes) -> dict[int, int]:
+    """The set bits of ``bits`` split by support: each ``(bit, nonzero)`` of
+    ``axes`` moves the bits in ``nonzero`` to the key with ``bit`` set."""
+    parts = {0: bits}
+    for bit, nonzero in axes:
+        for s, part in list(parts.items()):
+            high = part & nonzero
+            if high:
+                parts[s | bit], parts[s] = high, part ^ high
+    return parts
+
+
 class _BoxScanner:
     """Exhaustive membership filter over the reach box of the lattice
     {x in Z^d : x . g = 0 (mod det) for every generator g}."""
@@ -58,39 +96,78 @@ class _BoxScanner:
         # t * e_k is a member exactly when t * g_k = 0 (mod det) for every
         # g, so the least such t > 0, the axis reach c_k, divides det.
         self.reach = [det // math.gcd(det, *(g[k] for g in gens)) for k in range(dim)]
-        # The scan axes, by decreasing reach (ties in index order): slabs cut
-        # the longest, so the residue table of the others is smallest.
-        self.order = sorted(range(dim), key=lambda k: -self.reach[k])
+        # Scan order: rows run along the longest axis that fits in a slab
+        # (else the shortest), so a box has the fewest rows; slabs cut the
+        # longest of the others, so the layer between two cuts is smallest.
+        by_reach = sorted(range(dim), key=lambda k: -self.reach[k])
+        row = next((k for k in by_reach if self.reach[k] < _CHUNK), by_reach[-1])
+        rest = [k for k in by_reach if k != row]
+        self.order = [row, *rest[1:], *rest[:1]]
+        self.shape = [self.reach[k] + 1 for k in self.order]
         # The generators mod det in scan order; those that vanish test nothing.
         columns = ([g[k] % det for k in self.order] for g in gens)
         self.columns = [c for c in columns if any(c)]
+        # Cells in a layer of the last axis, and layers in a slab: about
+        # _CHUNK cells and at least one row, which for d = 1 is the box.
+        self.layer = math.prod(self.shape[:-1])
+        self.step = self.shape[-1]
+        if dim > 1:
+            self.step = min(self.step, max(1, _CHUNK // self.layer))
 
     def slabs(self):
-        """Membership of the reach box prod [0, c_k], capped before any array.
+        """Membership of the reach box prod [0, c_k], capped before any scan.
 
-        Slabs of about ``_CHUNK`` cells (at least one row) along the longest
-        axis come as ``(lo, mask)``: ``mask`` marks the members of the slab
-        from ``(lo, 0, ..., 0)`` in scan order (``self.order``).  The edge
-        lattice lies in N, so det divides prod c_k: every box under the cap
-        has det < MAX_SCAN < 2**31, and products of two residues fit int64.
+        Slabs of ``self.step`` layers along the last axis of scan order
+        (``self.order``) come as ``(lo, bits)``.  With x in scan order and
+        n = ``self.shape``, bit ``x_1 + n_1 (x_2 + ... + n_(d-1) (x_d - lo))``
+        of the int ``bits`` is set exactly when x is a member.
         """
-        shape = [self.reach[k] + 1 for k in self.order]
-        total = math.prod(shape)
+        total = math.prod(self.shape)
         if total > MAX_SCAN:
             msg = f"box of {total} points exceeds the oracle cap"
             raise DomainError("LIMIT_EXCEEDED", msg)
-        det, d = self.det, self.dim
-        # Each generator a, coordinate i at coef[..., i], shaped (columns, 1, ..., 1).
-        coef = np.array(self.columns, dtype=np.int64).reshape(-1, *[1] * d, d)
-        # A cell passes a when x_1 * a_1 = -(x_2 * a_2 + ...) mod det; the
-        # right side is one table of the later axes, (columns, 1, c_2 + 1, ...).
-        later = np.indices(shape[1:], dtype=np.int64, sparse=True)
-        tail = sum(x * coef[..., k] % det for k, x in enumerate(later, 1)) % det
-        step = max(1, _CHUNK * shape[0] // total)
-        for lo in range(0, shape[0], step):
-            first = np.arange(lo, min(lo + step, shape[0]), dtype=np.int64)
-            first = first.reshape(-1, *[1] * (d - 1))
-            yield lo, (-first * coef[..., 0] % det == tail).all(axis=0)
+        det, d, n = self.det, self.dim, self.shape[0]
+        # Subtracting a multiple of one column from another keeps the
+        # lattice, so Euclid on the entries of the row axis leaves one
+        # column, the pivot, with a nonzero entry there at most.
+        cols = [list(c) for c in self.columns]
+        live = [c for c in cols if c[0]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda c: c[0])
+            for c in live:
+                if c is not pivot:
+                    q = c[0] // pivot[0]
+                    c[:] = [(x - q * y) % det for x, y in zip(c, pivot)]
+            live = [c for c in cols if c[0]]
+        pivot = live[0] if live else [0] * d
+        tests = [c for c in cols if c is not pivot and any(c)]
+        # A row, the other coordinates y fixed, has members only where
+        # y . f = 0 (mod det) for every other column f.  There they are the
+        # t in [0, c_1] with t * b = -y . pivot (mod det), b the pivot's row
+        # entry: with g = gcd(det, b), c_1 = det / g, so none unless g
+        # divides y . pivot, else one t below c_1, by the inverse of b / g
+        # mod c_1, and c_1 too when t = 0.
+        g = math.gcd(det, pivot[0])
+        c = det // g
+        inverse = pow(pivot[0] // g, -1, c)
+        for lo in range(0, self.shape[-1], self.step):
+            hi = min(lo + self.step, self.shape[-1])
+            # The rows' values of y . column, the first of the other axes
+            # fastest; a row that fails a test gets None.
+            ranges = [range(m) for m in self.shape[1:-1]] + [range(lo, hi)] if d > 1 else []
+            keys = _row_keys(pivot, ranges)
+            for f in tests:
+                keys = [k if y % det == 0 else None for k, y in zip(keys, _row_keys(f, ranges))]
+            bits = bytearray((len(keys) * n + 7) // 8)
+            for r, k in enumerate(keys):
+                if k is not None and k % g == 0:
+                    t = -(k // g) * inverse % c
+                    at = r * n + t
+                    bits[at >> 3] |= 1 << (at & 7)
+                    if not t:
+                        at += c
+                        bits[at >> 3] |= 1 << (at & 7)
+            yield lo, int.from_bytes(bits, "little")
 
     def answer(self) -> tuple[list[tuple[int, ...]], list[int], dict[tuple, int]]:
         """(minimal hits, sorted; the axis reaches; the index of every
@@ -102,36 +179,74 @@ class _BoxScanner:
         less their corners, and a corner is never minimal, since whatever
         lies above it lies above the other member too.  A hit is minimal
         when the prefix OR of hits is clear one cell below it on every axis.
+        Each step is a few operations on a slab's bits: the axes within a
+        layer shift under masks of their nonzero coordinates, and the last
+        axis shifts by whole layers.
         """
-        d, order = self.dim, self.order
-        reach = [self.reach[k] for k in order]
-        counts = np.zeros(1 << d, dtype=np.int64)
-        # Support bitmasks of the later axes; a slab adds the scan axis's bit past row 0.
-        bit = np.min_scalar_type((1 << d) - 1).type
-        later = np.indices([c + 1 for c in reach[1:]], sparse=True)
-        later = sum((x > 0) * bit(1 << order[k]) for k, x in enumerate(later, 1))
-        # below[1:] marks the cells with a hit at or below them; below[:1] carries
-        # the last row of the slab before, none at first.
-        below = np.zeros((1, *(c + 1 for c in reach[1:])), dtype=bool)
-        back, found = [order.index(k) for k in range(d)], []
-        for lo, hits in self.slabs():
-            first = np.arange(lo, lo + len(hits)).reshape(-1, *[1] * (d - 1)) > 0
-            counts += np.bincount((later + first * bit(1 << order[0]))[hits], minlength=1 << d)
-            # The corners, every coordinate a multiple of c_k, leave the members.
-            hits[tuple(slice(-x % c, None, c) for x, c in zip([lo] + [0] * (d - 1), reach))] = False
-            below = np.concatenate([below[-1:], hits])
-            for axis in range(d):
-                np.logical_or.accumulate(below, axis=axis, out=below)
-            free = hits & ~below[:-1]
-            for axis in range(1, d):
-                lead = (slice(None),) * axis
-                free[lead + (slice(1, None),)] &= ~below[1:][lead + (slice(-1),)]
-            # Back from scan order to coordinates; sorted at the end, as S_min is.
-            rows, *cols = np.nonzero(free)
-            found += zip(*[(rows + lo, *cols)[i].tolist() for i in back])
-        return sorted(found), self.reach, {
+        d, order, shape, layer = self.dim, self.order, self.shape, self.layer
+        # Each axis within a layer: its stride, its mask of x_j > 0, and the
+        # (shift, mask of x_j >= h) of a prefix OR by doubling h, all over a
+        # slab and the layer carried in below it.
+        size = (self.step + 1) * layer
+        axes, stride = [], 1
+        for m in shape[:-1]:
+            nonzero = _tile((1 << m * stride) - (1 << stride), m * stride, size)
+            doubling, h, mask = [], 1, nonzero
+            while h < m:
+                doubling.append((h * stride, mask))
+                mask &= mask << h * stride
+                h *= 2
+            axes.append((stride, nonzero, doubling))
+            stride *= m
+        # The corners of a layer; each axis's support bit, by coordinate,
+        # with its mask of nonzero coordinates (the last axis is zero only
+        # in the box's first layer).
+        corner = 1
+        for m, (stride, _, _) in zip(shape, axes):
+            corner |= corner << (m - 1) * stride
+        supports = [(1 << k, nonzero) for k, (_, nonzero, _) in zip(order, axes)]
+        last = 1 << order[-1]
+        counts, found, carry = [0] * (1 << d), [], 0
+        back = [order.index(k) for k in range(d)]
+        for lo, members in self.slabs():
+            hi = min(lo + self.step, shape[-1])
+            top = (hi - lo) * layer
+            split = _by_support(members, [*supports, (last, -1 if lo else -1 << layer)])
+            for s, part in split.items():
+                counts[s] += part.bit_count()
+            hits = members
+            for x in {0, shape[-1] - 1}:
+                if lo <= x < hi:
+                    hits ^= corner << (x - lo) * layer
+            # Prefix OR of the layer carried from the slab before and this slab.
+            below = carry | hits << layer
+            for _, _, doubling in axes:
+                for shift, mask in doubling:
+                    below |= below << shift & mask
+            h = 1
+            while h <= hi - lo:
+                below |= below << h * layer
+                h *= 2
+            below &= (1 << top + layer) - 1
+            # A hit is blocked by the prefix OR one layer down, or one stride
+            # down on an axis where its coordinate is nonzero.
+            blocked, within = below & ((1 << top) - 1), below >> layer
+            for stride, nonzero, _ in axes:
+                blocked |= within << stride & nonzero
+            carry = below >> top
+            # Back from bit positions in scan order to coordinates; sorted at
+            # the end, as S_min is.
+            for at in _ones(hits & ~blocked):
+                x = []
+                for m in shape[:-1]:
+                    at, r = divmod(at, m)
+                    x.append(r)
+                x.append(at + lo)
+                found.append(tuple(x[i] for i in back))
+        found.sort()
+        return found, self.reach, {
             tuple(i + 1 for i in range(d) if s >> i & 1): count
-            for s, count in enumerate(counts.tolist()) if s
+            for s, count in enumerate(counts) if s
         }
 
 

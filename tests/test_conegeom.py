@@ -6,7 +6,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -657,10 +656,14 @@ class TestMinimalDivisorsOnTowers:
             by_support = {}
             scanner = _lattice_scanner(n)
             back = [scanner.order.index(k) for k in range(n.dim)]
-            for lo, mask in scanner.slabs():
-                points = np.argwhere(mask)
-                points[:, 0] += lo
-                for p in points[:, back].tolist():
+            for lo, bits in scanner.slabs():
+                for at in (i for i in range(bits.bit_length()) if bits >> i & 1):
+                    cell = []
+                    for m in scanner.shape[:-1]:
+                        at, r = divmod(at, m)
+                        cell.append(r)
+                    cell.append(at + lo)
+                    p = [cell[i] for i in back]
                     s = sum(1 << k for k, x in enumerate(p) if x)
                     by_support.setdefault(s, []).append(tuple(p))
             for face in face_table(n):

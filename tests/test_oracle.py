@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from operator import le
@@ -25,7 +27,7 @@ from qonash.oracle import (
     brute_face_index,
     brute_minimal_S,
 )
-from helpers import lat, vec
+from helpers import lat, src_env, vec
 from towers import random_branches
 from test_conegeom import TestMinimalDivisorsOnTowers as TOWERS
 
@@ -209,6 +211,58 @@ def test_residues_packed_into_several_keys():
     n = lat((16, 0, 0, 0), (0, 16, 0, 0), (0, 0, 16, 0), (0, 0, 0, 16), (8, 8, 0, 8))
     assert len(_lattice_scanner(n).columns) == 4
     assert brute_branch(n) == _reference_branch(n)
+
+
+# The edge cases of the scan layout: d = 1, with its one row longer than
+# 128 cells; rows that fall back from a longest axis over 128 cells to the
+# next, and to the shortest when no axis fits, a slab then one layer long.
+LAYOUT_EDGES = [lat((300,)), lat((6,), (4,)), lat((2, 0), (1, 150)), lat((130, 0), (0, 140), (65, 70))]
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 128])
+@pytest.mark.parametrize("n", LAYOUT_EDGES)
+def test_layout_edges_match_per_point_reference(n, chunk, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    assert brute_branch(n) == _reference_branch(n)
+
+
+def test_layout_falls_back_at_128_cells(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 128)
+    layouts = [(s.order, s.shape, s.step) for s in map(_lattice_scanner, LAYOUT_EDGES)]
+    assert layouts == [
+        ([0], [301], 301),
+        ([0], [3], 3),
+        ([0, 1], [3, 301], 42),
+        ([0, 1], [131, 141], 1),
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 128])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_vanishing_generators_scan_the_unit_box(dim, chunk, monkeypatch):
+    # Every generator is 0 mod det, so N = Z^d and the box is [0, 1]^d.
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    scanner = _BoxScanner(dim, [[3 * (k + 1) for k in range(dim)], [0] * dim], 3)
+    assert scanner.columns == []
+    assert scanner.answer() == _reference_branch(standard_lattice(dim))
+
+
+def test_long_axis_over_default_slab():
+    # reach [2, 2**21]: the longest axis is over _CHUNK cells, so rows run
+    # along the first and slabs of 2**20 // 3 layers cut the second.
+    n = lat((2, 0), (1, 2**20))
+    scanner = _lattice_scanner(n)
+    assert (scanner.order, scanner.step) == ([0, 1], oracle._CHUNK // 3)
+    assert len(list(scanner.slabs())) == 7
+    assert brute_branch(n) == ([(1, 2**20)], [2, 2**21], {(1,): 1, (2,): 1, (1, 2): 2})
+
+
+def test_oracle_loads_no_numpy():
+    code = "import qonash.oracle, sys; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, env=src_env()
+    )
+    assert done.stdout == b"False\n"
 
 
 def test_memory_flat_in_box_size(monkeypatch):
