@@ -7,10 +7,10 @@ fraction-free elimination: x lies in N exactly when x . g = 0 (mod det) for
 every g, which gives each axis reach c_k in closed form.  N is scanned once,
 in its reach box prod [0, c_k], in slabs of about ``_CHUNK`` cells, so
 memory stays flat whatever the box's shape.  A slab is one Python int with
-a bit for each cell; each row of it takes its members from one congruence
-along the row, solved for the row's one residue.  That one scan counts a
-branch's face indices by support and, by a prefix OR over the hits, finds
-its minimal points, each a few big-int operations a slab.
+a bit for each cell, and each row of the box takes its members from one
+congruence solved in closed form.  That one scan counts a branch's face
+indices by support and, by a prefix OR over the hits, finds its minimal
+points, each a few big-int operations a slab.
 Slow is fine; independent is the point.
 """
 
@@ -66,11 +66,11 @@ def _ones(bits: int):
         at = text.find("1", at + 1)
 
 
-def _row_keys(column: list[int], ranges: list[range]) -> list[int]:
-    """y . column over the rows y of the other axes in ``ranges``, the
-    first fastest."""
+def _row_keys(entries: list[int], ranges: list[range]) -> list[int]:
+    """y . entries over the rows y in the product of ``ranges``, the first
+    fastest."""
     keys = [0]
-    for span, a in zip(reversed(ranges), reversed(column[1:])):
+    for span, a in zip(reversed(ranges), reversed(entries)):
         keys = [k + x * a for k in keys for x in span]
     return keys
 
@@ -96,23 +96,23 @@ class _BoxScanner:
         # t * e_k is a member exactly when t * g_k = 0 (mod det) for every
         # g, so the least such t > 0, the axis reach c_k, divides det.
         self.reach = [det // math.gcd(det, *(g[k] for g in gens)) for k in range(dim)]
-        # Scan order: rows run along the longest axis that fits in a slab
-        # (else the shortest), so a box has the fewest rows; slabs cut the
-        # longest of the others, so the layer between two cuts is smallest.
-        by_reach = sorted(range(dim), key=lambda k: -self.reach[k])
-        row = next((k for k in by_reach if self.reach[k] < _CHUNK), by_reach[-1])
-        rest = [k for k in by_reach if k != row]
-        self.order = [row, *rest[1:], *rest[:1]]
+        # Scan order: rows run along the longest axis, so a box has the
+        # fewest rows.  When that axis fits in a slab it comes first, and
+        # slabs cut the longest of the others, so the layer between two cuts
+        # is smallest; else, and for d = 1, it comes last and slabs cut it.
+        longest, *rest = sorted(range(dim), key=lambda k: -self.reach[k])
+        if rest and self.reach[longest] < _CHUNK:
+            self.order, self.row = [longest, *rest[1:], rest[0]], 0
+        else:
+            self.order, self.row = [*rest, longest], dim - 1
         self.shape = [self.reach[k] + 1 for k in self.order]
         # The generators mod det in scan order; those that vanish test nothing.
         columns = ([g[k] % det for k in self.order] for g in gens)
         self.columns = [c for c in columns if any(c)]
         # Cells in a layer of the last axis, and layers in a slab: about
-        # _CHUNK cells and at least one row, which for d = 1 is the box.
+        # _CHUNK cells, at least one layer.
         self.layer = math.prod(self.shape[:-1])
-        self.step = self.shape[-1]
-        if dim > 1:
-            self.step = min(self.step, max(1, _CHUNK // self.layer))
+        self.step = min(self.shape[-1], max(1, _CHUNK // self.layer))
 
     def slabs(self):
         """Membership of the reach box prod [0, c_k], capped before any scan.
@@ -126,46 +126,52 @@ class _BoxScanner:
         if total > MAX_SCAN:
             msg = f"box of {total} points exceeds the oracle cap"
             raise DomainError("LIMIT_EXCEEDED", msg)
-        det, d, n = self.det, self.dim, self.shape[0]
+        det, a = self.det, self.row
         # Subtracting a multiple of one column from another keeps the
         # lattice, so Euclid on the entries of the row axis leaves one
         # column, the pivot, with a nonzero entry there at most.
-        cols = [list(c) for c in self.columns]
-        live = [c for c in cols if c[0]]
+        cols = [list(col) for col in self.columns]
+        live = [col for col in cols if col[a]]
         while len(live) > 1:
-            pivot = min(live, key=lambda c: c[0])
-            for c in live:
-                if c is not pivot:
-                    q = c[0] // pivot[0]
-                    c[:] = [(x - q * y) % det for x, y in zip(c, pivot)]
-            live = [c for c in cols if c[0]]
-        pivot = live[0] if live else [0] * d
-        tests = [c for c in cols if c is not pivot and any(c)]
+            pivot = min(live, key=lambda col: col[a])
+            for col in live:
+                if col is not pivot:
+                    q = col[a] // pivot[a]
+                    col[:] = [(x - q * y) % det for x, y in zip(col, pivot)]
+            live = [col for col in cols if col[a]]
+        pivot = live[0] if live else [0] * self.dim
+        tests = [col for col in cols if col is not pivot and any(col)]
         # A row, the other coordinates y fixed, has members only where
         # y . f = 0 (mod det) for every other column f.  There they are the
-        # t in [0, c_1] with t * b = -y . pivot (mod det), b the pivot's row
-        # entry: with g = gcd(det, b), c_1 = det / g, so none unless g
-        # divides y . pivot, else one t below c_1, by the inverse of b / g
-        # mod c_1, and c_1 too when t = 0.
-        g = math.gcd(det, pivot[0])
+        # t in [0, c_a] with t * b = -y . pivot (mod det), b the pivot's row
+        # entry: with g = gcd(det, b), c_a = det / g, so none unless g
+        # divides y . pivot, else one t below c_a, by the inverse of b / g
+        # mod c_a, and c_a too when t = 0.
+        g = math.gcd(det, pivot[a])
         c = det // g
-        inverse = pow(pivot[0] // g, -1, c)
+        inverse = pow(pivot[a] // g, -1, c)
+        # Cell t of row r is bit r * n_1 + t when rows come first, and
+        # r + (t - lo) * layer when they come last.
+        across, along = (self.shape[0], 1) if a == 0 else (1, self.layer)
         for lo in range(0, self.shape[-1], self.step):
-            hi = min(lo + self.step, self.shape[-1])
+            ranges = [range(m) for m in self.shape[:-1]]
+            ranges.append(range(lo, min(lo + self.step, self.shape[-1])))
+            span = ranges.pop(a)
             # The rows' values of y . column, the first of the other axes
             # fastest; a row that fails a test gets None.
-            ranges = [range(m) for m in self.shape[1:-1]] + [range(lo, hi)] if d > 1 else []
-            keys = _row_keys(pivot, ranges)
+            keys = _row_keys(pivot[:a] + pivot[a + 1 :], ranges)
             for f in tests:
-                keys = [k if y % det == 0 else None for k, y in zip(keys, _row_keys(f, ranges))]
-            bits = bytearray((len(keys) * n + 7) // 8)
-            for r, k in enumerate(keys):
+                ys = _row_keys(f[:a] + f[a + 1 :], ranges)
+                keys = [k if y % det == 0 else None for k, y in zip(keys, ys)]
+            bits = bytearray((len(keys) * len(span) + 7) // 8)
+            for base, k in zip(range(0, len(keys) * across, across), keys):
                 if k is not None and k % g == 0:
                     t = -(k // g) * inverse % c
-                    at = r * n + t
-                    bits[at >> 3] |= 1 << (at & 7)
-                    if not t:
-                        at += c
+                    if t in span:
+                        at = base + (t - span.start) * along
+                        bits[at >> 3] |= 1 << (at & 7)
+                    if not t and c in span:
+                        at = base + (c - span.start) * along
                         bits[at >> 3] |= 1 << (at & 7)
             yield lo, int.from_bytes(bits, "little")
 

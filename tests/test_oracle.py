@@ -213,9 +213,9 @@ def test_residues_packed_into_several_keys():
     assert brute_branch(n) == _reference_branch(n)
 
 
-# The edge cases of the scan layout: d = 1, with its one row longer than
-# 128 cells; rows that fall back from a longest axis over 128 cells to the
-# next, and to the shortest when no axis fits, a slab then one layer long.
+# The edge cases of the scan layout: d = 1, its one row longer than 128
+# cells or not; rows along a longest axis over 128 cells, which then comes
+# last and is cut into slabs, one layer long when a layer is over 128 cells.
 LAYOUT_EDGES = [lat((300,)), lat((6,), (4,)), lat((2, 0), (1, 150)), lat((130, 0), (0, 140), (65, 70))]
 
 
@@ -226,15 +226,16 @@ def test_layout_edges_match_per_point_reference(n, chunk, monkeypatch):
     assert brute_branch(n) == _reference_branch(n)
 
 
-def test_layout_falls_back_at_128_cells(monkeypatch):
+def test_layout_edges_at_128_cells(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 128)
-    layouts = [(s.order, s.shape, s.step) for s in map(_lattice_scanner, LAYOUT_EDGES)]
-    assert layouts == [
-        ([0], [301], 301),
-        ([0], [3], 3),
-        ([0, 1], [3, 301], 42),
-        ([0, 1], [131, 141], 1),
+    scanners = list(map(_lattice_scanner, LAYOUT_EDGES))
+    assert [(s.order, s.row, s.shape, s.step) for s in scanners] == [
+        ([0], 0, [301], 128),
+        ([0], 0, [3], 3),
+        ([0, 1], 1, [3, 301], 42),
+        ([0, 1], 1, [131, 141], 1),
     ]
+    assert [len(list(s.slabs())) for s in scanners] == [3, 1, 8, 141]
 
 
 @pytest.mark.parametrize("chunk", [1 << 20, 128])
@@ -248,11 +249,11 @@ def test_vanishing_generators_scan_the_unit_box(dim, chunk, monkeypatch):
 
 
 def test_long_axis_over_default_slab():
-    # reach [2, 2**21]: the longest axis is over _CHUNK cells, so rows run
-    # along the first and slabs of 2**20 // 3 layers cut the second.
+    # reach [2, 2**21]: the longest axis is over _CHUNK cells, so its rows
+    # come last, cut into slabs of 2**20 // 3 layers.
     n = lat((2, 0), (1, 2**20))
     scanner = _lattice_scanner(n)
-    assert (scanner.order, scanner.step) == ([0, 1], oracle._CHUNK // 3)
+    assert (scanner.order, scanner.row, scanner.step) == ([0, 1], 1, oracle._CHUNK // 3)
     assert len(list(scanner.slabs())) == 7
     assert brute_branch(n) == ([(1, 2**20)], [2, 2**21], {(1,): 1, (2,): 1, (1, 2): 2})
 
