@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, names_branch
 from .intlat import MAX_DIM, Lattice, RatVec, is_index, is_int
 from .nashmap import (
     BranchInput,
@@ -306,26 +306,23 @@ def render_text(result: VarietyReport, dim: int) -> str:
 # ------------------------------------------------------------------ command
 
 
-def _oracle_check(result: VarietyReport, dim: int) -> None:
+@names_branch
+def _oracle_check(report: BranchReport, dim: int) -> None:
     # Imported here so that the oracle loads only when the check is asked for.
     from . import oracle
 
-    for report in result.branches:
-        try:
-            brute = oracle.brute_exponents(dim, report.char_exponents)
-        except DomainError as exc:  # a refused scan names its branch
-            raise DomainError(exc.code, exc.message, branch=report.label) from None
-        main = (
-            list(report.s_min),
-            [f.reach[0] for f in report.faces if len(f.indices) == 1],
-            {f.indices: f.index for f in report.faces},
+    brute = oracle.brute_exponents(dim, report.char_exponents)
+    main = (
+        list(report.s_min),
+        [f.reach[0] for f in report.faces if len(f.indices) == 1],
+        {f.indices: f.index for f in report.faces},
+    )
+    if brute != main:
+        msg = "; ".join(
+            f"{side} S_min {s}, reaches {c}, face indices {dict(sorted(f.items()))}"
+            for side, (s, c, f) in (("main", main), ("brute", brute))
         )
-        if brute != main:
-            msg = "; ".join(
-                f"{side} S_min {s}, reaches {c}, face indices {dict(sorted(f.items()))}"
-                for side, (s, c, f) in (("main", main), ("brute", brute))
-            )
-            raise DomainError("ORACLE_MISMATCH", msg, branch=report.label)
+        raise DomainError("ORACLE_MISMATCH", msg)
 
 
 @functools.cache
@@ -412,7 +409,8 @@ def run(argv=None) -> int:
             )
         result = analyze_variety(inputs, max_points=args.max_index)
         if args.oracle_check:
-            _oracle_check(result, dim)
+            for report in result.branches:
+                _oracle_check(report, dim)
     except SchemaError as exc:
         _stderr(f"qonash: error: schema: {exc}")
         return 2

@@ -1,10 +1,13 @@
 """Exception types shared by all modules.
 
 Every domain-level failure carries a stable machine-readable ``code`` so the
-CLI can report it without parsing message strings.
+CLI can report it without parsing message strings; :func:`names_branch`
+labels one raised in a per-branch step with that step's branch.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 
 class DomainError(ValueError):
@@ -28,6 +31,21 @@ class DomainError(ValueError):
         if self.branch is not None:
             prefix += f" branch {branch!r}:"
         super().__init__(f"{prefix} {message}")
+
+
+def names_branch(step):
+    """``step(branch, ...)`` with each DomainError that names no branch raised
+    again with ``branch.label``; other errors, and all of an unlabelled
+    branch (label ``""``), pass through unchanged."""
+    @wraps(step)
+    def named(branch, *args):
+        try:
+            return step(branch, *args)
+        except DomainError as exc:
+            if exc.branch is not None or not branch.label:
+                raise
+            raise DomainError(exc.code, exc.message, branch=branch.label) from None
+    return named
 
 
 class SchemaError(ValueError):

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
-from functools import wraps
 
 from . import conegeom, qobranch
 from .conegeom import Face, leq_sigma
-from .errors import DomainError
+from .errors import DomainError, names_branch
 from .intlat import Lattice, RatVec, face_indices
 from .qobranch import BranchLattices
 
@@ -34,6 +33,10 @@ class BranchInput(namedtuple("BranchInput", "spec sing_faces extra_faces contact
     its Contacts."""
 
     __slots__ = ()
+
+    @property
+    def label(self) -> str:
+        return self.spec.label
 
 
 class Diagnostic(namedtuple("Diagnostic", "code message")):
@@ -181,21 +184,7 @@ def _check_face_list(dim: int, faces, kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _names_branch(step):
-    """A per-branch step ``step(branch, ...)`` whose every DomainError names
-    the branch: one that names none yet is raised again with its label."""
-    @wraps(step)
-    def named(branch: BranchInput, *args):
-        try:
-            return step(branch, *args)
-        except DomainError as exc:
-            if exc.branch is not None:
-                raise
-            raise DomainError(exc.code, exc.message, branch=branch.spec.label) from None
-    return named
-
-
-@_names_branch
+@names_branch
 def _prepare(branch: BranchInput, max_points: int | None):
     """Tower and face table of a branch, refused with LIMIT_EXCEEDED before
     any enumeration if its candidate points, sum(index) over the singular
@@ -245,7 +234,7 @@ def analyze_branch(
     return _analyze(branch, *_prepare(branch, max_points))
 
 
-@_names_branch
+@names_branch
 def _analyze(
     branch: BranchInput, lattices: BranchLattices, faces: tuple[Face, ...]
 ) -> BranchReport:
@@ -284,7 +273,7 @@ def _analyze(
             )
         ]
     return BranchReport(
-        label=branch.spec.label,
+        label=branch.label,
         char_exponents=branch.spec.char_exponents,
         lattices=lattices,
         relevant=relevant,
@@ -297,16 +286,16 @@ def _analyze(
 
 def _check_contact_symmetry(branches) -> None:
     """Unique labels first, then :func:`_check_contacts` branch by branch."""
-    labels = Counter(b.spec.label for b in branches)
+    labels = Counter(b.label for b in branches)
     dupes = [l for l, count in labels.items() if count > 1]
     if dupes:
         raise DomainError("DUPLICATE_LABEL", f"branch labels not unique: {sorted(dupes)}")
-    pairs = {(b.spec.label, c.partner) for b in branches for c in b.contacts}
+    pairs = {(b.label, c.partner) for b in branches for c in b.contacts}
     for b in branches:
         _check_contacts(b, labels, pairs)
 
 
-@_names_branch
+@names_branch
 def _check_contacts(branch: BranchInput, labels, pairs) -> None:
     """Each contact of a branch names another known branch, once, and that
     branch lists a contact back: ``pairs`` holds every (label, partner)."""
@@ -317,7 +306,7 @@ def _check_contacts(branch: BranchInput, labels, pairs) -> None:
             raise DomainError(
                 "ASYMMETRIC_CONTACT", "contact without a partner label cannot be matched"
             )
-        if partner == branch.spec.label:
+        if partner == branch.label:
             raise DomainError("SELF_CONTACT", "a branch cannot meet itself")
         if partner not in labels:
             raise DomainError("UNKNOWN_BRANCH", f"contact names unknown branch {partner!r}")
@@ -326,7 +315,7 @@ def _check_contacts(branch: BranchInput, labels, pairs) -> None:
                 "DUPLICATE_CONTACT", f"more than one contact listed for branch {partner!r}"
             )
         seen.add(partner)
-        if (partner, branch.spec.label) not in pairs:
+        if (partner, branch.label) not in pairs:
             raise DomainError(
                 "ASYMMETRIC_CONTACT", f"lists a contact with {partner!r} but not conversely"
             )

@@ -21,8 +21,8 @@ import math
 from .errors import DomainError
 from .intlat import Lattice, RatVec, face_indices, is_int
 
-# Hard ceiling on scanned box cells; the oracle is a checking tool, not a
-# production path, and anything bigger than this is a mistake.
+# Ceiling on scanned box cells: it bounds the time of --oracle-check and is
+# checked before any slab is formed; the slabs keep its memory flat.
 MAX_SCAN = 10**8
 _CHUNK = 1 << 20
 

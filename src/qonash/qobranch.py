@@ -14,7 +14,7 @@ from math import lcm, prod
 from operator import le
 
 from . import intlat
-from .errors import DomainError
+from .errors import DomainError, names_branch
 from .intlat import Lattice
 
 
@@ -60,30 +60,27 @@ class BranchLattices(namedtuple("BranchLattices", "tower")):
         return prod(self.step_indices)
 
 
+@names_branch
 def build_tower(spec: BranchSpec) -> BranchLattices:
-    """Validate the exponents and build the lattice tower.
+    """Validate the dimension and the exponents and build the lattice tower.
 
-    Raises DomainError with code NEGATIVE_EXPONENT, CHAIN_ORDER (consecutive
-    exponents not componentwise ordered), or NOT_CHARACTERISTIC (an exponent
-    already lies in the lattice built so far).
+    Raises DomainError naming the branch ``spec.label``, with code
+    DIMENSION_MISMATCH, NEGATIVE_EXPONENT, CHAIN_ORDER (consecutive exponents
+    not componentwise ordered) or NOT_CHARACTERISTIC (an exponent already
+    lies in the lattice built so far).
     """
     d = spec.dim
-    if not intlat.is_index(d, intlat.MAX_DIM):
-        message = f"dimension {d} outside 1..{intlat.MAX_DIM}"
-        raise DomainError("DIMENSION_MISMATCH", message, branch=spec.label)
+    tower = [intlat.standard_lattice(d)]  # refuses d outside 1..MAX_DIM
     exps = spec.char_exponents
     for j, lam in enumerate(exps, start=1):
         if lam.dim != d:
             raise DomainError(
                 "DIMENSION_MISMATCH",
                 f"exponent {j} has dimension {lam.dim}, expected {d}",
-                branch=spec.label,
             )
         if not lam.is_nonnegative():
             raise DomainError(
-                "NEGATIVE_EXPONENT",
-                f"exponent {j} = {lam} has a negative coordinate",
-                branch=spec.label,
+                "NEGATIVE_EXPONENT", f"exponent {j} = {lam} has a negative coordinate"
             )
     for j in range(len(exps) - 1):
         if not all(map(le, exps[j], exps[j + 1])):
@@ -91,10 +88,8 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
                 "CHAIN_ORDER",
                 f"exponents {j + 1} and {j + 2} are not componentwise ordered: "
                 f"{exps[j]} vs {exps[j + 1]}",
-                branch=spec.label,
             )
 
-    tower = [intlat.standard_lattice(d)]
     for j, lam in enumerate(exps, start=1):
         prev = tower[-1]
         # prev contains Z^d, so one HNF of its scaled basis and lam's
@@ -110,7 +105,6 @@ def build_tower(spec: BranchSpec) -> BranchLattices:
                 "NOT_CHARACTERISTIC",
                 f"exponent {j} = {lam} already lies in the lattice generated "
                 f"by the earlier ones",
-                branch=spec.label,
             )
         tower.append(nxt)
 

@@ -112,6 +112,14 @@ class TestBuildTower:
             "[DIMENSION_MISMATCH] branch 'x': exponent 1 has dimension 3, expected 2"
         )
 
+    @pytest.mark.parametrize("label, prefix", [("x", " branch 'x':"), ("", "")])
+    def test_dimension_out_of_range(self, label, prefix):
+        # An unlabelled branch's refusal has no prefix and names no branch.
+        with pytest.raises(DomainError) as err:
+            build_tower(BranchSpec(17, (), label))
+        assert str(err.value) == f"[DIMENSION_MISMATCH]{prefix} dimension 17 outside 1..16"
+        assert err.value.branch == (label or None)
+
     def test_error_names_branch(self):
         with pytest.raises(DomainError) as err:
             build_tower(spec((1, 1), label="culprit"))
