@@ -67,10 +67,9 @@ def _classify(n: Lattice, sections, faces) -> list[Face]:
 
 
 def face_data(n: Lattice, indices) -> Face:
-    """Edge generators, index, regularity and section of a quadrant face,
-    the zero face included, its coordinates checked by
-    :func:`intlat.face_indices`."""
-    idx = intlat.face_indices(indices, n.dim, empty=True)
+    """Edge generators, index, regularity and section of a nonempty quadrant
+    face, its coordinates checked by :func:`intlat.face_indices`."""
+    idx = intlat.face_indices(indices, n.dim)
     sections = {f: intlat.section(n, f) for f in {idx, *((i,) for i in idx)}}
     return _classify(n, sections, [idx])[0]
 
@@ -92,8 +91,6 @@ def parallelepiped_points(n: Lattice, indices) -> list[tuple[int, ...]]:
     half-open box, which yields exactly the face's index of points.
     """
     face = face_data(n, indices)
-    if not face.indices:
-        raise DomainError("BAD_FACE", "the zero face has no parallelepiped")
     return sorted(_box_walk(n.dim, face, strict=False))
 
 
@@ -290,8 +287,6 @@ def barycenter(n: Lattice, indices) -> tuple[int, ...]:
     integer point."""
     _require_sublattice(n)
     face = face_data(n, indices)
-    if not face.indices:
-        raise DomainError("BAD_FACE", "the zero face has no barycenter")
     if not face.regular:
         raise DomainError(
             "SINGULAR_FACE",

@@ -33,13 +33,13 @@ def is_index(value, top: int) -> bool:
     return is_int(value) and 1 <= value <= top
 
 
-def face_indices(raw, dim: int, name: str = "face indices", *, empty: bool = False):
-    """The face of the coordinates ``raw``, sorted and distinct.  Each must be
-    an index in 1..dim, and ``raw`` nonempty unless ``empty`` admits the
-    zero face, or it is refused with BAD_FACE "<name> <raw> not within
-    1..dim".  The check runs before the set, where True would merge with 1."""
+def face_indices(raw, dim: int, name: str = "face indices"):
+    """The face of the coordinates ``raw``, sorted and distinct: the one rule
+    for a face.  ``raw`` must be nonempty and each entry an index in 1..dim,
+    or it is refused with BAD_FACE "<name> <raw> not within 1..dim".  The
+    check runs before the set, where True would merge with 1."""
     raw = tuple(raw)
-    if not (raw or empty) or not all(is_index(i, dim) for i in raw):
+    if not raw or not all(is_index(i, dim) for i in raw):
         raise DomainError("BAD_FACE", f"{name} {raw} not within 1..{dim}")
     return tuple(sorted(set(raw)))
 
@@ -380,15 +380,14 @@ def index(sub: Lattice, sup: Lattice) -> int:
 def section(l: Lattice, idx) -> list[tuple[int, ...]]:
     """Hermite basis of denom times the lattice points supported on a face.
 
-    ``idx`` lists the face's coordinates (1-based, strictly ascending; the
-    zero face is admitted), or the face is refused with BAD_FACE, as by
-    :func:`face_indices`.  In the column order with them first, the leading
-    len(idx) rows of the Hermite form are the HNF of that section (Cohen,
-    GTM 138, 2.4); they come back in ambient order, row r pivoting at
-    coordinate idx[r].
+    ``idx`` lists the face's coordinates (1-based, strictly ascending), or
+    the face is refused with BAD_FACE, as by :func:`face_indices`.  In the
+    column order with them first, the leading len(idx) rows of the Hermite
+    form are the HNF of that section (Cohen, GTM 138, 2.4); they come back
+    in ambient order, row r pivoting at coordinate idx[r].
     """
     idx = tuple(idx)
-    if face_indices(idx, l.dim, empty=True) != idx:
+    if face_indices(idx, l.dim) != idx:
         raise DomainError("BAD_FACE", f"face indices {idx} not strictly ascending")
     rest = [j for j in range(l.dim) if j + 1 not in idx]
     return _hnf_core(l.scaled_basis, [i - 1 for i in idx] + rest)[: len(idx)]

@@ -183,20 +183,11 @@ class TestFaceRefusals:
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("fn", [face_data, parallelepiped_points, barycenter])
     def test_indices_out_of_range(self, fn, d):
-        for bad in [(0,), (d + 1,), (1, d + 1)]:
+        for bad in [(), (0,), (d + 1,), (1, d + 1)]:
             with pytest.raises(DomainError) as err:
                 fn(standard_lattice(d), bad)
             assert err.value.code == "BAD_FACE"
             assert err.value.message == f"face indices {bad} not within 1..{d}"
-
-    @pytest.mark.parametrize(
-        "fn, what", [(parallelepiped_points, "parallelepiped"), (barycenter, "barycenter")]
-    )
-    def test_zero_face(self, fn, what):
-        with pytest.raises(DomainError) as err:
-            fn(N_EVEN, ())
-        assert err.value.code == "BAD_FACE"
-        assert err.value.message == f"the zero face has no {what}"
 
     @pytest.mark.parametrize(
         "call, code",
@@ -227,10 +218,6 @@ class TestFaceRefusals:
         with pytest.raises(DomainError) as err:
             call(Z2)
         assert err.value.code == code
-
-    def test_zero_face_data(self):
-        # The zero face is a face of the quadrant: no edges, index 1.
-        assert face_data(N_EVEN, ()) == conegeom.Face((), (), (), 1, ())
 
     def test_face_data_repeated_unsorted_indices(self):
         # An index list names the face of its distinct coordinates.
@@ -427,7 +414,8 @@ class TestMinimalSingularPoints:
             assert minimal_toric_divisors(n) == points
 
 
-# Ladder rungs past the oracle's reach, by dimension: exponent, |S_min|.
+# Ladder rungs past the oracle's default cap, by dimension: exponent,
+# |S_min|.  Their reach boxes hold about 3.6 and 8.1 * 10^8 cells.
 RUNGS = {
     3: ((F(1, 480), F(1, 672), F(1, 1120)), 53_998),
     4: ((F(1, 90), F(1, 126), F(1, 210), F(1, 330)), 20_568),
@@ -456,6 +444,20 @@ def test_axis_permutation_at_scale(d, order):
     moved = rung_s_min(tuple(exponent[i] for i in order))
     assert moved == sorted(tuple(p[i] for i in order) for p in unmoved_s_min(d))
     assert len(moved) == size
+
+
+@pytest.mark.parametrize("d", sorted(RUNGS))
+def test_oracle_at_scale(monkeypatch, d):
+    # The oracle's S_min, axis reaches and face indices equal the main
+    # path's on each rung, its cap raised past the rung's reach box.
+    monkeypatch.setattr(oracle, "MAX_SCAN", 10**9)
+    exponents = (vec(*RUNGS[d][0]),)
+    faces = face_table(build_tower(BranchSpec(d, exponents)).N)
+    assert oracle.brute_exponents(d, exponents) == (
+        unmoved_s_min(d),
+        [f.reach[0] for f in faces if len(f.indices) == 1],
+        {f.indices: f.index for f in faces},
+    )
 
 
 @pytest.mark.parametrize("d, i, k", [(3, 1, 3), (4, 3, 2)], ids=str)

@@ -511,6 +511,7 @@ class TestLatticeProperties:
             ((1, 1), "face indices (1, 1) not strictly ascending"),
             ((2, 1), "face indices (2, 1) not strictly ascending"),
             ((1, 3, 2), "face indices (1, 3, 2) not strictly ascending"),
+            ((), "face indices () not within 1..3"),
         ],
     )
     def test_section_refuses_bad_face(self, idx, message):
