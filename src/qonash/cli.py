@@ -68,8 +68,6 @@ def _parse_vector(value, dim: int, path: str) -> RatVec:
 
 
 def _parse_faces(value, path: str) -> tuple[tuple[int, ...], ...]:
-    if value is None:
-        return ()
     _expect(isinstance(value, list), path, "expected a list of index lists")
     out = []
     for i, face in enumerate(value):
@@ -120,8 +118,8 @@ def parse_variety(doc) -> tuple[int, list[BranchInput]]:
         )
         parsed[label] = (
             BranchSpec(dim=dim, char_exponents=exps, label=label),
-            _parse_faces(raw.get("sing_faces"), f"{path}.sing_faces"),
-            _parse_faces(raw.get("extra_faces"), f"{path}.extra_faces"),
+            _parse_faces(raw.get("sing_faces", []), f"{path}.sing_faces"),
+            _parse_faces(raw.get("extra_faces", []), f"{path}.extra_faces"),
             [],
         )
 

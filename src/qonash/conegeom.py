@@ -36,6 +36,12 @@ class Face(namedtuple("Face", "indices primgens reach index section")):
     def regular(self) -> bool:
         return self.index == 1
 
+    @property
+    def barycenter(self) -> tuple[int, ...]:
+        """The sum of the edge generators, an integer point: E's point of
+        the face when it is regular."""
+        return tuple(map(sum, zip(*self.primgens)))
+
 
 def leq_sigma(u, v) -> bool:
     """Quadrant order on coordinate sequences of one dimension
@@ -292,7 +298,7 @@ def barycenter(n: Lattice, indices) -> tuple[int, ...]:
             "SINGULAR_FACE",
             f"face {face.indices} is singular; barycenters live on regular faces",
         )
-    return tuple(map(sum, zip(*face.primgens)))
+    return face.barycenter
 
 
 def monomial_valuation(v: RatVec, support) -> Fraction:

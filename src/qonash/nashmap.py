@@ -53,7 +53,7 @@ class BranchReport(namedtuple("BranchReport", "label char_exponents lattices rel
 
     @property
     def V(self) -> tuple[tuple[int, ...], ...]:
-        return self.s_min  # no S_min point lies above a barycenter (see _split)
+        return self.s_min  # no S_min point lies above a barycenter (see essential_divisors)
 
     @property
     def nash_count(self) -> int:
@@ -140,18 +140,11 @@ def essential_divisors(
     list is sorted.  Their union is the full set of essential divisors
     relative to B, and equals the image of the Nash components.
     """
-    chosen = set(_check_face_list(n.dim, relevant, "relevant"))
+    chosen = {face_indices(raw, n.dim, "relevant face") for raw in relevant}
     faces = conegeom.face_table(n)
-    return _split(n, faces, [f for f in faces if f.indices in chosen])
-
-
-def _split(n: Lattice, faces, relevant):
-    """E, S_min (which is V) and diagnostics of N given its face table and
-    the relevant faces among them, E and S_min as sorted integer points;
-    the antichain is proved, not checked point by point."""
+    regular = [f for f in faces if f.regular and f.indices in chosen]
+    e_points = sorted(f.barycenter for f in regular)
     s_min = conegeom.minimal_singular_points(n, faces)
-    regular = [f for f in relevant if f.regular]
-    e_points = sorted(tuple(map(sum, zip(*f.primgens))) for f in regular)
     # E and S_min form an antichain unless one regular relevant face lies
     # inside another.  S_min is one by construction.  No p in S_min lies
     # below a barycenter b_F: its support, a singular face, would lie in F,
@@ -166,22 +159,6 @@ def _split(n: Lattice, faces, relevant):
         diagnostics = lemma_min_diagnostics(e_points, s_min)
         assert diagnostics, "essential divisors must form an antichain"
     return e_points, s_min, diagnostics
-
-
-def _check_face_list(dim: int, faces, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Each face checked by :func:`intlat.face_indices` as a "<kind> face";
-    a singular-locus face must also have one, two or all dim coordinates."""
-    out = []
-    for raw in faces:
-        idx = face_indices(raw, dim, f"{kind} face")
-        if kind == "singular-locus" and len(idx) > 2 and len(idx) != dim:
-            raise DomainError(
-                "BAD_FACE",
-                f"singular-locus face {idx} must have one or two indices "
-                f"(or all {dim} for a point singularity)",
-            )
-        out.append(idx)
-    return tuple(out)
 
 
 @names_branch
@@ -242,9 +219,17 @@ def _analyze(
     n = lattices.N
     d = branch.spec.dim
 
-    sing_faces = _check_face_list(d, branch.sing_faces, "singular-locus")
-    extra_faces = _check_face_list(d, branch.extra_faces, "extra")
-    raw: list[tuple[int, ...]] = list(sing_faces) + list(extra_faces)
+    sing_faces = []
+    for face in branch.sing_faces:
+        idx = face_indices(face, d, "singular-locus face")
+        if len(idx) > 2 and len(idx) != d:
+            raise DomainError(
+                "BAD_FACE",
+                f"singular-locus face {idx} must have one or two indices "
+                f"(or all {d} for a point singularity)",
+            )
+        sing_faces.append(idx)
+    raw = sing_faces + [face_indices(face, d, "extra face") for face in branch.extra_faces]
     for contact in branch.contacts:
         if contact.exponent.dim != d:
             raise DomainError(
@@ -264,23 +249,25 @@ def _analyze(
             "supplied; B must contain the singular locus",
         )
 
-    e_points, s_min, diagnostics = _split(n, faces, relevant)
+    diagnostics = ()
     if not relevant and not sigma_singular:
-        diagnostics = diagnostics + [
+        diagnostics = (
             Diagnostic(
                 "EMPTY_B",
                 "smooth branch with empty B: no Nash components, no essential divisors",
-            )
-        ]
+            ),
+        )
+    # B's components are inclusion-minimal, so E and S_min form an
+    # antichain (see essential_divisors) and V is all of S_min.
     return BranchReport(
         label=branch.label,
         char_exponents=branch.spec.char_exponents,
         lattices=lattices,
         relevant=relevant,
         faces=faces,
-        s_min=tuple(s_min),
-        E=tuple(e_points),
-        diagnostics=tuple(diagnostics),
+        s_min=tuple(conegeom.minimal_singular_points(n, faces)),
+        E=tuple(sorted(f.barycenter for f in relevant if f.regular)),
+        diagnostics=diagnostics,
     )
 
 

@@ -414,6 +414,14 @@ def _write(tmp_path, doc):
     return str(path)
 
 
+@pytest.mark.parametrize("field", ["sing_faces", "extra_faces"])
+def test_null_face_list_refused(tmp_path, capsys, field):
+    # A list field may be omitted, and then reads as empty, but is never null.
+    path = _write(tmp_path, {"dim": 2, "branches": [{"label": "a", field: None}]})
+    line = f"qonash: error: schema: $.branches[0].{field}: expected a list of index lists\n"
+    assert run_cli(capsys, "analyze", path) == (2, "", line)
+
+
 def test_tower_error_precedes_contact_error(tmp_path, capsys):
     doc = {
         "schema_version": 1,

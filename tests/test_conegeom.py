@@ -171,10 +171,6 @@ class TestParallelepipedPoints:
             (4, 4),
         ]
 
-    def test_zero_face_rejected(self):
-        with pytest.raises(DomainError):
-            parallelepiped_points(Z2, ())
-
 
 class TestFaceRefusals:
     """The exact code and message of each refusal of the single-face entry

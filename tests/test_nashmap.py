@@ -463,6 +463,14 @@ def meeting(exponent):
             "ASYMMETRIC_CONTACT",
             "lists a contact with 'b' but not conversely",
         ),
+        # A face's arity is checked before the next face's range.
+        (
+            [branch_a((), ((1, 2, 3), (9,)), dim=4)],
+            None,
+            "BAD_FACE",
+            "singular-locus face (1, 2, 3) must have one or two indices "
+            "(or all 4 for a point singularity)",
+        ),
     ],
 )
 def test_per_branch_refusal_names_branch(branches, max_points, code, message):
@@ -914,8 +922,8 @@ class TestMetamorphic:
 
 
 def test_split_builds_no_ratvec(monkeypatch):
-    # E and S_min are integer points; with no diagnostics to word, the split
-    # constructs no RatVec at all.
+    # E and S_min are integer points; with no diagnostics to word,
+    # essential_divisors constructs no RatVec at all.
     built = 0
     init = RatVec.__init__
 
@@ -924,24 +932,22 @@ def test_split_builds_no_ratvec(monkeypatch):
         built += 1
         init(self, coords)
 
-    cases = []
-    for spec, lattices in random_branches(60, seed=20250810):
-        n = lattices.N
-        faces = conegeom.face_table(n)
-        cases.append((n, faces, [f for f in faces if len(f.indices) == 1]))
+    lattices = [tower.N for _, tower in random_branches(60, seed=20250810)]
     monkeypatch.setattr(RatVec, "__init__", counted)
     points = 0
-    for n, faces, cross in cases:
-        e_points, s_min, diagnostics = nashmap._split(n, faces, cross)
+    for n in lattices:
+        axes = [(k,) for k in range(1, n.dim + 1)]
+        e_points, s_min, diagnostics = nashmap.essential_divisors(n, axes)
         assert diagnostics == [] and len(e_points) == n.dim
         points += len(s_min)
     assert built == 0 and points > 0
 
 
 def test_split_antichain_matches_point_check():
-    # _split words diagnostics iff one regular relevant face lies inside
-    # another; the point-level check, E and S_min not an antichain, must say
-    # the same on random face lists, componentized and not.
+    # essential_divisors words diagnostics iff one regular relevant face
+    # lies inside another; the point-level check, E and S_min not an
+    # antichain, must say the same on random face lists, componentized and
+    # not.
     rng = random.Random(71)
     fired = checked = 0
     for d in range(1, 8):
@@ -958,7 +964,9 @@ def test_split_antichain_matches_point_check():
                 else:
                     keep = tuple(dict.fromkeys(raw))
                 relevant = [f for f in faces if f.indices in keep]
-                e, s_min, diagnostics = nashmap._split(n, faces, relevant)
+                e, s_min, diagnostics = nashmap.essential_divisors(
+                    n, [f.indices for f in relevant]
+                )
                 points = e + s_min
                 assert len(set(points)) == len(points)
                 antichain = len(conegeom.minimal_elements(points)) == len(points)
