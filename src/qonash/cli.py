@@ -428,7 +428,7 @@ def run(argv=None) -> int:
             raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         _stderr(f"qonash: error: cannot write output: {exc}")
         return 2
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
+from itertools import combinations
 
 from . import conegeom, qobranch
 from .conegeom import Face, leq_sigma
@@ -91,17 +92,13 @@ def contact_faces(m: RatVec) -> list[tuple[int]]:
 
 
 def componentize(raw) -> tuple[tuple[int, ...], ...]:
-    """Keep the inclusion-minimal faces, by size and then indices; a face
-    containing another lies in the other's orbit closure and is not a
-    component."""
+    """B's components by size, then indices: the listed faces F with no listed
+    proper subface, since a face holding another lies in its orbit closure.
+    Each F costs under 2^|F| set lookups, so under 3^d in dimension d."""
     faces = {tuple(sorted(set(i))) for i in raw}
-    minimal = [
-        i
-        for i in faces
-        if not any(j != i and set(j) <= set(i) for j in faces)
-    ]
-    minimal.sort(key=lambda i: (len(i), i))
-    return tuple(minimal)
+    kept = [f for f in faces
+            if not any(g in faces for r in range(len(f)) for g in combinations(f, r))]
+    return tuple(sorted(kept, key=lambda f: (len(f), f)))
 
 
 def lemma_min_diagnostics(e_points, s_min_points) -> list[Diagnostic]:
@@ -152,10 +149,11 @@ def essential_divisors(
     # in S_min: p lies in the open box 0 < p_i < c_i of its face (see
     # minimal_singular_points), and b_F is c_i on F.  Last, b_F <= b_G iff F
     # lies inside G, as b_F is c_i on F and 0 off it.  So V is all of S_min,
-    # and the pairwise scan runs only to word the diagnostics of
-    # inconsistent input.
+    # and the nesting test is componentize's rule: the regular faces nest
+    # just when it drops one, and only then are the diagnostics of
+    # inconsistent input worded.
     diagnostics = []
-    if any(set(f.indices) < set(g.indices) for f in regular for g in regular):
+    if len(componentize(f.indices for f in regular)) < len(regular):
         diagnostics = lemma_min_diagnostics(e_points, s_min)
         assert diagnostics, "essential divisors must form an antichain"
     return e_points, s_min, diagnostics
@@ -238,7 +236,7 @@ def _analyze(
                 f"{contact.exponent.dim}, expected {d}",
             )
         raw.extend(contact_faces(contact.exponent))
-    components = componentize(raw)
+    components = set(componentize(raw))
     relevant = tuple(f for f in faces if f.indices in components)
 
     sigma_singular = any(not f.regular for f in faces)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -820,6 +821,46 @@ def test_closed_stdout_exits_cleanly():
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == b"qonash: error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_unencodable_text_report():
+    # An ASCII stdout cannot take the label in the text report, and the
+    # encoding fails before any byte is written.  JSON escapes every
+    # non-ASCII character, so its report is the bytes of a UTF-8 run.
+    doc = json.dumps({"dim": 1, "branches": [
+        {"label": "\u00e9", "char_exponents": [], "extra_faces": [[1]]}]}).encode()
+
+    def analyze(fmt, encoding):
+        return subprocess.run(
+            [sys.executable, "-m", "qonash", "analyze", "-", "--format", fmt],
+            input=doc, capture_output=True, env={**src_env(), "PYTHONIOENCODING": encoding},
+        )
+
+    done = analyze("text", "ascii")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(
+        b"qonash: error: cannot write output: 'ascii' codec can't encode character '\\xe9'"
+    )
+    assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
+    done = analyze("json", "ascii")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == analyze("json", "utf-8").stdout
+
+
+def test_antichain_at_max_dim_16():
+    # A smooth d = 16 branch whose extra faces are the 12 870 8-subsets of
+    # the axes: all of them are B's components.  The JSON report is 149 MB,
+    # so the text report is read.
+    faces = [list(f) for f in itertools.combinations(range(1, 17), 8)]
+    doc = {"dim": 16, "branches": [{"label": "b", "char_exponents": [], "extra_faces": faces}]}
+    done = subprocess.run(
+        [sys.executable, "-m", "qonash", "analyze", "-", "--max-dim", "16", "--format", "text"],
+        input=json.dumps(doc).encode(), capture_output=True, env=src_env(), timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    lines = done.stdout.decode().splitlines()
+    assert sum(": regular, edge generators" in line for line in lines) == 12870
+    assert "  nash components = essential divisors = 12870" in lines
 
 
 def test_stdout_closed_before_start():

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
@@ -32,7 +34,7 @@ from qonash import conegeom, nashmap
 from qonash.cli import parse_variety
 from qonash.intlat import lattice_from_scaled
 from qonash.nashmap import lemma_min_diagnostics
-from helpers import cross_branch, lat, random_lattice, scale_axis, vec, vectors
+from helpers import cross_branch, lat, random_lattice, scale_axis, src_env, vec, vectors
 from towers import random_branches
 
 
@@ -71,6 +73,49 @@ class TestComponentize:
 
     def test_deduplicates_and_sorts(self):
         assert componentize([(2, 1), (1, 2), (3,)]) == ((3,), (1, 2))
+
+    def test_matches_pairwise_rule(self):
+        # The reference is the pairwise definition: keep each face that no
+        # other listed face lies inside.  The lists hold unsorted faces,
+        # repeated indices, duplicate faces, the empty list and ().
+        def pairwise(raw):
+            faces = {tuple(sorted(set(i))) for i in raw}
+            kept = [i for i in faces if not any(j != i and set(j) <= set(i) for j in faces)]
+            return tuple(sorted(kept, key=lambda i: (len(i), i)))
+
+        rng = random.Random(49)
+        seen = Counter()
+        for case in range(1200):
+            d = case % 8 + 1
+            raw = [
+                tuple(rng.randint(1, d) for _ in range(rng.randint(0, d + 2)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            if raw and rng.random() < 0.5:
+                raw.append(tuple(rng.sample(raw[0], len(raw[0]))))
+            seen["empty list"] += not raw
+            seen["()"] += () in raw
+            seen["duplicate"] += len({tuple(sorted(set(f))) for f in raw}) < len(raw)
+            assert componentize(raw) == pairwise(raw), raw
+        assert min(seen.values()) > 10 and len(seen) == 3
+
+    def test_scale(self):
+        # The 12 870 8-subsets of 16 axes form an antichain; with (1,) listed
+        # too, only the 6 435 that miss axis 1 stay beside it.  A pairwise
+        # scan of these lists takes minutes.
+        code = (
+            "from itertools import combinations\n"
+            "from qonash import componentize\n"
+            "faces = list(combinations(range(1, 17), 8))\n"
+            "assert componentize(faces) == tuple(faces)\n"
+            "kept = componentize(faces + [(1,)])\n"
+            "assert kept == ((1,), *(f for f in faces if 1 not in f))\n"
+            "assert len(kept) == 6436\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=30
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestEssentialDivisors:
