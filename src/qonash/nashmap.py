@@ -151,10 +151,11 @@ def essential_divisors(
     # lies inside G, as b_F is c_i on F and 0 off it.  So V is all of S_min,
     # and the nesting test is componentize's rule: the regular faces nest
     # just when it drops one, and only then are the diagnostics of
-    # inconsistent input worded.
+    # inconsistent input worded, from E alone, since no S_min point lies
+    # below a barycenter.
     diagnostics = []
     if len(componentize(f.indices for f in regular)) < len(regular):
-        diagnostics = lemma_min_diagnostics(e_points, s_min)
+        diagnostics = lemma_min_diagnostics(e_points, ())
         assert diagnostics, "essential divisors must form an antichain"
     return e_points, s_min, diagnostics
 

@@ -9,8 +9,9 @@ in its reach box prod [0, c_k], in slabs of about ``_CHUNK`` cells, so
 memory stays flat whatever the box's shape.  A slab is one Python int with
 a bit for each cell, and each row of the box takes its members from one
 congruence solved in closed form.  That one scan counts a branch's face
-indices by support and, by a prefix OR over the hits, finds its minimal
-points, each a few big-int operations a slab.
+indices by support and, by a prefix OR over the nonzero members, finds its
+minimal points: every unblocked nonzero member but the axis points, each
+step a few big-int operations a slab.
 Slow is fine; independent is the point.
 """
 
@@ -180,11 +181,17 @@ class _BoxScanner:
         nonempty face, keyed by its indices), from one pass over :meth:`slabs`.
 
         The cells of support F are the edge box of face F, so each count is
-        the index of F.  The members less the corners (coordinates in
-        {0, c_k}) are the hits: the points of the faces of index above 1,
-        less their corners, and a corner is never minimal, since whatever
-        lies above it lies above the other member too.  A hit is minimal
-        when the prefix OR of hits is clear one cell below it on every axis.
+        the index of F.  The hits are the members less the origin, the
+        support-0 part of the split by support, and a hit is unblocked when the prefix
+        OR of hits is clear one cell below it on every axis.  The unblocked
+        hits are exactly S_min and the axis points c_k e_k, the single-axis
+        parts of the split, which are left out when decoding.  By cases on
+        a hit h: an axis point has only the origin below it; any other
+        corner (coordinates in {0, c_k}) lies above an axis point; and a
+        non-corner h, a point of a face of index above 1, lies above a
+        nonzero corner q only when h - q, a non-corner member and so a
+        point of S, lies strictly below it too, so h is unblocked exactly
+        when it is minimal in S.
         Each step is a few operations on a slab's bits: the axes within a
         layer shift under masks of their nonzero coordinates, and the last
         axis shifts by whole layers.
@@ -204,12 +211,8 @@ class _BoxScanner:
                 h *= 2
             axes.append((stride, nonzero, doubling))
             stride *= m
-        # The corners of a layer; each axis's support bit, by coordinate,
-        # with its mask of nonzero coordinates (the last axis is zero only
-        # in the box's first layer).
-        corner = 1
-        for m, (stride, _, _) in zip(shape, axes):
-            corner |= corner << (m - 1) * stride
+        # Each axis's support bit, by coordinate, with its mask of nonzero
+        # coordinates (the last axis is zero only in the box's first layer).
         supports = [(1 << k, nonzero) for k, (_, nonzero, _) in zip(order, axes)]
         last = 1 << order[-1]
         counts, found, carry = [0] * (1 << d), [], 0
@@ -220,10 +223,9 @@ class _BoxScanner:
             split = _by_support(members, [*supports, (last, -1 if lo else -1 << layer)])
             for s, part in split.items():
                 counts[s] += part.bit_count()
-            hits = members
-            for x in {0, shape[-1] - 1}:
-                if lo <= x < hi:
-                    hits ^= corner << (x - lo) * layer
+            # The parts are disjoint, so the sum of the axis points is their union.
+            hits = members ^ split[0]
+            axis = sum(split.get(1 << k, 0) for k in range(d))
             # Prefix OR of the layer carried from the slab before and this slab.
             below = carry | hits << layer
             for _, _, doubling in axes:
@@ -242,7 +244,7 @@ class _BoxScanner:
             carry = below >> top
             # Back from bit positions in scan order to coordinates; sorted at
             # the end, as S_min is.
-            for at in _ones(hits & ~blocked):
+            for at in _ones(hits & ~blocked & ~axis):
                 x = []
                 for m in shape[:-1]:
                     at, r = divmod(at, m)

@@ -58,10 +58,13 @@ class TestHnf:
             (snf, [[]], "empty rows"),
             (hnf, [[], [1]], "rows of unequal length"),
             (hnf, [(1, 0), (0, 1, 2)], "rows of unequal length"),
+            (hnf, [], "empty row list"),
+            (snf, [], "empty row list"),
         ],
     )
     def test_refusal_messages(self, form, rows, message):
         # Rows of width zero are all of one length: they are refused as empty.
+        # No rows at all is refused before any width is read.
         with pytest.raises(DomainError) as err:
             form(rows)
         assert (err.value.code, err.value.message) == ("DIMENSION_MISMATCH", message)

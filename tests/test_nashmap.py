@@ -147,6 +147,31 @@ class TestEssentialDivisors:
         e, v, diags = essential_divisors(Z2, ((1,), (1, 2)))
         assert "LEMMA_MIN_VIOLATION" in [d.code for d in diags]
 
+    def test_nested_diagnostics_compare_barycenters_alone(self, monkeypatch):
+        # The singular face {1, 2} has a staircase of m - 1 points and the
+        # regular faces {3} inside {2, 3} nest.  No S_min point lies below a
+        # barycenter, so the diagnostics compare the two barycenters alone:
+        # two comparisons, not one for each S_min point.
+        m = 10**4
+        n = lat((m, 0, 0), (m - 1, 1, 0), (0, 0, 1))
+        calls = 0
+        leq = nashmap.leq_sigma
+
+        def counted(u, v):
+            nonlocal calls
+            calls += 1
+            return leq(u, v)
+
+        monkeypatch.setattr(nashmap, "leq_sigma", counted)
+        e, v, diags = essential_divisors(n, [(3,), (2, 3)])
+        assert e == [(0, 0, 1), (0, m, 1)] and len(v) == m - 1
+        assert calls == 2
+        assert [(d.code, d.message) for d in diags] == [(
+            "LEMMA_MIN_VIOLATION",
+            "barycenter (0, 10000, 1) is dominated by (0, 0, 1); "
+            "the supplied faces are inconsistent with the lattice",
+        )]
+
     @pytest.mark.parametrize(
         "given, point", [([[1]], (1, 0)), (((2, 1),), (1, 1)), ([(2, 1, 2)], (1, 1))]
     )
