@@ -108,8 +108,10 @@ def _box_walk(dim: int, face: Face, strict: bool, stairs=()) -> list:
     :func:`_walk_level` a row.  Row r pivots at coordinate i = indices[r]
     and is 0 past it, so once the later rows' coefficients are fixed,
     coordinate i moves with row r's coefficient alone, and no choice is
-    wasted on a non-point.  A level holds at most the product of c_i/p over
-    the rows so far, so never more than the face's index of points.
+    wasted on a non-point.  The coordinates fixed by then are the face's
+    later indices, indices[r + 1:].  A level holds at most the product of
+    c_i/p over the rows so far, so never more than the face's index of
+    points.
 
     ``stairs`` maps each singular 2-face (i, m) to its staircase (see
     :func:`minimal_singular_points`) as two lists: its points' s_m, rising,
@@ -117,21 +119,21 @@ def _box_walk(dim: int, face: Face, strict: bool, stairs=()) -> list:
     three or more coordinates, a point at or above a staircase point s of
     one of its 2-faces lies strictly above it, being positive on the rest
     of the face.  So the level fixing x_i caps it below s_i for the
-    staircase point s of each such (i, m), m fixed already, with the
+    staircase point s of each such (i, m), m a later index, with the
     largest s_m <= x_m, found by one bisect: it has the least s_i of those
     at or below x_m.  No point at or above one of them is built, and only
     those are left out.
     """
-    points, fixed = [(0,) * dim], []
-    for i, c, row in reversed(list(zip(face.indices, face.reach, face.section))):
-        cuts = [(m, *stairs[i, m]) for m in fixed if (i, m) in stairs]
+    points = [(0,) * dim]
+    for r in reversed(range(len(face.indices))):
+        i, c, row = face.indices[r], face.reach[r], face.section[r]
+        cuts = [(m, *stairs[i, m]) for m in face.indices[r + 1 :] if (i, m) in stairs]
         caps = [[top[bisect_right(ms, x[m - 1])] for x in points] for m, ms, top in cuts]
         if len(caps) > 1:
             caps = [list(map(min, *caps))]
         points = _walk_level(points, i, row, caps[0] if caps else repeat(c if strict else c + 1))
         if not points:
             break
-        fixed.append(i)
     return points
 
 
@@ -262,11 +264,17 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
     the caps of :func:`_box_walk` build none at or above one.  So S_min is
     the staircases and the :func:`minimal_elements` of the walked points, a
     pass that runs only when a walk keeps a point.
+
+    One pass over ``faces`` handles each singular face by its size.  It
+    relies on ``faces`` coming in the table's order, by size (see
+    :func:`face_table`), so every staircase is in place before the walks
+    it caps.
     """
     _require_sublattice(n)
-    singular = [face for face in faces if not face.regular]
-    found, stairs = [], {}
-    for face in singular:
+    found, stairs, walked = [], {}, []
+    for face in faces:
+        if face.regular:
+            continue
         if len(face.indices) == 2:
             (i, j), (first, second) = face.indices, face.section
             point = [0] * n.dim
@@ -276,14 +284,10 @@ def minimal_singular_points(n: Lattice, faces: tuple[Face, ...]) -> list[tuple[i
                 ms.append(point[j - 1])
                 top.append(r)
                 found.append(tuple(point))
-    larger = [
-        p
-        for face in singular
-        if len(face.indices) > 2
-        for p in _box_walk(n.dim, face, strict=True, stairs=stairs)
-    ]
-    if larger:
-        found += minimal_elements(larger)
+        else:
+            walked += _box_walk(n.dim, face, strict=True, stairs=stairs)
+    if walked:
+        found += minimal_elements(walked)
     found.sort()
     return found
 

@@ -336,6 +336,37 @@ class TestMinimalSingularPoints:
             for _, lattices_ in random_branches(30, seed=810 + d, dims=(d,), max_index=60):
                 self.check(lattices_.N)
 
+    def test_split_faces_hold_no_minimal_point(self):
+        # A singular face F of three or more coordinates splits when
+        # index(F) = index(G) * index(F - G) for a nonempty proper G of F.
+        # Such a face holds no S_min point, and each point of its uncapped
+        # open box lies above one, so a walk may skip it.  Faces of four or
+        # more coordinates that do not split do hold S_min points, which
+        # only the general walk finds.
+        held = Counter()
+        for d in range(2, 7):
+            for _, lattices_ in random_branches(30, seed=810 + d, dims=(d,), max_index=60):
+                n = lattices_.N
+                faces = face_table(n)
+                index = {face.indices: face.index for face in faces}
+                s_min = minimal_singular_points(n, faces)
+                supports = {tuple(i for i, x in enumerate(p, 1) if x) for p in s_min}
+                for face in faces:
+                    f = face.indices
+                    if face.regular or len(f) < 3:
+                        continue
+                    if any(
+                        index[f] == index[g] * index[tuple(i for i in f if i not in g)]
+                        for size in range(1, len(f))
+                        for g in itertools.combinations(f, size)
+                    ):
+                        assert f not in supports, (n, f)
+                        for p in conegeom._box_walk(n.dim, face, strict=True):
+                            assert any(leq_sigma(q, p) for q in s_min), (n, f, p)
+                    elif len(f) > 3 and f in supports:
+                        held[len(f)] += 1
+        assert held[4] and held[5], held
+
     def test_ladder(self):
         for d, exps in self.LADDER:
             self.check(build_tower(BranchSpec(d, tuple(map(RatVec, exps)))).N)

@@ -668,6 +668,9 @@ class TestRatVec:
             for op in (operator.lt, operator.le, operator.gt, operator.ge):
                 assert op(u, v) == op(a, b) and op(v, u) == op(b, a), (op, a, b)
 
+    def test_repr(self):
+        assert repr(RatVec([1, F(1, 2)])) == "RatVec(1, 1/2)"
+
 
 class TestLatticeValue:
     def test_equal_however_built(self):
@@ -679,3 +682,7 @@ class TestLatticeValue:
         half = lat((F(1, 2), 0), (0, F(1, 2)))
         assert half.scaled_basis == Z2.scaled_basis and half.denom == 2
         assert half != Z2
+
+    def test_repr(self):
+        n = lattice_from_generators([(1, 0), (0, F(1, 2))])
+        assert repr(n) == "Lattice(dim=2, basis=[(1, 0), (0, 1/2)])"
